@@ -7,7 +7,6 @@ routes and reported with residuals, never assumed.
 """
 
 from .specfun import (
-    EvalPrecision,
     gamma,
     gauss_g,
     series_s,
@@ -20,7 +19,6 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalPrecision",
     "gamma",
     "gauss_g",
     "series_s",

@@ -26,7 +26,6 @@ from .report import CLAIM_IDS, IDENTITY_LABELS, ClaimReport, ClaimStatus, make_r
 
 __all__ = [
     "complex_form",
-    "real_form",
     "GramSample",
     "GridRect",
     "rep_inverse_z",
@@ -43,14 +42,9 @@ __all__ = [
 MIN_OFFSET = 0.05
 
 
-def complex_form(z: complex, l: tuple[float, float]) -> complex:
-    """<z, l> = z l1 + conj(z) l2."""
+def complex_form(z: complex, l: tuple) -> complex:
+    """<z, l> = z l1 + conj(z) l2 (either coordinate may be an ndarray)."""
     return z * l[0] + z.conjugate() * l[1]
-
-
-def real_form(z: complex, l: tuple[float, float]) -> float:
-    """z . l = re(z) l1 + im(z) l2."""
-    return z.real * l[0] + z.imag * l[1]
 
 
 # --------------------------------------------------------------------------
@@ -80,8 +74,8 @@ def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         raise DomainError(f"need re(z) > 0, got {z}")
     t0 = time.perf_counter()
 
-    def f2(l1: float, l2: float) -> complex:
-        return complex(np.exp(-complex_form(z, (l1, l2))))
+    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+        return np.exp(-complex_form(z, (l1, l2)))
 
     res = integrate_quadrant(f2, spec)
     rep = make_report(
@@ -114,8 +108,8 @@ def rep_green_fresnel(z: complex,
 
     t0 = time.perf_counter()
 
-    def f2(l1: float, l2: float) -> float:
-        return math.exp(-x * (l1 + l2)) * math.cos(y * (l2 - l1))
+    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+        return np.exp(-x * (l1 + l2)) * np.cos(y * (l2 - l1))
 
     direct = integrate_quadrant(f2, spec)
     direct_rep = make_report(

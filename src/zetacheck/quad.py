@@ -1,20 +1,20 @@
 """Adaptive quadrature with honest error estimates.
 
 A nested Gauss/Kronrod pair drives all finite-interval work; semi-infinite
-integrals are mapped to (0, 1] and pre-partitioned so the adaptive engine
-never has to chase an endpoint singularity of the map itself.  Oscillatory
-integrals over [0, inf) are summed lobe-by-lobe between consecutive zeros of
-the oscillator, with an alternating-series tail bound (or iterated averaging
-once plain summation would need absurdly many lobes).
+integrals are mapped to (0, 1] by t = exp(a - x) and walked window by window
+so the adaptive engine never has to chase an endpoint singularity of the map
+itself.  Oscillatory integrals over [0, inf) are summed lobe-by-lobe between
+consecutive zeros of the oscillator, with an alternating-series tail bound
+(or iterated averaging once plain summation would need absurdly many lobes).
 
-Integrands are called with numpy arrays of abscissae when they accept them;
-scalar-only callables are detected and looped over transparently.
+Every integrand is called with a 1-D ndarray of abscissae and must return an
+ndarray of the same shape; anything else raises TypeError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -24,8 +24,6 @@ from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError, DomainError
 
 __all__ = [
-    "Transform",
-    "OscMode",
     "OscKind",
     "QuadSpec",
     "QuadResult",
@@ -38,17 +36,6 @@ __all__ = [
 ]
 
 
-class Transform(Enum):
-    NONE = "none"
-    EXP_TAIL = "exp_tail"
-    LOG_SUB = "log_sub"
-
-
-class OscMode(Enum):
-    ADAPTIVE = "adaptive"
-    PERIOD_PARTITION = "period_partition"
-
-
 class OscKind(Enum):
     SIN = "sin"
     COS = "cos"
@@ -59,8 +46,6 @@ class QuadSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 48
-    transform: Transform = Transform.EXP_TAIL
-    osc_mode: OscMode = OscMode.PERIOD_PARTITION
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
@@ -117,34 +102,27 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
 _MAX_EVALS = 4_000_000
+_MAX_WINDOWS = 700
 
 
-def _vectorized(f):
-    """Wrap f so it can be called with a 1-D ndarray of abscissae."""
-    state = {"mode": None}
-
-    def call(x: np.ndarray) -> np.ndarray:
-        if state["mode"] is None:
-            try:
-                y = np.asarray(f(x))
-                if y.shape == x.shape:
-                    state["mode"] = "vector"
-                    return y
-            except (TypeError, ValueError):
-                pass
-            state["mode"] = "scalar"
-        if state["mode"] == "vector":
-            return np.asarray(f(x))
-        return np.asarray([f(float(t)) for t in x])
-
-    return call
+def _call(f, x: np.ndarray) -> np.ndarray:
+    """f(x), enforcing the array-in, array-out integrand contract."""
+    y = f(x)
+    shape = getattr(y, "shape", None)
+    if shape != x.shape:
+        raise TypeError(
+            f"integrand must map an ndarray of abscissae to an ndarray of the "
+            f"same shape; got {type(y).__name__} of shape {shape} for input "
+            f"shape {x.shape}"
+        )
+    return y
 
 
 def _gk15(g, a: float, b: float):
     """One Kronrod panel: (value, error, max |g| seen)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = g(c + h * _NODES)
+    y = _call(g, c + h * _NODES)
     k15 = h * np.sum(_WK * y)
     g7 = h * np.sum(_WG * y[1::2])
     err = abs(k15 - g7)
@@ -217,9 +195,8 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Quad
         raise DomainError("integrate_finite requires finite endpoints")
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    g = _vectorized(f)
     val, err, evals, conv, div, _ = _adaptive_finite(
-        g, a, b, spec.abs_tol, spec.rel_tol, spec.max_depth
+        f, a, b, spec.abs_tol, spec.rel_tol, spec.max_depth
     )
     return QuadResult(_tidy(val), err, evals, conv, div)
 
@@ -236,37 +213,24 @@ def _tidy(v):
 # --------------------------------------------------------------------------
 
 
-def _window_integral(g, transform: Transform, a: float, k: int,
-                     abs_tol: float, rel_tol: float, max_depth: int):
-    """Integrate the k-th mapped window; also return the mapped width.
+def _window_integral(f, a: float, k: int, abs_tol: float, rel_tol: float,
+                     max_depth: int):
+    """Integrate the k-th window under t = exp(a - x); also return its width.
 
-    Peak-of-mapped-integrand times mapped width over-estimates the window's
-    absolute mass even under cancellation, which is what the stopping rule
-    needs.
+    Unit windows in x are geometric windows in t.  Peak-of-mapped-integrand
+    times mapped width over-estimates the window's absolute mass even under
+    cancellation, which is what the stopping rule needs.
     """
-    if transform == Transform.EXP_TAIL:
-        # t = exp(a - l); unit windows in l are geometric windows in t.
-        def mapped(t):
-            return g(a - np.log(t)) / t
+    def mapped(t):
+        return _call(f, a - np.log(t)) / t
 
-        t_lo, t_hi = math.exp(-(k + 1.0)), math.exp(-float(k))
-        return _adaptive_finite(mapped, t_lo, t_hi, abs_tol, rel_tol,
-                                max_depth), t_hi - t_lo
-    if transform == Transform.LOG_SUB:
-        # l = a + t/(1 - t); doubling windows in l halve in t.
-        def mapped(t):
-            om = 1.0 - t
-            return g(a + t / om) / (om * om)
-
-        t_lo, t_hi = 1.0 - 2.0 ** (-k), 1.0 - 2.0 ** (-(k + 1))
-        return _adaptive_finite(mapped, t_lo, t_hi, abs_tol, rel_tol,
-                                max_depth), t_hi - t_lo
-    lo, hi = a + (2.0 ** k - 1.0), a + (2.0 ** (k + 1) - 1.0)
-    return _adaptive_finite(g, lo, hi, abs_tol, rel_tol, max_depth), hi - lo
+    t_lo, t_hi = math.exp(-(k + 1.0)), math.exp(-float(k))
+    return _adaptive_finite(mapped, t_lo, t_hi, abs_tol, rel_tol,
+                            max_depth), t_hi - t_lo
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Integral of f over [a, inf), mapped per spec.transform.
+    """Integral of f over [a, inf), mapped to (0, 1] by t = exp(a - x).
 
     The mapped interval is walked window by window so that decay of the
     integrand, not depth of recursive bisection, decides how far out the
@@ -275,8 +239,6 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     """
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
-    g = _vectorized(f)
-    max_windows = 700 if spec.transform == Transform.EXP_TAIL else 55
 
     total = 0.0 + 0.0j
     total_err = 0.0
@@ -291,9 +253,9 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     watch = _Diverge(max(spec.abs_tol, 1e-300))
     prev_win = 0.0
     k = 0
-    while k < max_windows:
+    while k < _MAX_WINDOWS:
         (val, err, ev, conv, div, peak), width = _window_integral(
-            g, spec.transform, a, k, spec.abs_tol / 16.0,
+            f, a, k, spec.abs_tol / 16.0,
             min(spec.rel_tol, 1e-8), spec.max_depth,
         )
         mass = peak * width  # bounds the window's absolute mass
@@ -364,11 +326,10 @@ def oscillatory_raw(f, nu: float, kind: OscKind,
         raise DomainError("oscillator frequency must be finite and > 0")
     if nu > 1e3:
         raise DomainError("oscillator frequency capped at 1e3 for audits")
-    g = _vectorized(f)
     osc = np.sin if kind == OscKind.SIN else np.cos
 
     def integrand(x):
-        return g(x) * osc(nu * x)
+        return _call(f, x) * osc(nu * x)
 
     partials: list[complex] = []
     total = 0.0 + 0.0j
@@ -475,11 +436,6 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
         return QuadResult(res.value * scale, res.error_estimate * scale,
                           res.evaluations, res.converged)
     amplitude.validate_pcid()
-    if spec.osc_mode == OscMode.ADAPTIVE:
-        osc = np.sin if kind == OscKind.SIN else np.cos
-        return integrate_semi_infinite(
-            lambda x: amplitude.value(x) * osc(nu * x), 0.0, spec
-        )
     return oscillatory_raw(amplitude.value, nu, kind, spec, max_lobes)
 
 
@@ -489,13 +445,15 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
 
 
 def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Iterated integral of f2(l1, l2) over the open positive quadrant."""
-    inner_spec = QuadSpec(
+    """Iterated integral of f2(l1, l2) over the open positive quadrant.
+
+    f2(l1: float, l2: ndarray) -> ndarray: the outer variable is a scalar,
+    the inner one an array of abscissae, and the result has l2's shape.
+    """
+    inner_spec = replace(
+        spec,
         abs_tol=max(spec.abs_tol / 64.0, 1e-14),
         rel_tol=max(spec.rel_tol / 16.0, 1e-13),
-        max_depth=spec.max_depth,
-        transform=spec.transform,
-        osc_mode=spec.osc_mode,
     )
     state = {"evals": 0, "failures": 0, "inner_err": 0.0}
 
@@ -526,5 +484,4 @@ def integrate_diag_reduced(g, spec: QuadSpec = QuadSpec()) -> QuadResult:
     Equals the quadrant integral of h(l1 + l2) when g = h, by reducing along
     the anti-diagonal; the Jacobian contributes the factor w.
     """
-    gv = _vectorized(g)
-    return integrate_semi_infinite(lambda w: np.asarray(w) * gv(np.asarray(w)), 0.0, spec)
+    return integrate_semi_infinite(lambda w: w * _call(g, w), 0.0, spec)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 __all__ = [
-    "EvalPrecision",
     "gamma",
     "zeta",
     "zeta_star",
@@ -39,26 +37,9 @@ POLE_GUARD_RADIUS = 1e-6
 _LN2 = math.log(2.0)
 # Convergence base of the binomial-accelerated alternating series.
 _ACCEL_BASE = math.log(3.0 + math.sqrt(8.0))
-
-
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Requested accuracy for the series evaluators.
-
-    ``digits`` is the target count of correct decimal digits; the double
-    precision backend caps it at 15.  ``max_terms`` bounds series length.
-    """
-
-    digits: int = 15
-    max_terms: int = 250
-
-    def __post_init__(self) -> None:
-        if self.digits < 15:
-            raise ValueError("digits must be >= 15")
-        if self.digits > 15:
-            raise ValueError("digits beyond the double-precision budget (15)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+# Target decimal digits of the double-precision series, and its length cap.
+_ZETA_DIGITS = 15
+_ZETA_MAX_TERMS = 250
 
 
 def _require_finite(z: complex, name: str = "z") -> complex:
@@ -186,7 +167,7 @@ def _eta_zero_guard(s: complex) -> None:
         )
 
 
-def zeta(s: complex, prec: EvalPrecision = EvalPrecision()) -> complex:
+def zeta(s: complex) -> complex:
     """Riemann zeta on the certified strip 0 < re(s) <= 4, |im(s)| <= 50."""
     s = _require_finite(s, "s")
     if not (0.0 < s.real <= ZETA_RE_MAX):
@@ -197,12 +178,12 @@ def zeta(s: complex, prec: EvalPrecision = EvalPrecision()) -> complex:
 
     t = abs(s.imag)
     # Truncation bound of the accelerated series carries exp(pi*t/2).
-    nats = prec.digits * math.log(10.0) + 0.5 * math.pi * t + math.log(1.0 + 2.0 * t) + 5.0
+    nats = _ZETA_DIGITS * math.log(10.0) + 0.5 * math.pi * t + math.log(1.0 + 2.0 * t) + 5.0
     n = int(math.ceil(nats / _ACCEL_BASE))
     n = max(n, 12)
-    if n > min(prec.max_terms, 250):
+    if n > _ZETA_MAX_TERMS:
         raise DomainError(
-            f"series needs {n} terms, above the max_terms cap {prec.max_terms}"
+            f"series needs {n} terms, above the cap {_ZETA_MAX_TERMS}"
         )
 
     ratios = _accel_ratios(n)
@@ -214,10 +195,10 @@ def zeta(s: complex, prec: EvalPrecision = EvalPrecision()) -> complex:
     return total / (1.0 - 2.0 ** (1.0 - s))
 
 
-def zeta_star(s: complex, prec: EvalPrecision = EvalPrecision()) -> complex:
+def zeta_star(s: complex) -> complex:
     """Completed zeta: pi^(-s/2) * gamma(s/2) * zeta(s)."""
     s = _require_finite(s, "s")
-    return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s) * zeta(s, prec)
+    return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s) * zeta(s)
 
 
 # --------------------------------------------------------------------------

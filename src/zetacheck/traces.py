@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -199,6 +199,20 @@ def hausdorff_moment_audit(s: complex, j_max: int = 20, k_max: int = 20,
 # --------------------------------------------------------------------------
 
 
+def _series_j_max(n: int, digits: int) -> int:
+    """Smallest j past the peak with (pi n^2)^j / j! below 10^-(digits+12).
+
+    Terms beyond it sit far under the truncation cutoff of tr_cg_n_series at
+    that working precision, so the series is certifiably truncated by then.
+    """
+    c = math.pi * n * n
+    target = -(digits + 12) * math.log(10.0)
+    j = math.ceil(c) + 20
+    while j * math.log(c) - math.lgamma(j + 1) >= target:
+        j += 1
+    return j
+
+
 def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
     """sum_j (-pi n^2)^j / j! * t_j(s), summed in extended precision.
 
@@ -364,10 +378,11 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         if denom != 0.0:
             tr_n = float(np.real(sig_r.value - sig_s.value)) / denom
         else:
+            digits = max(p.digits, 15 + math.ceil(
+                math.pi * n * n * math.log10(math.e)))
             tr_n = float(tr_cg_n_series(n, TraceParams(
-                s, max(p.j_max, math.ceil(math.pi * n * n) + 40), n,
-                p.l_max, max(p.digits, 15 + math.ceil(
-                    math.pi * n * n * math.log10(math.e))))))
+                s, max(p.j_max, _series_j_max(n, digits)), n, p.l_max,
+                digits)))
         measured.append(tr_n)
     envelope_honest = all(abs(m) <= best_env for m in measured)
 
@@ -435,9 +450,7 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
         raise DomainError("growth prefactor e^{aL} overflows")
     scale = math.exp(a * L)
     inner_tol = max(1e-15, spec.abs_tol * min(1.0, 1.0 / scale))
-    inner_spec = QuadSpec(abs_tol=inner_tol, rel_tol=spec.rel_tol,
-                          max_depth=spec.max_depth, transform=spec.transform,
-                          osc_mode=spec.osc_mode)
+    inner_spec = replace(spec, abs_tol=inner_tol)
 
     def integrand(w):
         inner = np.minimum(b * L - 2.0 * w, _EXP_CLIP)
@@ -482,11 +495,11 @@ def poisson_term_quadrant(n: int, L: int, z: complex,
         raise DomainError("growth prefactor e^{aL} overflows")
     scale = math.exp(a * L)
 
-    def f2(l1: float, l2: float) -> complex:
-        inner = min(b * L - 2.0 * (l1 + l2), _EXP_CLIP)
-        kern = math.exp(-c * math.exp(inner))
-        osc = complex(math.cos(v * (l1 - l2)), -math.sin(v * (l1 - l2)))
-        return kern * math.exp(-u * (l1 + l2)) * osc
+    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+        inner = np.minimum(b * L - 2.0 * (l1 + l2), _EXP_CLIP)
+        kern = np.exp(-c * np.exp(inner))
+        osc = np.cos(v * (l1 - l2)) - 1j * np.sin(v * (l1 - l2))
+        return kern * np.exp(-u * (l1 + l2)) * osc
 
     res = integrate_quadrant(f2, spec)
     return QuadResult(scale * float(np.real(res.value)),

@@ -172,3 +172,12 @@ def test_traces_subcommand_structure(capsys):
     assert ids == ["trace-decomposition", "hausdorff-moments",
                    "trace-total-positivity", "poisson-vanishing",
                    "j-decomposition"]
+
+
+def test_traces_on_the_critical_line_at_high_precision(capsys):
+    # On re(s) = 1/2 the next trace terms come from the extended-precision
+    # series, whose truncation index must grow with the working digits.
+    assert run(["traces", "--re", "0.5", "--digits", "200"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    total = next(d for d in data if d["claimId"] == "trace-total-positivity")
+    assert len(total["extra"]["measuredNextTerms"]) == 3

@@ -115,7 +115,7 @@ def test_theta_oracles(x, want):
     assert theta(x) == pytest.approx(want, rel=1e-14, abs=1e-16)
 
 
-def test_theta_vectorized_matches_scalar():
+def test_theta_array_matches_scalar():
     xs = np.linspace(0.2, 3.0, 7)
     vec = theta(xs)
     assert vec.shape == xs.shape
