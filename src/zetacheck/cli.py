@@ -402,6 +402,10 @@ def _series_headroom(n_max: int, digits_floor: int) -> tuple[int, int]:
 
 
 def run_traces(cfg: RunConfig) -> list[ClaimReport]:
+    if not 0.0 < cfg.re < 1.0:
+        # The Poisson routes run at s and at 1 - s, so both need re > 0.
+        raise DomainError(f"traces needs re(s) in the open strip (0, 1), "
+                          f"got {cfg.re}")
     s = complex(cfg.re, cfg.im)
     n_top = max(3, cfg.n)
     j_max, digits = _series_headroom(n_top, cfg.digits)

@@ -74,7 +74,7 @@ def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         raise DomainError(f"need re(z) > 0, got {z}")
     t0 = time.perf_counter()
 
-    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+    def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         return np.exp(-complex_form(z, (l1, l2)))
 
     res = integrate_quadrant(f2, spec)
@@ -108,7 +108,7 @@ def rep_green_fresnel(z: complex,
 
     t0 = time.perf_counter()
 
-    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+    def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         return np.exp(-x * (l1 + l2)) * np.cos(y * (l2 - l1))
 
     direct = integrate_quadrant(f2, spec)

@@ -1,14 +1,16 @@
 """Adaptive quadrature with honest error estimates.
 
-A nested Gauss/Kronrod pair drives all finite-interval work; semi-infinite
-integrals are mapped to (0, 1] by t = exp(a - x) and walked window by window
-so the adaptive engine never has to chase an endpoint singularity of the map
-itself.  Oscillatory integrals over [0, inf) are summed lobe-by-lobe between
-consecutive zeros of the oscillator, with an alternating-series tail bound
-(or iterated averaging once plain summation would need absurdly many lobes).
+One Gauss/Kronrod engine integrates an array of finite intervals in lockstep.
+Semi-infinite integrals are mapped to (0, 1] by t = exp(a - x) and walked
+window by window so the engine never has to chase an endpoint singularity of
+the map itself.  Oscillatory integrals over [0, inf) are summed lobe-by-lobe
+between consecutive zeros of the oscillator, with an alternating-series tail
+bound (or iterated averaging once plain summation would need absurdly many
+lobes).  Windows and lobes are integrated in blocks, and the ones computed
+past the stop count as evaluations too.
 
-Every integrand is called with a 1-D ndarray of abscissae and must return an
-ndarray of the same shape; anything else raises TypeError.
+Every integrand is called with an ndarray of abscissae, of any shape, and
+must return an ndarray of the same shape; anything else raises TypeError.
 """
 
 from __future__ import annotations
@@ -17,23 +19,16 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
 from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError, DomainError
 
-__all__ = [
-    "OscKind",
-    "QuadSpec",
-    "QuadResult",
-    "integrate_finite",
-    "integrate_semi_infinite",
-    "integrate_oscillatory",
-    "integrate_quadrant",
-    "integrate_diag_reduced",
-    "oscillatory_raw",
-]
+__all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
+           "integrate_semi_infinite", "integrate_oscillatory",
+           "integrate_quadrant", "integrate_diag_reduced", "oscillatory_raw"]
 
 
 class OscKind(Enum):
@@ -74,24 +69,12 @@ class QuadResult:
 # 15-point Kronrod / 7-point Gauss pair (classical published abscissae).
 # --------------------------------------------------------------------------
 
-_XK_HALF = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
-)
-_WK_HALF = (
-    0.0229353220105292,
-    0.0630920926299786,
-    0.1047900103222502,
-    0.1406532597155259,
-    0.1690047266392679,
-    0.1903505780647854,
-    0.2044329400752989,
-)
+_XK_HALF = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+            0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
+            0.2077849550078985)
+_WK_HALF = (0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
+            0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
+            0.2044329400752989)
 _WK_CENTER = 0.2094821410847278
 _WG_HALF = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189)
 _WG_CENTER = 0.4179591836734694
@@ -103,11 +86,19 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
 _MAX_EVALS = 4_000_000
 _MAX_WINDOWS = 700
+# Windows or lobes integrated per block: past the stop they are wasted work,
+# so a block stays small next to a typical walk of 30-300.
+_WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
+# Intervals per engine pass; bounds the working arrays when inner integrals
+# multiply them (8 outer windows x 15 nodes x 8 inner windows).
+_MAX_INTERVALS = 128
+# Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
+_EDGES = [math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)]
 
 
-def _call(f, x: np.ndarray) -> np.ndarray:
-    """f(x), enforcing the array-in, array-out integrand contract."""
-    y = f(x)
+def _call(f, x: np.ndarray, *args) -> np.ndarray:
+    """f(x, *args), enforcing the array-in, array-out integrand contract."""
+    y = f(x, *args)
     shape = getattr(y, "shape", None)
     if shape != x.shape:
         raise TypeError(
@@ -118,15 +109,15 @@ def _call(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk15(g, a: float, b: float):
-    """One Kronrod panel: (value, error, max |g| seen)."""
+def _panels(g, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
+    """Kronrod panels on [a[j], b[j]]: values, errors, max |g| of each."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    y = _call(g, c + h * _NODES)
-    k15 = h * np.sum(_WK * y)
-    g7 = h * np.sum(_WG * y[1::2])
-    err = abs(k15 - g7)
-    return k15, err, float(np.max(np.abs(y)))
+    y = g(c[:, None] + h[:, None] * _NODES, owner)
+    k15 = h * np.sum(_WK * y, axis=1)
+    d = k15 - h * np.sum(_WG * y[:, 1::2], axis=1)
+    # hypot rounds |complex| as a scalar abs does; np.abs may not.
+    return k15, np.hypot(d.real, d.imag), np.max(np.abs(y), axis=1)
 
 
 class _Diverge:
@@ -153,40 +144,57 @@ class _Diverge:
         return self.strikes >= 3
 
 
-def _adaptive_finite(g, a: float, b: float, abs_tol: float, rel_tol: float,
-                     max_depth: int):
-    val, err, peak = _gk15(g, a, b)
-    evals = 15
-    counter = 0
-    heap = [(-err, counter, a, b, 0, val, err)]
-    total = val
-    total_err = err
-    converged = False
-    diverged = False
-    watch = _Diverge(abs(val))
-    while True:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
-            converged = True
-            break
-        neg_err, _, pa, pb, depth, pval, perr = heappop(heap)
-        if depth >= max_depth or evals >= _MAX_EVALS:
-            heappush(heap, (neg_err, 0, pa, pb, depth, pval, perr))
-            break
-        mid = 0.5 * (pa + pb)
-        lv, le, pk1 = _gk15(g, pa, mid)
-        rv, re_, pk2 = _gk15(g, mid, pb)
-        evals += 30
-        peak = max(peak, pk1, pk2)
-        total = total - pval + lv + rv
-        total_err = total_err - perr + le + re_
-        counter += 1
-        heappush(heap, (-le, counter, pa, mid, depth + 1, lv, le))
-        counter += 1
-        heappush(heap, (-re_, counter, mid, pb, depth + 1, rv, re_))
-        if watch.update(abs(total)):
-            diverged = True
-            break
-    return total, total_err, evals, converged, diverged, peak
+def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
+    """Adaptive integrals of g over [lo[i], hi[i]] for every i, in lockstep.
+
+    g(x, owner) maps an (m, 15) array of abscissae, row j in interval
+    owner[j], to an array of x's shape.  Each interval runs the greedy
+    QUADPACK loop on its own panel heap until its error meets the tolerance,
+    max_depth, _MAX_EVALS or _Diverge stops it; one generation bisects the
+    worst panel of every unfinished interval and evaluates all children in
+    one call.  Yields (value, error, evals, converged, diverged, peak |g|).
+    """
+    lo, hi = [float(x) for x in lo], [float(x) for x in hi]
+    for s in range(0, len(lo), _MAX_INTERVALS):
+        a, b = lo[s:s + _MAX_INTERVALS], hi[s:s + _MAX_INTERVALS]
+        val, err, pk = _panels(g, np.array(a), np.array(b),
+                               np.arange(s, s + len(a)))
+        done = err <= np.fmax(abs_tol, rel_tol * np.hypot(val.real, val.imag))
+        total, total_err, peak = val.tolist(), err.tolist(), pk.tolist()
+        converged, diverged, evals = done.tolist(), [False] * len(a), [15] * len(a)
+        active = np.flatnonzero(~done).tolist()
+        heaps = {i: [(-total_err[i], 0, a[i], b[i], 0, total[i], total_err[i])]
+                 for i in active}
+        watch = {i: _Diverge(abs(total[i])) for i in active}
+        while active:
+            split = [(i, heappop(heaps[i])) for i in active
+                     if heaps[i][0][4] < max_depth and evals[i] < _MAX_EVALS]
+            if not split:
+                break
+            pa, pb = [p[2] for _, p in split], [p[3] for _, p in split]
+            mid = [0.5 * (x + y) for x, y in zip(pa, pb)]
+            val, err, pk = (v.tolist() for v in _panels(
+                g, np.array(pa + mid), np.array(mid + pb),
+                np.array([s + i for i, _ in split] * 2)))
+            m, active = len(split), []
+            for j, (i, (_, _, _, _, depth, pval, perr)) in enumerate(split):
+                lv, le, rv, re_ = val[j], err[j], val[m + j], err[m + j]
+                evals[i] += 30
+                peak[i] = max(peak[i], pk[j], pk[m + j])
+                total[i] = total[i] - pval + lv + rv
+                total_err[i] = total_err[i] - perr + le + re_
+                # The growing evaluation count breaks error ties by age.
+                heappush(heaps[i], (-le, evals[i] - 1, pa[j], mid[j],
+                                    depth + 1, lv, le))
+                heappush(heaps[i], (-re_, evals[i], mid[j], pb[j], depth + 1,
+                                    rv, re_))
+                if watch[i].update(abs(total[i])):
+                    diverged[i] = True
+                elif total_err[i] <= max(abs_tol, rel_tol * abs(total[i])):
+                    converged[i] = True
+                else:
+                    active.append(i)
+        yield from zip(total, total_err, evals, converged, diverged, peak)
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -195,17 +203,15 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Quad
         raise DomainError("integrate_finite requires finite endpoints")
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    val, err, evals, conv, div, _ = _adaptive_finite(
-        f, a, b, spec.abs_tol, spec.rel_tol, spec.max_depth
-    )
+    (val, err, evals, conv, div, _), = _lockstep(
+        lambda x, _: _call(f, x), [a], [b], spec.abs_tol, spec.rel_tol,
+        spec.max_depth)
     return QuadResult(_tidy(val), err, evals, conv, div)
 
 
 def _tidy(v):
     v = complex(v)
-    if v.imag == 0.0:
-        return v.real
-    return v
+    return v.real if v.imag == 0.0 else v
 
 
 # --------------------------------------------------------------------------
@@ -213,55 +219,23 @@ def _tidy(v):
 # --------------------------------------------------------------------------
 
 
-def _window_integral(f, a: float, k: int, abs_tol: float, rel_tol: float,
-                     max_depth: int):
-    """Integrate the k-th window under t = exp(a - x); also return its width.
+def _walk(spec: QuadSpec):
+    """Stopping rules of one window walk, as a coroutine.
 
-    Unit windows in x are geometric windows in t.  Peak-of-mapped-integrand
-    times mapped width over-estimates the window's absolute mass even under
-    cancellation, which is what the stopping rule needs.
+    Send it each window's (value, error, converged, diverged, mass bound) in
+    order; it yields None until the walk stops, then (value, error,
+    converged, diverged).
     """
-    def mapped(t):
-        return _call(f, a - np.log(t)) / t
-
-    t_lo, t_hi = math.exp(-(k + 1.0)), math.exp(-float(k))
-    return _adaptive_finite(mapped, t_lo, t_hi, abs_tol, rel_tol,
-                            max_depth), t_hi - t_lo
-
-
-def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Integral of f over [a, inf), mapped to (0, 1] by t = exp(a - x).
-
-    The mapped interval is walked window by window so that decay of the
-    integrand, not depth of recursive bisection, decides how far out the
-    evaluation reaches.  Stops after two consecutive negligible windows and
-    charges a geometric-extrapolation stub for the remainder.
-    """
-    if not math.isfinite(a):
-        raise DomainError("lower endpoint must be finite")
-
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    evals = 0
-    converged_all = True
-    diverged = False
-    quiet = 0
-    seen_loud = False
+    total, total_err, prev_win = 0.0 + 0.0j, 0.0, 0.0
+    converged_all, diverged, seen_loud, quiet = True, False, False, 0
     envelopes: list[float] = []
     # Floor the divergence watch at tolerance scale: climbing out of the
     # numerical-zero regime during a delayed onset is not runaway growth.
     watch = _Diverge(max(spec.abs_tol, 1e-300))
-    prev_win = 0.0
-    k = 0
-    while k < _MAX_WINDOWS:
-        (val, err, ev, conv, div, peak), width = _window_integral(
-            f, a, k, spec.abs_tol / 16.0,
-            min(spec.rel_tol, 1e-8), spec.max_depth,
-        )
-        mass = peak * width  # bounds the window's absolute mass
+    for _ in range(_MAX_WINDOWS):
+        val, err, conv, div, mass = yield
         total += val
         total_err += err
-        evals += ev
         converged_all = converged_all and conv
         diverged = diverged or div
         envelopes.append(max(abs(val), 0.01 * mass))
@@ -280,7 +254,6 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
         else:
             seen_loud = True
             quiet = 0
-        k += 1
     else:
         converged_all = False
 
@@ -288,8 +261,54 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     if len(envelopes) >= 2 and envelopes[-2] > 0.0:
         ratio = min(envelopes[-1] / envelopes[-2], 0.9)
         total_err += envelopes[-1] * ratio / (1.0 - ratio)
-    converged = converged_all and not diverged and quiet >= 2
-    return QuadResult(_tidy(total), total_err, evals, converged, diverged)
+    yield total, total_err, converged_all and not diverged and quiet >= 2, diverged
+
+
+def _walk_windows(f, a: float, spec: QuadSpec, n_rows: int) -> list[QuadResult]:
+    """Integrals over [a, inf) of n_rows integrands, walked in lockstep.
+
+    f(x, rows) gets abscissae x and, per row of x, its integrand's index.  A
+    block integrates the next windows of every unfinished walk in one engine
+    call, then replays them in order.  Peak of the mapped integrand times
+    mapped width over-estimates a window's absolute mass even under
+    cancellation, which is what the stopping rule needs.
+    """
+    walks = [_walk(spec) for _ in range(n_rows)]
+    ends = [next(w) for w in walks]
+    evals = [0] * n_rows
+    tol = (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), spec.max_depth)
+    active = list(range(n_rows))
+    for k0 in range(0, _MAX_WINDOWS, _WINDOW_BLOCK):
+        ks = range(k0, min(k0 + _WINDOW_BLOCK, _MAX_WINDOWS))
+        rows = np.repeat(active, len(ks))
+        windows = _lockstep(
+            lambda t, owner: _call(f, a - np.log(t), rows[owner]) / t,
+            [_EDGES[k + 1] for k in ks] * len(active),
+            [_EDGES[k] for k in ks] * len(active), *tol)
+        for r in active:
+            for k, (val, err, ev, conv, div, peak) in zip(ks, windows):
+                evals[r] += ev
+                if ends[r] is None:
+                    ends[r] = walks[r].send(
+                        (val, err, conv, div, peak * (_EDGES[k] - _EDGES[k + 1])))
+        active = [r for r in active if ends[r] is None]
+        if not active:
+            break
+    return [QuadResult(_tidy(v), e, ev, c, d)
+            for (v, e, c, d), ev in zip(ends, evals)]
+
+
+def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
+    """Integral of f over [a, inf), mapped to (0, 1] by t = exp(a - x).
+
+    The mapped interval is walked window by window so that decay of the
+    integrand, not depth of recursive bisection, decides how far out the
+    evaluation reaches.  Stops after two consecutive negligible windows and
+    charges a geometric-extrapolation stub for the remainder.
+    """
+    if not math.isfinite(a):
+        raise DomainError("lower endpoint must be finite")
+    return _walk_windows(lambda x, _: f(x), a, spec, 1)[0]
 
 
 # --------------------------------------------------------------------------
@@ -297,13 +316,11 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
 # --------------------------------------------------------------------------
 
 
-def _lobe_edges(kind: OscKind, nu: float, k: int) -> tuple[float, float]:
-    """Endpoints of the k-th sign lobe of the oscillator."""
-    if kind == OscKind.SIN:
-        return k * math.pi / nu, (k + 1) * math.pi / nu
-    if k == 0:
-        return 0.0, 0.5 * math.pi / nu
-    return (k - 0.5) * math.pi / nu, (k + 0.5) * math.pi / nu
+def _lobes(g, kind: OscKind, nu: float, ks, *tol):
+    """Engine results for the sign lobes ks of the oscillator."""
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    return list(_lockstep(g, [max(k - shift, 0.0) * math.pi / nu for k in ks],
+                          [(k + 1 - shift) * math.pi / nu for k in ks], *tol))
 
 
 def _iterated_average(partials: list) -> complex:
@@ -328,33 +345,28 @@ def oscillatory_raw(f, nu: float, kind: OscKind,
         raise DomainError("oscillator frequency capped at 1e3 for audits")
     osc = np.sin if kind == OscKind.SIN else np.cos
 
-    def integrand(x):
-        return _call(f, x) * osc(nu * x)
+    evals = 0
+
+    def lobes():  # engine results of lobe 0, 1, 2, ... in blocks
+        nonlocal evals
+        for k0 in count(0, _LOBE_BLOCK):
+            block = _lobes(lambda x, _: _call(f, x) * osc(nu * x), kind, nu,
+                           range(k0, k0 + _LOBE_BLOCK), spec.abs_tol / 50.0,
+                           1e-10, min(spec.max_depth, 24))
+            evals += sum(r[2] for r in block)
+            yield from block
 
     partials: list[complex] = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    evals = 0
-    converged = False
-    tail = 0.0
+    total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
+    walk = lobes()
     for k in range(max_lobes):
-        lo, hi = _lobe_edges(kind, nu, k)
-        val, err, ev, conv, _, _ = _adaptive_finite(
-            integrand, lo, hi, spec.abs_tol / 50.0, 1e-10,
-            min(spec.max_depth, 24),
-        )
-        evals += ev
+        val, err, *_ = next(walk)
         total += val
         total_err += err
         partials.append(total)
         if k >= 1 and abs(val) < spec.abs_tol / 10.0:
             # Alternating-series tail: first omitted lobe bounds the rest.
-            nlo, nhi = _lobe_edges(kind, nu, k + 1)
-            nval, nerr, nev, _, _, _ = _adaptive_finite(
-                integrand, nlo, nhi, spec.abs_tol / 50.0, 1e-10,
-                min(spec.max_depth, 24),
-            )
-            evals += nev
+            nval, nerr, *_ = next(walk)
             tail = abs(nval) + nerr
             converged = True
             break
@@ -376,30 +388,19 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
     is rigorously below power * (power+1) * (power+2) * a^(-power-2).
     """
     osc = np.sin if kind == OscKind.SIN else np.cos
+    shift = 0.0 if kind == OscKind.SIN else 0.5
     n_lobes = 480
-    total = 0.0
-    total_err = 0.0
-    evals = 0
-    for k in range(n_lobes):
-        lo, hi = _lobe_edges(kind, 1.0, k)
-        if k == 0:
-            # u = q*q removes the endpoint singularity of the first lobe.
-            def first(q):
-                u = q * q
-                return 2.0 * q * osc(u) * u ** (-power)
-
-            val, err, ev, _, _, _ = _adaptive_finite(
-                first, 1e-150, math.sqrt(hi), spec.abs_tol / 50.0, 1e-12, 40
-            )
-        else:
-            val, err, ev, _, _, _ = _adaptive_finite(
-                lambda u: osc(u) * u ** (-power), lo, hi,
-                spec.abs_tol / 50.0, 1e-12, 24,
-            )
-        total += val.real if isinstance(val, complex) else float(val)
+    # u = q*q removes the endpoint singularity of the first lobe.
+    lobes = [*_lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-power),
+                        [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
+                        spec.abs_tol / 50.0, 1e-12, 40)]
+    lobes += _lobes(lambda u, _: osc(u) * u ** (-power), kind, 1.0,
+                    range(1, n_lobes), spec.abs_tol / 50.0, 1e-12, 24)
+    total, total_err = 0.0, 0.0
+    for val, err, _, _, _, _ in lobes:
+        total += val
         total_err += err
-        evals += ev
-    a = n_lobes * math.pi if kind == OscKind.SIN else (n_lobes - 0.5) * math.pi
+    a = (n_lobes - shift) * math.pi
     p = power
     # Three integrations by parts; |R| <= p (p+1) a^-(p+2) rigorously.
     if kind == OscKind.SIN:
@@ -409,7 +410,8 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
         tail = (-math.sin(a) * a ** (-p) + p * math.cos(a) * a ** (-p - 1)
                 + p * (p + 1) * math.sin(a) * a ** (-p - 2))
     remainder = p * (p + 1) * a ** (-p - 2)
-    return QuadResult(total + tail, total_err + remainder, evals, True)
+    return QuadResult(total + tail, total_err + remainder,
+                      sum(r[2] for r in lobes), all(r[3] for r in lobes))
 
 
 def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
@@ -447,35 +449,32 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
 def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Iterated integral of f2(l1, l2) over the open positive quadrant.
 
-    f2(l1: float, l2: ndarray) -> ndarray: the outer variable is a scalar,
-    the inner one an array of abscissae, and the result has l2's shape.
+    f2 is called with broadcastable arrays: l1 of shape (m, 1) holds the
+    outer node of each row of the (m, 15) inner abscissae l2, and the result
+    has l2's shape.  The inner integrals of all the outer nodes an outer
+    engine call evaluates run in lockstep.
     """
-    inner_spec = replace(
-        spec,
-        abs_tol=max(spec.abs_tol / 64.0, 1e-14),
-        rel_tol=max(spec.rel_tol / 16.0, 1e-13),
-    )
+    inner_spec = replace(spec, abs_tol=max(spec.abs_tol / 64.0, 1e-14),
+                         rel_tol=max(spec.rel_tol / 16.0, 1e-13))
     state = {"evals": 0, "failures": 0, "inner_err": 0.0}
 
-    def marginal(l1_nodes: np.ndarray) -> np.ndarray:
-        out = np.empty(len(l1_nodes), dtype=complex)
-        for i, l1 in enumerate(l1_nodes):
-            r = integrate_semi_infinite(lambda l2: f2(float(l1), l2), 0.0, inner_spec)
-            state["evals"] += r.evaluations
-            state["inner_err"] = max(state["inner_err"], r.error_estimate)
-            if not r.converged:
-                state["failures"] += 1
-            out[i] = complex(r.value)
-        return out
+    def marginal(l1: np.ndarray, _) -> np.ndarray:
+        nodes = l1.ravel()
+        inner = _walk_windows(lambda l2, rows: f2(nodes[rows, None], l2), 0.0,
+                              inner_spec, nodes.size)
+        state["evals"] += sum(r.evaluations for r in inner)
+        state["inner_err"] = max([state["inner_err"]]
+                                 + [r.error_estimate for r in inner])
+        state["failures"] += sum(not r.converged for r in inner)
+        return np.array([complex(r.value) for r in inner]).reshape(l1.shape)
 
-    outer = integrate_semi_infinite(marginal, 0.0, spec)
+    outer = _walk_windows(marginal, 0.0, spec, 1)[0]
     # Inner error is charged over the effective outer integration length.
     length = max(1.0, math.log(1.0 + state["evals"]))
     err = outer.error_estimate + state["inner_err"] * 8.0 * length
-    return QuadResult(
-        outer.value, err, state["evals"], outer.converged and state["failures"] == 0,
-        outer.diverged, inner_failures=state["failures"],
-    )
+    return QuadResult(outer.value, err, state["evals"],
+                      outer.converged and state["failures"] == 0,
+                      outer.diverged, inner_failures=state["failures"])
 
 
 def integrate_diag_reduced(g, spec: QuadSpec = QuadSpec()) -> QuadResult:

@@ -495,7 +495,7 @@ def poisson_term_quadrant(n: int, L: int, z: complex,
         raise DomainError("growth prefactor e^{aL} overflows")
     scale = math.exp(a * L)
 
-    def f2(l1: float, l2: np.ndarray) -> np.ndarray:
+    def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         inner = np.minimum(b * L - 2.0 * (l1 + l2), _EXP_CLIP)
         kern = np.exp(-c * np.exp(inner))
         osc = np.cos(v * (l1 - l2)) - 1j * np.sin(v * (l1 - l2))

@@ -181,3 +181,10 @@ def test_traces_on_the_critical_line_at_high_precision(capsys):
     data = json.loads(capsys.readouterr().out)
     total = next(d for d in data if d["claimId"] == "trace-total-positivity")
     assert len(total["extra"]["measuredNextTerms"]) == 3
+
+
+@pytest.mark.parametrize("re_s", ["0", "1"])
+def test_traces_rejects_the_strip_edges(re_s, capsys):
+    # The Poisson routes run at s and 1 - s; each edge puts one at re = 0.
+    assert run(["traces", "--re", re_s]) == 64
+    assert "open strip (0, 1)" in capsys.readouterr().err

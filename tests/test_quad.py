@@ -6,12 +6,15 @@ the reported estimate must dominate the actual miss).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zetacheck import quad
 from zetacheck.amplitudes import AmplitudeSpec
 from zetacheck.errors import DomainError
+from zetacheck.laplace import complex_form
 from zetacheck.quad import (OscKind, QuadSpec, integrate_finite,
                             integrate_diag_reduced, integrate_oscillatory,
                             integrate_quadrant, integrate_semi_infinite,
@@ -66,10 +69,30 @@ def test_finite_rejects_bad_endpoints():
 @pytest.mark.parametrize("f", [
     lambda x: math.exp(-x),
     lambda x: 1.0,
-], ids=["scalar-only", "scalar-returning"])
+    lambda x: np.exp(-x).ravel(),
+], ids=["scalar-only", "scalar-returning", "flattening"])
 def test_integrand_must_map_array_to_array(f):
     with pytest.raises(TypeError):
         integrate_finite(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_finite(f, 0.0, 1.0),
+    lambda f: integrate_finite(lambda x: np.sqrt(np.abs(f(x) - 0.3)), 0.0, 2.0),
+    lambda f: integrate_semi_infinite(f, 0.0),
+    lambda f: oscillatory_raw(f, 2.0, OscKind.SIN),
+], ids=["finite", "finite-cusp", "semi-infinite", "oscillatory"])
+def test_evaluations_count_every_abscissa(integrate):
+    # Windows and lobes integrated past the stopping point are real work:
+    # the reported count must match what the integrand actually saw.
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.exp(-x * x)
+
+    res = integrate(f)
+    assert res.evaluations == sum(seen) > 0
 
 
 def test_complex_integrand_round_trip():
@@ -163,6 +186,14 @@ def test_oscillatory_rational_cos():
     assert abs(res.value - truth) <= 1e-8
 
 
+def test_improper_power_reports_lobe_convergence():
+    # cos(u)/u is not integrable at 0, so the first lobe cannot converge.
+    assert not quad._improper_power(1.0, OscKind.COS, QuadSpec()).converged
+    for power, kind in ((1.0, OscKind.SIN), (0.5, OscKind.SIN),
+                        (0.5, OscKind.COS)):
+        assert quad._improper_power(power, kind, QuadSpec()).converged
+
+
 def test_inv_sqrt_improper_amplitude():
     # int_0^inf sin(x)/sqrt(x) dx = sqrt(pi/2)
     res = integrate_oscillatory(AmplitudeSpec.inv_sqrt(), 1.0, OscKind.SIN)
@@ -182,6 +213,26 @@ def test_quadrant_with_oscillation():
     # int e^{-l1-l2} cos(l1 - l2) over the quadrant = 1/2 (closed form).
     res = integrate_quadrant(lambda l1, l2: np.exp(-l1 - l2) * np.cos(l1 - l2))
     assert abs(res.value - 0.5) <= 1e-8
+
+
+def test_quadrant_rows_match_independent_inner_integrals():
+    # integrate_quadrant runs the inner integrals of many outer nodes in
+    # lockstep; each must equal its own one-node public evaluation.
+    z, spec = 0.8 - 2.65j, QuadSpec()
+    inner_spec = replace(spec, abs_tol=max(spec.abs_tol / 64.0, 1e-14),
+                         rel_tol=max(spec.rel_tol / 16.0, 1e-13))
+
+    def f2(l1, l2):
+        return np.exp(-complex_form(z, (l1, l2)))
+
+    def marginal(l1):
+        return np.array([complex(integrate_semi_infinite(
+            lambda l2: f2(node, l2), 0.0, inner_spec).value)
+            for node in l1.ravel()]).reshape(l1.shape)
+
+    reference = integrate_semi_infinite(marginal, 0.0, spec)
+    res = integrate_quadrant(f2, spec)
+    assert abs(complex(res.value) - complex(reference.value)) <= 1e-14
 
 
 def test_diag_reduction_agrees_with_quadrant():
