@@ -17,7 +17,7 @@ import numpy as np
 from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError
 from .quad import OscKind, QuadResult, QuadSpec, integrate_oscillatory, oscillatory_raw
-from .report import CLAIM_IDS, ClaimReport, ClaimStatus, make_report
+from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
     "fresnel_sin",
@@ -154,15 +154,11 @@ def positivity_audit(amplitudes: tuple[AmplitudeSpec, ...] = _DEFAULT_FAMILIES,
     else:
         status = ClaimStatus.INCONCLUSIVE
         notes = "minimum sampled value is within its error budget of zero"
-    report = make_report(
-        "fresnel-positivity", CLAIM_IDS["fresnel-positivity"],
+    return make_report(
+        "fresnel-positivity",
         {"nSamples": taken, "nuMax": nu_max, "seed": seed,
          "families": [a.family.value for a in amplitudes],
          "minAt": min_at},
-        lhs=float(min_val), rhs=0.0, error_estimate=min_err,
-        notes=notes,
+        lhs=float(min_val), rhs=0.0, error_estimate=min_err, started=t0,
+        status=status, notes=notes,
     )
-    report.status = status
-    report.abs_residual = max(0.0, -min_val)
-    report.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return report

@@ -22,7 +22,7 @@ from .errors import DomainError, StepSizeError
 from .fresnel import fresnel_cos
 from .amplitudes import AmplitudeSpec
 from .quad import QuadSpec, integrate_finite, integrate_quadrant, integrate_semi_infinite
-from .report import CLAIM_IDS, IDENTITY_LABELS, ClaimReport, ClaimStatus, make_report
+from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
     "complex_form",
@@ -58,14 +58,11 @@ def rep_inverse_z(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         raise DomainError(f"need re(z) > 0, got {z}")
     t0 = time.perf_counter()
     res = integrate_semi_infinite(lambda l: np.exp(-z * l), 0.0, spec)
-    rep = make_report(
-        "laplace-inverse", IDENTITY_LABELS["laplace-inverse"],
-        {"z": z}, lhs=complex(res.value), rhs=1.0 / z,
-        error_estimate=res.error_estimate,
+    return make_report(
+        "laplace-inverse", {"z": z}, lhs=complex(res.value), rhs=1.0 / z,
+        error_estimate=res.error_estimate, started=t0,
         extra={"evaluations": res.evaluations, "converged": res.converged},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
@@ -78,15 +75,12 @@ def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         return np.exp(-complex_form(z, (l1, l2)))
 
     res = integrate_quadrant(f2, spec)
-    rep = make_report(
-        "laplace-quadrant", IDENTITY_LABELS["laplace-quadrant"],
-        {"z": z}, lhs=complex(res.value), rhs=1.0 / abs(z) ** 2,
-        error_estimate=res.error_estimate,
+    return make_report(
+        "laplace-quadrant", {"z": z}, lhs=complex(res.value),
+        rhs=1.0 / abs(z) ** 2, error_estimate=res.error_estimate, started=t0,
         extra={"evaluations": res.evaluations, "converged": res.converged,
                "innerFailures": res.inner_failures},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def rep_green_fresnel(z: complex,
@@ -113,13 +107,12 @@ def rep_green_fresnel(z: complex,
 
     direct = integrate_quadrant(f2, spec)
     direct_rep = make_report(
-        "green-fresnel-direct", CLAIM_IDS["green-fresnel-direct"],
-        {"z": z, "route": "direct"}, lhs=complex(direct.value).real, rhs=target,
-        error_estimate=direct.error_estimate,
+        "green-fresnel-direct", {"z": z, "route": "direct"},
+        lhs=complex(direct.value).real, rhs=target,
+        error_estimate=direct.error_estimate, started=t0,
         notes="full quadrant quadrature of the cosine-weighted integrand",
         extra={"evaluations": direct.evaluations},
     )
-    direct_rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     # First factor: nu = 0 degenerates to the plain integral of e^{-2xu}.
@@ -131,16 +124,15 @@ def rep_green_fresnel(z: complex,
         f_cos, f_cos_err, ev = float(np.real(r.value)), r.error_estimate, r.evaluations
     factored = f_half * f_cos
     factored_rep = make_report(
-        "green-fresnel-factored", CLAIM_IDS["green-fresnel-factored"],
-        {"z": z, "route": "factored"}, lhs=factored, rhs=target,
-        error_estimate=f_half * f_cos_err + 1e-15 * abs(factored),
+        "green-fresnel-factored", {"z": z, "route": "factored"},
+        lhs=factored, rhs=target,
+        error_estimate=f_half * f_cos_err + 1e-15 * abs(factored), started=t0,
         notes=("product of half-line cosine transforms; the change of "
                "variables loses half of the quadrant, giving half the "
                "true value"),
         extra={"evaluations": ev, "halfLineFactor": f_half,
                "cosineFactor": f_cos},
     )
-    factored_rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
     return direct_rep, factored_rep
 
 
@@ -199,18 +191,14 @@ def gram_psd_check(sample: GramSample) -> ClaimReport:
     if sample.weights:
         r = np.asarray(sample.weights, dtype=float)
         extra["quadraticForm"] = float(r @ m @ r)
-    rep = make_report(
-        "gram-psd", CLAIM_IDS["gram-psd"],
+    return make_report(
+        "gram-psd",
         {"nPoints": n, "points": [list(p) for p in sample.points],
          "weights": list(sample.weights)},
-        lhs=lam_min, rhs=0.0, error_estimate=tol,
+        lhs=lam_min, rhs=0.0, error_estimate=tol, started=t0, status=status,
         notes="lhs is the minimum eigenvalue; nonnegative confirms",
+        extra=extra,
     )
-    rep.status = status
-    rep.abs_residual = max(0.0, -lam_min)
-    rep.extra = extra
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def lhpd_falsify(budget: int = 4000, n_points: int = 8,
@@ -266,18 +254,13 @@ def lhpd_falsify(budget: int = 4000, n_points: int = 8,
     else:
         status = ClaimStatus.INCONCLUSIVE
         notes = "no indefinite sample found within budget"
-    rep = make_report(
-        "lhpd-search", CLAIM_IDS["lhpd-search"],
-        {"budget": budget, "nPoints": n_points, "seed": seed},
-        lhs=best_val, rhs=0.0, error_estimate=tol,
+    return make_report(
+        "lhpd-search", {"budget": budget, "nPoints": n_points, "seed": seed},
+        lhs=best_val, rhs=0.0, error_estimate=tol, started=t0, status=status,
         notes=notes,
         extra={"witness": [[float(a), float(b)] for a, b in pts],
                "functionEvaluations": evals},
     )
-    rep.status = status
-    rep.abs_residual = max(0.0, -best_val)
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 # --------------------------------------------------------------------------
@@ -379,18 +362,14 @@ def cm_scan(grid: GridRect, order: int = 2, h: float = 0.05) -> ClaimReport:
                         witness = {"alpha": [ax, ay], "x": float(x),
                                    "y": float(y), "value": val}
     status = ClaimStatus.CONFIRMED if worst >= -1e-8 else ClaimStatus.VIOLATED
-    rep = make_report(
-        "cm-scan", CLAIM_IDS["cm-scan"],
+    return make_report(
+        "cm-scan",
         {"grid": [grid.x_lo, grid.x_hi, grid.y_lo, grid.y_hi],
          "nx": grid.nx, "ny": grid.ny, "order": order, "h": h},
-        lhs=worst, rhs=0.0, error_estimate=1e-8,
+        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0, status=status,
         notes="lhs is the most negative alternating difference, scaled by h^|a|",
         extra={"witness": witness, "differencesChecked": checked},
     )
-    rep.status = status
-    rep.abs_residual = max(0.0, -worst)
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 # --------------------------------------------------------------------------
@@ -419,31 +398,24 @@ def bernstein_rep(r: float, l: int, spec: QuadSpec = QuadSpec()) -> ClaimReport:
             tail = integrate_semi_infinite(lambda u: np.exp(-r * u) / u, 1.0, spec)
             vals.append(float(np.real(res.value + tail.value)))
         growth = vals[-1] - vals[-2]
-        rep = make_report(
-            "bernstein", IDENTITY_LABELS["bernstein"],
-            {"r": r, "l": 0, "cutoffs": cutoffs},
-            lhs=math.inf, rhs=1.0, error_estimate=0.0,
+        return make_report(
+            "bernstein", {"r": r, "l": 0, "cutoffs": cutoffs},
+            lhs=math.inf, rhs=1.0, error_estimate=0.0, started=t0,
             notes=("cutoff integrals grow like log(1/cutoff); the "
                    "representation does not extend to l = 0"),
             extra={"cutoffIntegrals": vals, "lastGrowth": growth},
         )
-        rep.status = ClaimStatus.VIOLATED
-        rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-        return rep
     fact = math.factorial(l - 1)
 
     def f(u):
         return np.exp(-r * u) * u ** (l - 1) / fact
 
     res = integrate_semi_infinite(f, 0.0, spec)
-    rep = make_report(
-        "bernstein", IDENTITY_LABELS["bernstein"],
-        {"r": r, "l": l}, lhs=float(np.real(res.value)), rhs=r ** float(-l),
-        error_estimate=res.error_estimate,
+    return make_report(
+        "bernstein", {"r": r, "l": l}, lhs=float(np.real(res.value)),
+        rhs=r ** float(-l), error_estimate=res.error_estimate, started=t0,
         extra={"evaluations": res.evaluations},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def moment_b2(j: int, spec: QuadSpec = QuadSpec()) -> float:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -31,6 +32,8 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 RESIDUAL_FLOOR = 1e-13
+CONFIRM_FACTOR = 3.0
+VIOLATE_FACTOR = 10.0
 
 
 class ClaimStatus(Enum):
@@ -39,24 +42,20 @@ class ClaimStatus(Enum):
     VIOLATED = "VIOLATED"
 
 
-def classify(abs_residual: float, error_estimate: float, *,
-             floor: float = RESIDUAL_FLOOR,
-             confirm_band: float | None = None,
-             violate_factor: float = 10.0) -> ClaimStatus:
+def classify(abs_residual: float, error_estimate: float) -> ClaimStatus:
     """Three-way verdict from a residual and an honest error budget.
 
-    CONFIRMED   residual within the confirmation band (3x the error budget
-                by default, never below the double-precision floor),
-    VIOLATED    residual more than violate_factor times the budget,
+    CONFIRMED   residual within 3x the error budget (never below the
+                double-precision floor),
+    VIOLATED    residual more than 10x the budget,
     INCONCLUSIVE anything in between: the evaluation cannot tell.
     """
     if math.isnan(abs_residual):
         return ClaimStatus.VIOLATED
-    budget = max(error_estimate, floor)
-    band = confirm_band if confirm_band is not None else 3.0 * budget
-    if abs_residual <= band:
+    budget = max(error_estimate, RESIDUAL_FLOOR)
+    if abs_residual <= CONFIRM_FACTOR * budget:
         return ClaimStatus.CONFIRMED
-    if abs_residual > violate_factor * budget:
+    if abs_residual > VIOLATE_FACTOR * budget:
         return ClaimStatus.VIOLATED
     return ClaimStatus.INCONCLUSIVE
 
@@ -114,7 +113,7 @@ def _jsonable(v: Any) -> Any:
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimReport:
     claim_id: str
     paper_eq: str
@@ -158,26 +157,38 @@ class ClaimReport:
         return d
 
 
-def make_report(claim_id: str, paper_eq: str, inputs: dict[str, Any],
+def make_report(claim_id: str, inputs: dict[str, Any],
                 lhs: complex | float, rhs: complex | float,
-                error_estimate: float, *,
-                confirm_band: float | None = None,
-                violate_factor: float = 10.0,
+                error_estimate: float, *, started: float,
+                status: ClaimStatus | None = None,
                 notes: str = "",
-                extra: dict[str, Any] | None = None,
-                wall_time_ms: float = 0.0) -> ClaimReport:
-    """Assemble a report, deriving residual and status from lhs/rhs."""
-    resid = abs(complex(lhs) - complex(rhs))
-    status = classify(resid, error_estimate, confirm_band=confirm_band,
-                      violate_factor=violate_factor)
+                extra: dict[str, Any] | None = None) -> ClaimReport:
+    """Assemble the report of one evaluation; the only ClaimReport builder.
+
+    paperEq comes from the manifest entry of `claim_id`.  `started` is the
+    audit's `time.perf_counter()` at its start, and the wall time runs from
+    it to this call.  Without `status` the verdict is `classify` of
+    |lhs - rhs|.  A sign audit (lhs is the quantity claimed nonnegative,
+    rhs 0) passes its own verdict as `status`; its residual is then the
+    amount by which lhs falls below zero, max(0, -lhs).
+    """
+    paper_eq = CLAIM_IDS.get(claim_id) or IDENTITY_LABELS.get(claim_id)
+    if paper_eq is None:
+        raise ValueError(f"unknown claim id {claim_id!r}")
+    if status is None:
+        resid = abs(complex(lhs) - complex(rhs))
+        status = classify(resid, error_estimate)
+    else:
+        resid = max(0.0, -lhs)
     return ClaimReport(claim_id, paper_eq, inputs, lhs, rhs, resid,
-                       error_estimate, status, wall_time_ms, notes,
+                       error_estimate, status,
+                       1e3 * (time.perf_counter() - started), notes,
                        extra or {})
 
 
-def reports_to_json(reports: list[ClaimReport], *, indent: int = 2) -> str:
+def reports_to_json(reports: list[ClaimReport]) -> str:
     payload = [r.to_dict() for r in reports]
-    return json.dumps(payload, indent=indent, sort_keys=True,
+    return json.dumps(payload, indent=2, sort_keys=True,
                       ensure_ascii=True) + "\n"
 
 

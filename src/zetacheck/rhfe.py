@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quad import QuadResult, QuadSpec, integrate_finite, integrate_semi_infinite
-from .report import CLAIM_IDS, IDENTITY_LABELS, ClaimReport, make_report
+from .report import ClaimReport, make_report
 from .specfun import theta, trivial_zeta, zeta_star
 from .traces import TraceParams, poisson_reduced, tr_cg_n_series, tr_cg_total_value
 
@@ -74,13 +74,11 @@ def race_check(s: complex, spec: QuadSpec = QuadSpec()) -> RaceResult:
 def race_report(s: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     t0 = time.perf_counter()
     r = race_check(s, spec)
-    rep = make_report(
-        "race", IDENTITY_LABELS["race"], {"s": s},
-        lhs=r.zeta_star_direct, rhs=r.polar_term + r.j_integral,
-        error_estimate=r.error_budget,
+    return make_report(
+        "race", {"s": s}, lhs=r.zeta_star_direct,
+        rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
+        started=t0,
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def im_j_direct(s: complex, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -172,10 +170,9 @@ def decomposition_audit(n: int, s: complex, L: int, p: TraceParams,
     budget = (lhs_q.error_estimate
               + max(1.0, abs(v)) * (p_s.error_estimate + p_r.error_estimate)
               + 10.0 ** (-p.digits + 4))
-    rep = make_report(
-        "j-decomposition", CLAIM_IDS["j-decomposition"],
-        {"n": n, "s": s, "L": L, "digits": p.digits},
-        lhs=lhs, rhs=rhs_as_stated, error_estimate=budget,
+    return make_report(
+        "j-decomposition", {"n": n, "s": s, "L": L, "digits": p.digits},
+        lhs=lhs, rhs=rhs_as_stated, error_estimate=budget, started=t0,
         notes=("rhs groups the Poissonian terms and the trace product as "
                "stated; the grouping that closes to quadrature accuracy "
                "weights the reversed Poissonian difference by im(s) and "
@@ -186,8 +183,6 @@ def decomposition_audit(n: int, s: complex, L: int, p: TraceParams,
                "correctedResidual": abs(lhs - rhs_corrected),
                "cutoffN": 2.0 * math.pi * L / v_f},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def j_tail_bound(u: float, m: int, n_start: int) -> float:
@@ -244,13 +239,10 @@ def rhfe_residual(s: complex, p: TraceParams | None = None,
              "of the audited claim's stated evaluation recipe")
     if not inside:
         notes += "; WARN: argument outside the claimed region"
-    rep = make_report(
-        "rhfe", CLAIM_IDS["rhfe"],
-        {"s": s, "nMax": p.n_max, "digits": p.digits},
-        lhs=lhs, rhs=rhs, error_estimate=budget,
+    return make_report(
+        "rhfe", {"s": s, "nMax": p.n_max, "digits": p.digits},
+        lhs=lhs, rhs=rhs, error_estimate=budget, started=t0,
         notes=notes,
         extra={"trivialZeroFactor": zt, "traceTotalPartial": total,
                "traceTerms": terms},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientPrecisionError, PoleError
 from .quad import QuadResult, QuadSpec, integrate_quadrant, integrate_semi_infinite
-from .report import CLAIM_IDS, IDENTITY_LABELS, ClaimReport, ClaimStatus, make_report
+from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
     "TraceParams",
@@ -89,13 +89,10 @@ def trace_decomposition_check(j: int, s: complex) -> ClaimReport:
     lhs = trace_t(j, s)
     first = 1.0 / abs((0.5 - s) / (4 * j + 1) + 0.5) ** 2
     rhs = first / (4 * j + 1) / abs(s + 2 * j) ** 2
-    rep = make_report(
-        "trace-decomposition", IDENTITY_LABELS["trace-decomposition"],
-        {"j": j, "s": s}, lhs=lhs, rhs=rhs,
-        error_estimate=1e-13 * max(1.0, lhs),
+    return make_report(
+        "trace-decomposition", {"j": j, "s": s}, lhs=lhs, rhs=rhs,
+        error_estimate=1e-13 * max(1.0, lhs), started=t0,
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 def bridge_residual(j: int, s: complex) -> float:
@@ -179,19 +176,15 @@ def hausdorff_moment_audit(s: complex, j_max: int = 20, k_max: int = 20,
         notes = "negative difference within the cancellation noise floor"
     if not inside:
         notes += "; WARN: argument outside the claimed region"
-    rep = make_report(
-        "hausdorff-moments", CLAIM_IDS["hausdorff-moments"],
+    return make_report(
+        "hausdorff-moments",
         {"s": s, "jMax": j_max, "kMax": k_max, "digits": digits,
          "insideRegion": inside},
-        lhs=worst_f, rhs=0.0, error_estimate=noise_f,
-        notes=notes,
+        lhs=worst_f, rhs=0.0, error_estimate=noise_f, started=t0,
+        status=status, notes=notes,
         extra={"worstAt": worst_at, "firstViolation": first_violation or None,
                "differencesChecked": (j_max + 1) * (k_max + 1)},
     )
-    rep.status = status
-    rep.abs_residual = max(0.0, -worst_f)
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 # --------------------------------------------------------------------------
@@ -402,21 +395,16 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         notes = ("partial sum computed; claimed tail envelope does not "
                  "dominate the measured next terms"
                  if not envelope_honest else "tail not separated from zero")
-    rep = make_report(
-        "trace-total-positivity", CLAIM_IDS["trace-total-positivity"],
+    return make_report(
+        "trace-total-positivity",
         {"s": s, "nMax": p.n_max, "digits": p.digits},
-        lhs=value, rhs=0.0,
-        error_estimate=series_budget,
-        notes=notes,
+        lhs=value, rhs=0.0, error_estimate=series_budget, started=t0,
+        status=status, notes=notes,
         extra={"polarTerm": polar, "seriesTerms": terms,
                "claimedTailEnvelope": best_env, "envelopeD": best_d,
                "measuredNextTerms": measured,
                "envelopeDominates": envelope_honest},
     )
-    rep.status = status
-    rep.abs_residual = max(0.0, -value)
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep
 
 
 # --------------------------------------------------------------------------
@@ -572,10 +560,9 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     bounds = [poisson_coarse_bound(n, L, z, r=1) for L in range(l_max + 1)]
     lhs = values[-1]
     err = errs[-1] + 1e-13
-    rep = make_report(
-        "poisson-vanishing", CLAIM_IDS["poisson-vanishing"],
-        {"n": n, "z": z, "lMax": l_max},
-        lhs=lhs, rhs=0.0, error_estimate=err,
+    return make_report(
+        "poisson-vanishing", {"n": n, "z": z, "lMax": l_max},
+        lhs=lhs, rhs=0.0, error_estimate=err, started=t0,
         notes=("lhs is the term at the largest L; the claim needs it to "
                "approach zero, the closed-form limit says it approaches "
                "a nonzero constant"),
@@ -587,5 +574,3 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
                "boundDominates": [abs(vl) <= bd for vl, bd in
                                   zip(values, bounds)]},
     )
-    rep.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    return rep

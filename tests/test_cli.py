@@ -38,6 +38,26 @@ def test_unattainable_tolerance_exits_two(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("suite, n_reports, claim_ids", [
+    ("race", 25, ["race"] * 25),
+    ("reflection", 8, ["race"] * 8),
+    ("theta", 20, ["theta-jacobi"] * 20),
+    ("newton-leibnitz", 1, ["newton-leibnitz"]),
+    ("trace-algebra", 2, ["trace-decomposition", "bridge"]),
+])
+def test_each_cheap_suite(suite, n_reports, claim_ids, tmp_path):
+    out = tmp_path / f"{suite}.json"
+    assert run(["verify", "--suite", suite, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert len(data) == n_reports
+    assert [d["claimId"] for d in data] == claim_ids
+    if suite == "reflection":
+        assert [d["inputs"]["check"] for d in data] == \
+            ["reflection", "critical-line-real"] * 4
+    assert run(["verify", "--suite", suite, "--tol", "1e-30",
+                "--out", str(out)]) == 2
+
+
 def test_strict_claims_exits_three(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["gram", "--out", str(out)]) == 0
@@ -127,6 +147,8 @@ def test_explicit_flags_beat_config_values(tmp_path, capsys):
     "unknown_key = 3\n",
     "just a line without equals\n",
     "digits = not-an-int\n",
+    "suite = nonsense\n",
+    "format = xml\n",
 ])
 def test_malformed_config_exits_sixty_four(body, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
