@@ -265,6 +265,13 @@ def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
     return coerce
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _boolean(value: str) -> bool:
+    return _one_of(_TRUE + _FALSE)(value.lower()) in _TRUE
+
+
 _CONFIG_COERCE = {
     "suite": _one_of(_SUITE_CHOICES),
     "out": str,
@@ -272,12 +279,12 @@ _CONFIG_COERCE = {
     "seed": int,
     "digits": int,
     "tol": float,
-    "strict_claims": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "strict_claims": _boolean,
     "re": float,
     "im": float,
     "n": int,
     "l": int,
-    "grid": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
+    "grid": _boolean,
 }
 
 
@@ -432,18 +439,15 @@ def run_traces(cfg: RunConfig) -> list[ClaimReport]:
     p = traces.TraceParams(s, j_max=j_max, n_max=n_top, digits=digits)
     reports = [traces.trace_decomposition_check(cfg.n, s)]
     reports.append(traces.hausdorff_moment_audit(
-        s, 20, 20, cfg.digits, allow_outside_region=True))
+        s, cfg.digits, allow_outside_region=True))
     reports.append(traces.tr_cg_total(p))
-    if s.imag > 0:
-        reports.append(traces.poisson_vanishing_audit(cfg.n, s, cfg.big_l))
-    else:
-        reports.append(traces.poisson_vanishing_audit(
-            cfg.n, s.conjugate(), cfg.big_l))
+    reports.append(traces.poisson_vanishing_audit(
+        cfg.n, complex(s.real, abs(s.imag)), cfg.big_l))
     j_max_dec, digits_dec = _series_headroom(max(1, cfg.n),
                                              max(cfg.digits, 50))
     reports.append(rhfe.decomposition_audit(
         cfg.n, s, cfg.big_l,
-        traces.TraceParams(s, j_max_dec, max(1, cfg.n), 5, digits_dec)))
+        traces.TraceParams(s, j_max_dec, max(1, cfg.n), digits_dec)))
     return reports
 
 
@@ -476,8 +480,7 @@ def run_gram(cfg: RunConfig) -> list[ClaimReport]:
 
 def run_cm(cfg: RunConfig) -> list[ClaimReport]:
     grid = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
-    return [laplace.cm_scan(grid, order=1, h=0.05),
-            laplace.cm_scan(grid, order=2, h=0.05)]
+    return [laplace.cm_scan(grid, order=1), laplace.cm_scan(grid, order=2)]
 
 
 def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
@@ -500,7 +503,7 @@ def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
             seed=_SEED_BASE + cfg.seed),
         "poisson-vanishing": lambda: traces.poisson_vanishing_audit(),
         "hausdorff-moments": lambda: traces.hausdorff_moment_audit(
-            s_audit, 20, 20, cfg.digits),
+            s_audit, cfg.digits),
         "j-decomposition": lambda: rhfe.decomposition_audit(
             1, s_audit, 5, p_audit),
         "trace-total-positivity": lambda: traces.tr_cg_total(p_audit),

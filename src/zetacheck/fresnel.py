@@ -105,40 +105,38 @@ def derivative_identity(amplitude: AmplitudeSpec, nu: float,
     return residual, budget
 
 
+# The positivity audit's amplitude set, frequency count and range, and
+# quadrature tolerance.
 _DEFAULT_FAMILIES = (
     AmplitudeSpec.exponential(0.5),
     AmplitudeSpec.exponential(2.0),
     AmplitudeSpec.gaussian(1.0),
     AmplitudeSpec.rational(2.5),
 )
+_N_SAMPLES, _NU_MAX = 240, 50.0
+_SPEC_POSITIVITY = QuadSpec(abs_tol=1e-9, rel_tol=1e-9)
 
 
-def positivity_audit(amplitudes: tuple[AmplitudeSpec, ...] = _DEFAULT_FAMILIES,
-                     n_samples: int = 240, nu_max: float = 50.0,
-                     seed: int = 20260815,
-                     spec: QuadSpec = QuadSpec(abs_tol=1e-9, rel_tol=1e-9),
-                     ) -> ClaimReport:
+def positivity_audit(seed: int = 20260815) -> ClaimReport:
     """Sample F_s(A, nu) > 0 across families and frequencies.
 
-    Frequencies are drawn uniformly from (0, nu_max] with a seeded
-    generator, split evenly across the amplitude set.  The verdict compares
+    240 frequencies are drawn uniformly from (0, 50] with a seeded
+    generator, split evenly across the four amplitudes.  The verdict compares
     the worst sampled value against its own error budget: confidently
     positive everywhere confirms; a value negative beyond ten budgets would
     refute; anything pinned to zero within noise is inconclusive.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    per = max(1, math.ceil(n_samples / len(amplitudes)))
+    per = _N_SAMPLES // len(_DEFAULT_FAMILIES)
     min_val = math.inf
     min_err = 0.0
     min_at: dict[str, float | str] = {}
     lcb = math.inf  # worst lower confidence bound
-    taken = 0
-    for amp in amplitudes:
-        nus = nu_max * (1.0 - rng.random(per))  # uniform in (0, nu_max]
+    for amp in _DEFAULT_FAMILIES:
+        nus = _NU_MAX * (1.0 - rng.random(per))  # uniform in (0, _NU_MAX]
         for nu in nus:
-            res = fresnel_sin(amp, float(nu), spec, max_lobes=768)
-            taken += 1
+            res = fresnel_sin(amp, float(nu), _SPEC_POSITIVITY, max_lobes=768)
             lcb = min(lcb, res.value - 3.0 * res.error_estimate)
             if res.value < min_val:
                 min_val = res.value
@@ -156,8 +154,8 @@ def positivity_audit(amplitudes: tuple[AmplitudeSpec, ...] = _DEFAULT_FAMILIES,
         notes = "minimum sampled value is within its error budget of zero"
     return make_report(
         "fresnel-positivity",
-        {"nSamples": taken, "nuMax": nu_max, "seed": seed,
-         "families": [a.family.value for a in amplitudes],
+        {"nSamples": _N_SAMPLES, "nuMax": _NU_MAX, "seed": seed,
+         "families": [a.family.value for a in _DEFAULT_FAMILIES],
          "minAt": min_at},
         lhs=float(min_val), rhs=0.0, error_estimate=min_err, started=t0,
         status=status, notes=notes,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from .errors import DomainError, StepSizeError
 from .fresnel import fresnel_cos
 from .amplitudes import AmplitudeSpec
-from .quad import QuadSpec, integrate_finite, integrate_quadrant, integrate_semi_infinite
+from .quad import QuadSpec, integrate_quadrant, integrate_semi_infinite
 from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "lhpd_falsify",
     "green_signed_difference",
     "cm_scan",
-    "bernstein_rep",
-    "moment_b2",
 ]
 
 MIN_OFFSET = 0.05
@@ -147,15 +145,14 @@ class GramSample:
 
     points: tuple[tuple[float, float], ...]
     weights: tuple[float, ...] = ()
-    min_offset: float = MIN_OFFSET
 
     def __post_init__(self) -> None:
         if not (1 <= len(self.points) <= 64):
             raise DomainError("need between 1 and 64 points")
         for p in self.points:
-            if not (p[0] >= self.min_offset and p[1] >= self.min_offset):
+            if not (p[0] >= MIN_OFFSET and p[1] >= MIN_OFFSET):
                 raise DomainError(
-                    f"point {p} closer to the boundary than {self.min_offset}"
+                    f"point {p} closer to the boundary than {MIN_OFFSET}"
                 )
         if self.weights and len(self.weights) != len(self.points):
             raise DomainError("weights must match points in length")
@@ -201,23 +198,20 @@ def gram_psd_check(sample: GramSample) -> ClaimReport:
     )
 
 
-def lhpd_falsify(budget: int = 4000, n_points: int = 8,
-                 seed: int = 20260815) -> ClaimReport:
-    """Search for a sample making the Gram kernel indefinite.
+def lhpd_falsify(seed: int = 20260815) -> ClaimReport:
+    """Search for an 8-point sample making the Gram kernel indefinite.
 
-    Random restarts seed a derivative-free simplex descent on the minimum
-    eigenvalue over log-coordinates (which keeps every point inside the
-    admissible quadrant).  A materially negative minimum eigenvalue at any
-    witness refutes positive semidefiniteness of the kernel, hence the
-    claimed measure representation; absence of one within budget proves
-    nothing and is reported as such.
+    Eight random restarts seed a derivative-free simplex descent on the
+    minimum eigenvalue over log-coordinates (which keeps every point inside
+    the admissible quadrant), within a budget of 4000 evaluations.  A
+    materially negative minimum eigenvalue at any witness refutes positive
+    semidefiniteness of the kernel, hence the claimed measure
+    representation; absence of one within budget proves nothing and is
+    reported as such.
     """
-    if budget < 0:
-        raise DomainError("budget must be nonnegative")
-    if not (1 <= n_points <= 16):
-        raise DomainError("n_points must lie in [1, 16]")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    budget, n_points, n_restarts = 4000, 8, 8
 
     def lam_min_of(logs: np.ndarray) -> float:
         pts = MIN_OFFSET + np.exp(logs.reshape(n_points, 2))
@@ -226,29 +220,23 @@ def lhpd_falsify(budget: int = 4000, n_points: int = 8,
     best_val = math.inf
     best_logs: np.ndarray | None = None
     evals = 0
-    n_restarts = 8
     for _ in range(n_restarts):
         logs = rng.uniform(-2.5, 1.5, size=2 * n_points)
         val = lam_min_of(logs)
         evals += 1
         if val < best_val:
             best_val, best_logs = val, logs.copy()
-        share = budget // n_restarts
-        if share >= 1 and n_points >= 2:
-            out = minimize(lam_min_of, logs, method="Nelder-Mead",
-                           options={"maxfev": share, "xatol": 1e-8,
-                                    "fatol": 1e-14})
-            evals += out.nfev
-            if out.fun < best_val:
-                best_val, best_logs = float(out.fun), out.x.copy()
+        out = minimize(lam_min_of, logs, method="Nelder-Mead",
+                       options={"maxfev": budget // n_restarts, "xatol": 1e-8,
+                                "fatol": 1e-14})
+        evals += out.nfev
+        if out.fun < best_val:
+            best_val, best_logs = float(out.fun), out.x.copy()
     assert best_logs is not None
     pts = MIN_OFFSET + np.exp(best_logs.reshape(n_points, 2))
     m = _gram_matrix(pts)
     tol = n_points * 1e-10 * float(np.max(np.abs(m)))
-    if n_points == 1:
-        status = ClaimStatus.CONFIRMED
-        notes = "a single point always yields a positive 1x1 kernel"
-    elif best_val < -10.0 * tol:
+    if best_val < -10.0 * tol:
         status = ClaimStatus.VIOLATED
         notes = "witness sample with materially negative minimum eigenvalue"
     else:
@@ -327,20 +315,21 @@ def green_signed_difference(ax: int, ay: int, x: float, y: float,
     return sign * _mixed_difference(_green, x, y, ax, ay, h) / h ** order
 
 
-def cm_scan(grid: GridRect, order: int = 2, h: float = 0.05) -> ClaimReport:
+def cm_scan(grid: GridRect, order: int = 2) -> ClaimReport:
     """Sign scan of (-1)^{|a|} Delta^a applied to 1/(x^2+y^2).
 
     A function with a positive-measure two-sided Laplace representation on
     the quadrant must be completely monotone there, which forces every
     alternating mixed difference to be nonnegative.  The scan evaluates all
-    multi-indices with 1 <= |a| <= order on the grid and reports the most
-    negative scaled value with its witness.
+    multi-indices with 1 <= |a| <= order on the grid, with step h = 0.05,
+    and reports the most negative scaled value with its witness.
     """
     if not (1 <= order <= 4):
         raise DomainError("order must lie in [1, 4]")
-    if not (1e-3 <= h <= 0.25 * grid.spacing):
+    h = 0.05
+    if h > 0.25 * grid.spacing:
         raise StepSizeError(
-            f"step {h} outside [1e-3, {0.25 * grid.spacing:.4g}] for this grid"
+            f"step {h} above {0.25 * grid.spacing:.4g} for this grid"
         )
     t0 = time.perf_counter()
     xs, ys = grid.axes()
@@ -370,57 +359,3 @@ def cm_scan(grid: GridRect, order: int = 2, h: float = 0.05) -> ClaimReport:
         notes="lhs is the most negative alternating difference, scaled by h^|a|",
         extra={"witness": witness, "differencesChecked": checked},
     )
-
-
-# --------------------------------------------------------------------------
-# One-dimensional representation building blocks.
-# --------------------------------------------------------------------------
-
-
-def bernstein_rep(r: float, l: int, spec: QuadSpec = QuadSpec()) -> ClaimReport:
-    """r^{-l} as the l-th moment-weighted exponential integral.
-
-    For l >= 1 the identity is classical and asserted.  For l = 0 the
-    putative integrand carries harmonic mass at the origin; the report
-    documents the divergence by showing the cutoff integrals growing
-    without bound instead of converging to r^0 = 1.
-    """
-    if l < 0:
-        raise DomainError("l must be a nonnegative integer")
-    if r <= 0.0:
-        raise DomainError("r must be positive")
-    t0 = time.perf_counter()
-    if l == 0:
-        cutoffs = [10.0 ** -k for k in range(1, 7)]
-        vals = []
-        for d in cutoffs:
-            res = integrate_finite(lambda u: np.exp(-r * u) / u, d, 1.0, spec)
-            tail = integrate_semi_infinite(lambda u: np.exp(-r * u) / u, 1.0, spec)
-            vals.append(float(np.real(res.value + tail.value)))
-        growth = vals[-1] - vals[-2]
-        return make_report(
-            "bernstein", {"r": r, "l": 0, "cutoffs": cutoffs},
-            lhs=math.inf, rhs=1.0, error_estimate=0.0, started=t0,
-            notes=("cutoff integrals grow like log(1/cutoff); the "
-                   "representation does not extend to l = 0"),
-            extra={"cutoffIntegrals": vals, "lastGrowth": growth},
-        )
-    fact = math.factorial(l - 1)
-
-    def f(u):
-        return np.exp(-r * u) * u ** (l - 1) / fact
-
-    res = integrate_semi_infinite(f, 0.0, spec)
-    return make_report(
-        "bernstein", {"r": r, "l": l}, lhs=float(np.real(res.value)),
-        rhs=r ** float(-l), error_estimate=res.error_estimate, started=t0,
-        extra={"evaluations": res.evaluations},
-    )
-
-
-def moment_b2(j: int, spec: QuadSpec = QuadSpec()) -> float:
-    """j-th moment 1/(4j+1), realized as the integral of y^{4j} on [0, 1]."""
-    if j < 0:
-        raise DomainError("j must be a nonnegative integer")
-    res = integrate_finite(lambda y: y ** (4 * j), 0.0, 1.0, spec)
-    return float(np.real(res.value))

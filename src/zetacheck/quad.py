@@ -40,15 +40,12 @@ class OscKind(Enum):
 class QuadSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if not (1 <= self.max_depth <= 60):
-            raise ValueError("max_depth must lie in [1, 60]")
 
 
 @dataclass
@@ -84,6 +81,8 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 # Gauss points are the even-order Kronrod abscissae: indices 1,3,...,13.
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
+# Bisection depth cap of a panel in finite and window integrals; lobes use 24.
+_MAX_DEPTH = 48
 _MAX_EVALS = 4_000_000
 _MAX_WINDOWS = 700
 # Windows or lobes integrated per block: past the stop they are wasted work,
@@ -205,7 +204,7 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Quad
         raise DomainError(f"need a < b, got a={a}, b={b}")
     (val, err, evals, conv, div, _), = _lockstep(
         lambda x, _: _call(f, x), [a], [b], spec.abs_tol, spec.rel_tol,
-        spec.max_depth)
+        _MAX_DEPTH)
     return QuadResult(_tidy(val), err, evals, conv, div)
 
 
@@ -276,7 +275,7 @@ def _walk_windows(f, a: float, spec: QuadSpec, n_rows: int) -> list[QuadResult]:
     walks = [_walk(spec) for _ in range(n_rows)]
     ends = [next(w) for w in walks]
     evals = [0] * n_rows
-    tol = (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), spec.max_depth)
+    tol = (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH)
     active = list(range(n_rows))
     for k0 in range(0, _MAX_WINDOWS, _WINDOW_BLOCK):
         ks = range(k0, min(k0 + _WINDOW_BLOCK, _MAX_WINDOWS))
@@ -352,7 +351,7 @@ def oscillatory_raw(f, nu: float, kind: OscKind,
         for k0 in count(0, _LOBE_BLOCK):
             block = _lobes(lambda x, _: _call(f, x) * osc(nu * x), kind, nu,
                            range(k0, k0 + _LOBE_BLOCK), spec.abs_tol / 50.0,
-                           1e-10, min(spec.max_depth, 24))
+                           1e-10, 24)
             evals += sum(r[2] for r in block)
             yield from block
 

@@ -87,8 +87,6 @@ IDENTITY_LABELS = {
     "fresnel-derivative": "2.6",
     "theta-jacobi": "4.29",
     "newton-leibnitz": "4.38",
-    "bernstein": "4.57",
-    "moment-b2": "4.62",
     "trace-decomposition": "4.54",
     "bridge": "4.70",
 }

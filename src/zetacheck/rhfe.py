@@ -162,7 +162,7 @@ def decomposition_audit(n: int, s: complex, L: int, p: TraceParams,
     p_s = poisson_reduced(n, L, s, v_f, spec)
     p_r = poisson_reduced(n, L, 1.0 - s, v_f, spec)
     tr_n = float(tr_cg_n_series(n, TraceParams(s, p.j_max, max(p.n_max, n),
-                                               p.l_max, p.digits)))
+                                               p.digits)))
     zt = trivial_zeta(s)
     poisson_as_stated = p_s.value - p_r.value
     rhs_as_stated = poisson_as_stated + zt * tr_n
@@ -230,7 +230,7 @@ def rhfe_residual(s: complex, p: TraceParams | None = None,
     t0 = time.perf_counter()
     lhs = zeta_star(s).imag
     total, budget_total, terms = tr_cg_total_value(
-        p if p.s == s else TraceParams(s, p.j_max, p.n_max, p.l_max, p.digits)
+        p if p.s == s else TraceParams(s, p.j_max, p.n_max, p.digits)
     )
     zt = trivial_zeta(s)
     rhs = zt * total

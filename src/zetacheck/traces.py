@@ -35,7 +35,6 @@ __all__ = [
     "tr_cg_total",
     "tr_cg_total_value",
     "claimed_tail_envelope",
-    "poisson_term",
     "poisson_reduced",
     "poisson_term_quadrant",
     "poisson_gamma_limit",
@@ -53,7 +52,6 @@ class TraceParams:
     s: complex
     j_max: int = 400
     n_max: int = 3
-    l_max: int = 5
     digits: int = 60
 
     def __post_init__(self) -> None:
@@ -61,8 +59,8 @@ class TraceParams:
             raise DomainError("re(s) must lie in [0, 1]")
         if self.s.imag == 0.0:
             raise DomainError("im(s) must be nonzero")
-        if self.n_max < 0 or self.l_max < 0:
-            raise DomainError("n_max and l_max must be nonnegative")
+        if self.n_max < 0:
+            raise DomainError("n_max must be nonnegative")
         floor = math.ceil(math.pi * self.n_max ** 2) + 20
         if self.j_max < floor:
             raise DomainError(
@@ -114,15 +112,14 @@ def bridge_residual(j: int, s: complex) -> float:
 # --------------------------------------------------------------------------
 
 
-def hausdorff_moment_audit(s: complex, j_max: int = 20, k_max: int = 20,
-                           digits: int = 60,
+def hausdorff_moment_audit(s: complex, digits: int = 60,
                            allow_outside_region: bool = False) -> ClaimReport:
     """Total-monotonicity scan of the trace sequence.
 
     A sequence of moments of a positive measure on [0, 1] must have all
     alternating forward differences nonnegative.  The scan computes
-    sum_i (-1)^i C(k,i) t_{j+i} in extended precision for j <= j_max,
-    k <= k_max and reports the most negative entry with its witness.
+    sum_i (-1)^i C(k,i) t_{j+i} in extended precision for j <= 20,
+    k <= 20 and reports the most negative entry with its witness.
     The claimed region is re(s) in (1/2, 1), im(s) < 0; other arguments
     are audited only on request and flagged.
     """
@@ -131,11 +128,10 @@ def hausdorff_moment_audit(s: complex, j_max: int = 20, k_max: int = 20,
         raise DomainError(
             f"s={s} outside the claimed region; pass allow_outside_region"
         )
-    if j_max < 1 or k_max < 1:
-        raise DomainError("j_max and k_max must be >= 1")
     if not (15 <= digits <= 200):
         raise DomainError("digits must lie in [15, 200]")
     t0 = time.perf_counter()
+    j_max = k_max = 20
     n_terms = j_max + k_max + 1
     with mp.workdps(digits):
         sm = mp.mpc(s)
@@ -262,14 +258,12 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
 # --------------------------------------------------------------------------
 
 
-def tr_cg_sigma_result(n: int, z: complex, spec: QuadSpec = QuadSpec(),
-                       signs: str = "alternating") -> QuadResult:
+def tr_cg_sigma_result(n: int, z: complex,
+                       spec: QuadSpec = QuadSpec()) -> QuadResult:
     """(1/v) int_0^inf e^{-ut} sin(vt) K_n(t) dt with the Gaussian kernel.
 
-    signs="alternating" uses K_n = e^{-pi n^2 e^{-2t}}, which resums
-    sum_j (-pi n^2)^j / j! / |2j+z|^2 without any cancellation;
-    signs="positive" uses the e^{+...} kernel, resumming the positive-sign
-    variant of the same series.
+    K_n = e^{-pi n^2 e^{-2t}} resums sum_j (-pi n^2)^j / j! / |2j+z|^2
+    without any cancellation.
     """
     u, v = z.real, z.imag
     if v == 0.0:
@@ -279,25 +273,16 @@ def tr_cg_sigma_result(n: int, z: complex, spec: QuadSpec = QuadSpec(),
     if n < 1:
         raise DomainError("n must be >= 1")
     c = math.pi * n * n
-    if signs == "alternating":
-        sign = -1.0
-    elif signs == "positive":
-        sign = 1.0
-        if c > 690.0:
-            raise DomainError("positive-sign kernel overflows for this n")
-    else:
-        raise DomainError(f"unknown signs {signs!r}")
 
     def integrand(t):
-        kern = np.exp(sign * c * np.exp(-2.0 * t))
+        kern = np.exp(-c * np.exp(-2.0 * t))
         return np.exp(-u * t) * np.sin(v * t) / v * kern
 
     return integrate_semi_infinite(integrand, 0.0, spec)
 
 
-def tr_cg_sigma(n: int, z: complex, spec: QuadSpec = QuadSpec(),
-                signs: str = "alternating") -> float:
-    return float(np.real(tr_cg_sigma_result(n, z, spec, signs).value))
+def tr_cg_sigma(n: int, z: complex, spec: QuadSpec = QuadSpec()) -> float:
+    return float(np.real(tr_cg_sigma_result(n, z, spec).value))
 
 
 # --------------------------------------------------------------------------
@@ -374,8 +359,7 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
             digits = max(p.digits, 15 + math.ceil(
                 math.pi * n * n * math.log10(math.e)))
             tr_n = float(tr_cg_n_series(n, TraceParams(
-                s, max(p.j_max, _series_j_max(n, digits)), n, p.l_max,
-                digits)))
+                s, max(p.j_max, _series_j_max(n, digits)), n, digits)))
         measured.append(tr_n)
     envelope_honest = all(abs(m) <= best_env for m in measured)
 
@@ -451,26 +435,18 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
                       res.converged, res.diverged)
 
 
-def poisson_term(n: int, L: int, z: complex,
-                 spec: QuadSpec = QuadSpec()) -> float:
-    """P_n^0(L, z) for im(z) > 0 (the region where b(z) > 0)."""
-    if z.imag <= 0.0:
-        raise DomainError("im(z) must be positive; b(z) > 0 is required")
-    return poisson_reduced(n, L, z, z.imag, spec).value
-
-
 def poisson_term_quadrant(n: int, L: int, z: complex,
-                          spec: QuadSpec = QuadSpec(),
-                          v_freq: float | None = None) -> QuadResult:
+                          spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Direct two-dimensional evaluation of the same Poissonian term.
 
-    Slower by orders of magnitude; exists to validate the reduced form.
+    The frequency is im(z).  Slower by orders of magnitude; exists to
+    validate the reduced form.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if L < 0:
         raise DomainError("L must be nonnegative")
-    v = z.imag if v_freq is None else v_freq
+    v = z.imag
     if v == 0.0:
         raise DomainError("frequency must be nonzero")
     u = z.real
@@ -495,15 +471,16 @@ def poisson_term_quadrant(n: int, L: int, z: complex,
                       res.converged, res.diverged, res.inner_failures)
 
 
-def poisson_gamma_limit(n: int, z: complex, v_freq: float | None = None) -> float:
+def poisson_gamma_limit(n: int, z: complex) -> float:
     """Closed-form large-L limit of the reduced Poissonian term.
 
     Substituting tau = c_n e^{bL-2w} turns the reduced integral into an
     incomplete-gamma expression whose upper limit runs away with L when
-    the frequency is positive; the limit is Im[c^{(iv-u)/2} Gamma((u-iv)/2)]
-    / (2v).  The audited vanishing claim would require this to be zero.
+    the frequency v = im(z) is positive; the limit is
+    Im[c^{(iv-u)/2} Gamma((u-iv)/2)] / (2v).  The audited vanishing claim
+    would require this to be zero.
     """
-    v = z.imag if v_freq is None else v_freq
+    v = z.imag
     if v <= 0.0:
         raise DomainError("the runaway limit exists for positive frequency")
     u = z.real
@@ -514,16 +491,15 @@ def poisson_gamma_limit(n: int, z: complex, v_freq: float | None = None) -> floa
     return out
 
 
-def poisson_coarse_bound(n: int, L: int, z: complex, r: int = 1) -> float:
-    """The r!-based majorant asserted for |P_n^0(L, z)|.
+def poisson_coarse_bound(n: int, L: int, z: complex) -> float:
+    """The r!-based majorant asserted for |P_n^0(L, z)|, at r = 1.
 
     Evaluated literally as stated: r! e^{(2 pi/v)(re(z)-2r) L} / (pi^r
     n^{2r} (re(z)-2r)^2).  For re(z) < 2r the two-dimensional integral it
     supposedly evaluates diverges, so this is a formula audit, not a bound
     the artifact certifies.
     """
-    if r < 1:
-        raise DomainError("r must be >= 1")
+    r = 1
     v = z.imag
     if v == 0.0:
         raise DomainError("im(z) must be nonzero")
@@ -557,7 +533,7 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     mirrored = [poisson_reduced(n, L, z.conjugate(), -z.imag, spec).value
                 for L in range(l_max + 1)]
     limit = poisson_gamma_limit(n, z)
-    bounds = [poisson_coarse_bound(n, L, z, r=1) for L in range(l_max + 1)]
+    bounds = [poisson_coarse_bound(n, L, z) for L in range(l_max + 1)]
     lhs = values[-1]
     err = errs[-1] + 1e-13
     return make_report(

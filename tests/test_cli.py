@@ -149,6 +149,8 @@ def test_explicit_flags_beat_config_values(tmp_path, capsys):
     "digits = not-an-int\n",
     "suite = nonsense\n",
     "format = xml\n",
+    "strict_claims = ture\n",
+    "grid = maybe\n",
 ])
 def test_malformed_config_exits_sixty_four(body, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -184,6 +186,16 @@ def test_ledger_covers_the_manifest(tmp_path):
     assert run(["ledger", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert [d["claimId"] for d in data] == list(CLAIM_IDS)
+    inputs = {d["claimId"]: d["inputs"] for d in data}
+    assert (inputs["lhpd-search"]["budget"],
+            inputs["lhpd-search"]["nPoints"]) == (4000, 8)
+    assert (inputs["fresnel-positivity"]["nSamples"],
+            inputs["fresnel-positivity"]["nuMax"],
+            inputs["fresnel-positivity"]["families"]) == (
+        240, 50.0, ["exp", "exp", "gauss", "rational"])
+    assert (inputs["hausdorff-moments"]["jMax"],
+            inputs["hausdorff-moments"]["kMax"]) == (20, 20)
+    assert inputs["cm-scan"]["h"] == 0.05
 
 
 def test_traces_subcommand_structure(capsys):

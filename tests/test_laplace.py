@@ -163,28 +163,3 @@ def test_grid_rect_validation():
         laplace.GridRect(-0.5, 2.5, 0.5, 2.5)
     with pytest.raises(DomainError):
         laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=1)
-
-
-# -- measure-side closed forms -----------------------------------------------
-
-
-@pytest.mark.parametrize("r, l", [(1.0, 1), (2.0, 3), (0.5, 2)])
-def test_bernstein_representation(r, l):
-    rep = laplace.bernstein_rep(r, l)
-    assert rep.status == ClaimStatus.CONFIRMED
-    assert complex(rep.rhs).real == pytest.approx(r ** (-l), rel=1e-15)
-
-
-def test_bernstein_fails_at_zeroth_moment():
-    # The l = 0 integrand has harmonic mass at the origin: the cutoff
-    # integrals keep growing, and the infinite lhs classifies as VIOLATED.
-    rep = laplace.bernstein_rep(1.0, 0)
-    assert rep.status == ClaimStatus.VIOLATED
-    vals = rep.extra["cutoffIntegrals"]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-@pytest.mark.parametrize("j", [0, 1, 2, 5, 10])
-def test_moment_sequence_closed_form(j):
-    assert laplace.moment_b2(j) == pytest.approx(1.0 / (4.0 * j + 1.0),
-                                                 abs=1e-12)

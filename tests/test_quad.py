@@ -251,5 +251,3 @@ def test_quad_spec_rejects_bad_tolerances():
         QuadSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=2.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_depth=0)

@@ -131,15 +131,6 @@ def test_series_needs_headroom_digits():
         traces.tr_cg_n_series(3, p)
 
 
-def test_sigma_positive_kernel_route_matches_alternating():
-    # For the n=1 kernel both sign conventions are evaluable; they are
-    # different integrals and must NOT agree.
-    s = 0.75 - 2.0j
-    alt = traces.tr_cg_sigma(1, s, signs="alternating")
-    pos = traces.tr_cg_sigma(1, s, signs="positive")
-    assert abs(alt - pos) > 1e-3
-
-
 def test_total_trace_partial_sum_is_negative_at_audit_point():
     p = traces.TraceParams(S_AUDIT, j_max=400, n_max=3, digits=60)
     value, budget, terms = traces.tr_cg_total_value(p)
