@@ -16,7 +16,8 @@ import numpy as np
 
 from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError
-from .quad import OscKind, QuadResult, QuadSpec, integrate_oscillatory, oscillatory_raw
+from .quad import (OscKind, QuadResult, QuadSpec, integrate_oscillatory,
+                   oscillatory_raw, oscillatory_rows)
 from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
@@ -121,10 +122,12 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     """Sample F_s(A, nu) > 0 across families and frequencies.
 
     240 frequencies are drawn uniformly from (0, 50] with a seeded
-    generator, split evenly across the four amplitudes.  The verdict compares
-    the worst sampled value against its own error budget: confidently
-    positive everywhere confirms; a value negative beyond ten budgets would
-    refute; anything pinned to zero within noise is inconclusive.
+    generator, split evenly across the four amplitudes; each amplitude's
+    frequencies are integrated as the rows of one lobe walk.  The verdict
+    compares the worst sampled value against its own error budget:
+    confidently positive everywhere confirms; a value negative beyond ten
+    budgets would refute; anything pinned to zero within noise, or any
+    sampled transform that did not converge, is inconclusive.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -133,17 +136,25 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     min_err = 0.0
     min_at: dict[str, float | str] = {}
     lcb = math.inf  # worst lower confidence bound
+    unconverged = 0
     for amp in _DEFAULT_FAMILIES:
         nus = _NU_MAX * (1.0 - rng.random(per))  # uniform in (0, _NU_MAX]
-        for nu in nus:
-            res = fresnel_sin(amp, float(nu), _SPEC_POSITIVITY, max_lobes=768)
+        amp.validate_pcid()
+        rows = oscillatory_rows(amp.value, nus, OscKind.SIN,
+                                _SPEC_POSITIVITY, max_lobes=768)
+        for nu, res in zip(nus, rows):
+            unconverged += not res.converged
             lcb = min(lcb, res.value - 3.0 * res.error_estimate)
             if res.value < min_val:
                 min_val = res.value
                 min_err = res.error_estimate
                 min_at = {"family": amp.family.value,
                           "parameter": amp.parameter, "nu": float(nu)}
-    if lcb > 0.0:
+    if unconverged:
+        status = ClaimStatus.INCONCLUSIVE
+        notes = (f"{unconverged} of {_N_SAMPLES} sampled transforms did not "
+                 "converge")
+    elif lcb > 0.0:
         status = ClaimStatus.CONFIRMED
         notes = "every sampled transform is positive beyond its error budget"
     elif min_val < -10.0 * max(min_err, 1e-13):

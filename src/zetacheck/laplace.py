@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, StepSizeError
 from .fresnel import fresnel_cos
@@ -209,6 +208,10 @@ def lhpd_falsify(seed: int = 20260815) -> ClaimReport:
     representation; absence of one within budget proves nothing and is
     reported as such.
     """
+    # scipy is imported here, not at module level, to keep it off the
+    # start-up path of every command that never runs this search.
+    from scipy.optimize import minimize
+
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     budget, n_points, n_restarts = 4000, 8, 8

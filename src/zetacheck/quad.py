@@ -1,13 +1,15 @@
 """Adaptive quadrature with honest error estimates.
 
-One Gauss/Kronrod engine integrates an array of finite intervals in lockstep.
-Semi-infinite integrals are mapped to (0, 1] by t = exp(a - x) and walked
-window by window so the engine never has to chase an endpoint singularity of
-the map itself.  Oscillatory integrals over [0, inf) are summed lobe-by-lobe
-between consecutive zeros of the oscillator, with an alternating-series tail
-bound (or iterated averaging once plain summation would need absurdly many
-lobes).  Windows and lobes are integrated in blocks, and the ones computed
-past the stop count as evaluations too.
+One Gauss/Kronrod engine integrates an array of finite intervals in lockstep,
+and one walker drives it over row-indexed interval sequences.  Each row is a
+sequence of intervals with its own stopping rule: the windows of the map
+t = exp(a - x) for semi-infinite integrals, so the engine never has to chase
+an endpoint singularity of the map itself, or the sign lobes of sin(nu x) or
+cos(nu x) for oscillatory integrals over [0, inf), stopped by an
+alternating-series tail bound (or iterated averaging once plain summation
+would need absurdly many lobes).  A block integrates the next intervals of
+every unfinished row in one engine call, and the ones computed past a row's
+stop count as its evaluations too.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
@@ -16,10 +18,10 @@ must return an ndarray of the same shape; anything else raises TypeError.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import count
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .errors import AmplitudeError, DomainError
 
 __all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
            "integrate_semi_infinite", "integrate_oscillatory",
-           "integrate_quadrant", "integrate_diag_reduced", "oscillatory_raw"]
+           "integrate_quadrant", "integrate_diag_reduced", "oscillatory_raw",
+           "oscillatory_rows"]
 
 
 class OscKind(Enum):
@@ -263,38 +266,52 @@ def _walk(spec: QuadSpec):
     yield total, total_err, converged_all and not diverged and quiet >= 2, diverged
 
 
+def _walk_rows(g, walks: list, edges, block: int, limit: int,
+               tol: tuple) -> list[QuadResult]:
+    """Walk one interval sequence per row, all rows in lockstep.
+
+    edges(rows, ks) lists the (lo, hi) of intervals ks (a range) of each
+    row, row by row; walks[r] is row r's stopping coroutine (see _walk).  A
+    block takes the next intervals of every row whose coroutine still runs
+    at the block's first interval, integrates them all in one engine call
+    with g(x, rows), rows[j] the row of x[j], and replays each row's results
+    in order through its coroutine.  Peak of the integrand times width
+    over-estimates an interval's absolute mass even under cancellation,
+    which is what the window stopping rule needs.
+    """
+    ends = [next(w) for w in walks]
+    evals = [0] * len(walks)
+    active = list(range(len(walks)))
+    for k0 in range(0, limit, block):
+        if not active:
+            break
+        ks = range(k0, min(k0 + block, limit))
+        lo, hi = edges(active, ks)
+        rows = np.repeat(active, len(ks))
+        results = _lockstep(lambda x, owner: g(x, rows[owner]), lo, hi, *tol)
+        for r, (val, err, ev, conv, div, peak), a, b in zip(
+                rows.tolist(), results, lo, hi):
+            evals[r] += ev
+            if ends[r] is None:
+                ends[r] = walks[r].send((val, err, conv, div, peak * (b - a)))
+        active = [r for r in active if ends[r] is None]
+    return [QuadResult(_tidy(v), e, ev, c, d)
+            for (v, e, c, d), ev in zip(ends, evals)]
+
+
 def _walk_windows(f, a: float, spec: QuadSpec, n_rows: int) -> list[QuadResult]:
     """Integrals over [a, inf) of n_rows integrands, walked in lockstep.
 
-    f(x, rows) gets abscissae x and, per row of x, its integrand's index.  A
-    block integrates the next windows of every unfinished walk in one engine
-    call, then replays them in order.  Peak of the mapped integrand times
-    mapped width over-estimates a window's absolute mass even under
-    cancellation, which is what the stopping rule needs.
+    f(x, rows) gets abscissae x and, per row of x, its integrand's index.
     """
-    walks = [_walk(spec) for _ in range(n_rows)]
-    ends = [next(w) for w in walks]
-    evals = [0] * n_rows
-    tol = (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH)
-    active = list(range(n_rows))
-    for k0 in range(0, _MAX_WINDOWS, _WINDOW_BLOCK):
-        ks = range(k0, min(k0 + _WINDOW_BLOCK, _MAX_WINDOWS))
-        rows = np.repeat(active, len(ks))
-        windows = _lockstep(
-            lambda t, owner: _call(f, a - np.log(t), rows[owner]) / t,
-            [_EDGES[k + 1] for k in ks] * len(active),
-            [_EDGES[k] for k in ks] * len(active), *tol)
-        for r in active:
-            for k, (val, err, ev, conv, div, peak) in zip(ks, windows):
-                evals[r] += ev
-                if ends[r] is None:
-                    ends[r] = walks[r].send(
-                        (val, err, conv, div, peak * (_EDGES[k] - _EDGES[k + 1])))
-        active = [r for r in active if ends[r] is None]
-        if not active:
-            break
-    return [QuadResult(_tidy(v), e, ev, c, d)
-            for (v, e, c, d), ev in zip(ends, evals)]
+    def edges(rows, ks):
+        return ([_EDGES[k + 1] for k in ks] * len(rows),
+                [_EDGES[k] for k in ks] * len(rows))
+
+    return _walk_rows(lambda t, rows: _call(f, a - np.log(t), rows) / t,
+                      [_walk(spec) for _ in range(n_rows)], edges,
+                      _WINDOW_BLOCK, _MAX_WINDOWS,
+                      (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH))
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -315,11 +332,16 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
 # --------------------------------------------------------------------------
 
 
-def _lobes(g, kind: OscKind, nu: float, ks, *tol):
-    """Engine results for the sign lobes ks of the oscillator."""
+def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[list, list]:
+    """(lo, hi) lists of the sign lobes ks of the oscillator at frequency nu.
+
+    nu is a float or an (n, 1) array of row frequencies, whose lobes are
+    listed row by row.
+    """
     shift = 0.0 if kind == OscKind.SIN else 0.5
-    return list(_lockstep(g, [max(k - shift, 0.0) * math.pi / nu for k in ks],
-                          [(k + 1 - shift) * math.pi / nu for k in ks], *tol))
+    k = np.arange(ks.start, ks.stop)
+    return ((np.maximum(k - shift, 0.0) * math.pi / nu).ravel().tolist(),
+            ((k + 1 - shift) * math.pi / nu).ravel().tolist())
 
 
 def _iterated_average(partials: list) -> complex:
@@ -330,53 +352,68 @@ def _iterated_average(partials: list) -> complex:
     return complex(row[0])
 
 
-def oscillatory_raw(f, nu: float, kind: OscKind,
-                    spec: QuadSpec = QuadSpec(),
-                    max_lobes: int = 4096) -> QuadResult:
-    """Lobe-partitioned integral of f(x)*sin(nu x) (or cos) over [0, inf).
-
-    No positivity or monotonicity is assumed about f; this is the raw
-    engine beneath integrate_oscillatory.
-    """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise DomainError("oscillator frequency must be finite and > 0")
-    if nu > 1e3:
-        raise DomainError("oscillator frequency capped at 1e3 for audits")
-    osc = np.sin if kind == OscKind.SIN else np.cos
-
-    evals = 0
-
-    def lobes():  # engine results of lobe 0, 1, 2, ... in blocks
-        nonlocal evals
-        for k0 in count(0, _LOBE_BLOCK):
-            block = _lobes(lambda x, _: _call(f, x) * osc(nu * x), kind, nu,
-                           range(k0, k0 + _LOBE_BLOCK), spec.abs_tol / 50.0,
-                           1e-10, 24)
-            evals += sum(r[2] for r in block)
-            yield from block
-
-    partials: list[complex] = []
+def _lobe_sum(spec: QuadSpec, max_lobes: int):
+    """Stopping rules of one lobe walk: a coroutine sent and yielding as _walk."""
+    # The averages read only the last 66 partial sums; a bounded history
+    # keeps the memory of a many-row walk independent of max_lobes.
+    partials: deque[complex] = deque(maxlen=66)
     total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
-    walk = lobes()
     for k in range(max_lobes):
-        val, err, *_ = next(walk)
+        val, err, *_ = yield
         total += val
         total_err += err
         partials.append(total)
         if k >= 1 and abs(val) < spec.abs_tol / 10.0:
             # Alternating-series tail: first omitted lobe bounds the rest.
-            nval, nerr, *_ = next(walk)
+            nval, nerr, *_ = yield
             tail = abs(nval) + nerr
             converged = True
             break
     if not converged and len(partials) >= 16:
         # Plain summation would need too many lobes; accelerate.
-        accel = _iterated_average(partials)
-        short = _iterated_average(partials[:-2])
+        last = list(partials)
+        accel = _iterated_average(last)
+        short = _iterated_average(last[:-2])
         tail = 3.0 * abs(accel - short)
         total = accel
         converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
-    return QuadResult(_tidy(total), total_err + tail, evals, converged)
+    yield total, total_err + tail, converged, False
+
+
+def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
+                     max_lobes: int = 4096) -> list[QuadResult]:
+    """Lobe-partitioned integrals of f(x)*osc(nu x) over [0, inf), nu in nus.
+
+    osc is sin or cos by kind.  Every row shares the amplitude f and walks
+    its own lobes, all rows in lockstep; no positivity or monotonicity is
+    assumed about f.  A row's result is the same as its own one-row walk.
+    """
+    if max_lobes < 2:
+        raise DomainError(f"need max_lobes >= 2, got {max_lobes}")
+    nus = np.array([float(nu) for nu in nus])
+    for nu in nus:
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise DomainError("oscillator frequency must be finite and > 0")
+        if nu > 1e3:
+            raise DomainError("oscillator frequency capped at 1e3 for audits")
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    # The last block holds the lookahead lobe max_lobes.
+    limit = _LOBE_BLOCK * (max_lobes // _LOBE_BLOCK + 1)
+    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
+                      [_lobe_sum(spec, max_lobes) for _ in nus],
+                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
+                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
+
+
+def oscillatory_raw(f, nu: float, kind: OscKind,
+                    spec: QuadSpec = QuadSpec(),
+                    max_lobes: int = 4096) -> QuadResult:
+    """Lobe-partitioned integral of f(x)*sin(nu x) (or cos) over [0, inf).
+
+    The one-row case of oscillatory_rows, and the raw engine beneath
+    integrate_oscillatory.
+    """
+    return oscillatory_rows(f, [nu], kind, spec, max_lobes)[0]
 
 
 def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
@@ -393,8 +430,9 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
     lobes = [*_lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-power),
                         [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
                         spec.abs_tol / 50.0, 1e-12, 40)]
-    lobes += _lobes(lambda u, _: osc(u) * u ** (-power), kind, 1.0,
-                    range(1, n_lobes), spec.abs_tol / 50.0, 1e-12, 24)
+    lobes += _lockstep(lambda u, _: osc(u) * u ** (-power),
+                       *_lobe_edges(kind, 1.0, range(1, n_lobes)),
+                       spec.abs_tol / 50.0, 1e-12, 24)
     total, total_err = 0.0, 0.0
     for val, err, _, _, _, _ in lobes:
         total += val

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zetacheck
 from zetacheck import cli
 from zetacheck.report import CLAIM_IDS, strip_volatile
 
@@ -222,3 +227,17 @@ def test_traces_rejects_the_strip_edges(re_s, capsys):
     # The Poisson routes run at s and 1 - s; each edge puts one at re = 0.
     assert run(["traces", "--re", re_s]) == 64
     assert "open strip (0, 1)" in capsys.readouterr().err
+
+
+# -- start-up -----------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only the lhpd search uses scipy, so no other command pays its import.
+    src = str(Path(zetacheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, zetacheck.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

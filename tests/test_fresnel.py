@@ -1,6 +1,7 @@
 """Oscillatory-transform layer: closed forms, derivative link, positivity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,3 +121,46 @@ def test_amplitude_derivative_consistency():
     xs = np.array([0.5, 1.0, 4.0])
     v, d = amp.value(xs), amp.derivative(xs)
     assert np.all(v > 0.0) and np.all(d < 0.0)
+
+
+@pytest.mark.parametrize("seed", [20260815, 4])
+def test_positivity_audit_matches_serial_transforms(seed):
+    # The audit walks each family's frequencies as rows of one lobe walk;
+    # it must report what one fresnel_sin call per frequency gives.
+    rng = np.random.default_rng(seed)
+    per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
+    worst, lcb, converged = None, math.inf, True
+    for amp in fresnel._DEFAULT_FAMILIES:
+        for nu in fresnel._NU_MAX * (1.0 - rng.random(per)):
+            res = fresnel.fresnel_sin(amp, float(nu), fresnel._SPEC_POSITIVITY,
+                                      max_lobes=768)
+            lcb = min(lcb, res.value - 3.0 * res.error_estimate)
+            converged = converged and res.converged
+            if worst is None or res.value < worst[0]:
+                worst = (res.value, res.error_estimate,
+                         {"family": amp.family.value,
+                          "parameter": amp.parameter, "nu": float(nu)})
+    rep = fresnel.positivity_audit(seed=seed)
+    assert converged and lcb > 0.0   # the serial verdict is CONFIRMED
+    assert (rep.lhs, rep.error_estimate, rep.inputs["minAt"], rep.status) == (
+        worst[0], worst[1], worst[2], ClaimStatus.CONFIRMED)
+
+
+def test_positivity_audit_is_inconclusive_when_a_row_does_not_converge(
+        monkeypatch):
+    real = fresnel.oscillatory_rows
+
+    calls = []
+
+    def first_row_unconverged(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        if not calls:
+            rows[0] = replace(rows[0], converged=False)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(fresnel, "oscillatory_rows", first_row_unconverged)
+    rep = fresnel.positivity_audit(seed=20260815)
+    assert calls == [60] * 4
+    assert rep.status == ClaimStatus.INCONCLUSIVE
+    assert rep.notes == "1 of 240 sampled transforms did not converge"

@@ -18,7 +18,7 @@ from zetacheck.laplace import complex_form
 from zetacheck.quad import (OscKind, QuadSpec, integrate_finite,
                             integrate_diag_reduced, integrate_oscillatory,
                             integrate_quadrant, integrate_semi_infinite,
-                            oscillatory_raw)
+                            oscillatory_raw, oscillatory_rows)
 
 SQRT_PI_OVER_2 = 0.886226925452758     # int_0^inf exp(-x^2) dx
 DAWSON_1 = 0.5380795069127684          # int_0^inf exp(-t^2) sin(2t) dt
@@ -81,7 +81,9 @@ def test_integrand_must_map_array_to_array(f):
     lambda f: integrate_finite(lambda x: np.sqrt(np.abs(f(x) - 0.3)), 0.0, 2.0),
     lambda f: integrate_semi_infinite(f, 0.0),
     lambda f: oscillatory_raw(f, 2.0, OscKind.SIN),
-], ids=["finite", "finite-cusp", "semi-infinite", "oscillatory"])
+    lambda f: oscillatory_rows(f, [0.3, 2.0, 9.0, 40.0], OscKind.COS),
+], ids=["finite", "finite-cusp", "semi-infinite", "oscillatory",
+        "oscillatory-rows"])
 def test_evaluations_count_every_abscissa(integrate):
     # Windows and lobes integrated past the stopping point are real work:
     # the reported count must match what the integrand actually saw.
@@ -92,7 +94,8 @@ def test_evaluations_count_every_abscissa(integrate):
         return np.exp(-x * x)
 
     res = integrate(f)
-    assert res.evaluations == sum(seen) > 0
+    rows = res if isinstance(res, list) else [res]
+    assert sum(r.evaluations for r in rows) == sum(seen) > 0
 
 
 def test_complex_integrand_round_trip():
@@ -184,6 +187,87 @@ def test_oscillatory_rational_cos():
     res = oscillatory_raw(lambda x: 1.0 / (1.0 + x * x), 1.0, OscKind.COS)
     truth = math.pi / (2.0 * math.e)
     assert abs(res.value - truth) <= 1e-8
+
+
+def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
+    """Reference for the rows walker: one lobe walk that fetches a block
+    only when it needs that block's first lobe.
+
+    Returns (value, error, evaluations, converged, lobes consumed).
+    """
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    evals = 0
+
+    def lobes():
+        nonlocal evals
+        for k0 in range(0, max_lobes + 1, quad._LOBE_BLOCK):
+            ks = range(k0, k0 + quad._LOBE_BLOCK)
+            block = list(quad._lockstep(
+                lambda x, _: f(x) * osc(nu * x),
+                [max(k - shift, 0.0) * math.pi / nu for k in ks],
+                [(k + 1 - shift) * math.pi / nu for k in ks],
+                spec.abs_tol / 50.0, 1e-10, 24))
+            evals += sum(r[2] for r in block)
+            yield from block
+
+    walk, partials, used = lobes(), [], 0
+    total, total_err, tail, converged = 0j, 0.0, 0.0, False
+    for k in range(max_lobes):
+        val, err, *_ = next(walk)
+        total, total_err, used = total + val, total_err + err, used + 1
+        partials.append(total)
+        if k >= 1 and abs(val) < spec.abs_tol / 10.0:
+            nval, nerr, *_ = next(walk)
+            tail, converged, used = abs(nval) + nerr, True, used + 1
+            break
+    if not converged and len(partials) >= 16:
+        accel = quad._iterated_average(partials)
+        tail = 3.0 * abs(accel - quad._iterated_average(partials[:-2]))
+        total = accel
+        converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
+    return total, total_err + tail, evals, converged, used
+
+
+@pytest.mark.parametrize("amp, kind, nus, spec, max_lobes", [
+    # exp(-2x) at nu = 8.12 (sin) and 7.87 (cos) stops at lobe 31, so its
+    # tail lookahead is the first lobe of the next block.
+    (AmplitudeSpec.exponential(2.0), OscKind.SIN, [0.7, 8.12, 17.15, 30.0],
+     QuadSpec(), 4096),
+    (AmplitudeSpec.exponential(2.0), OscKind.COS, [0.7, 7.87, 16.9, 30.0],
+     QuadSpec(), 4096),
+    # rational(2.5) rows reach max_lobes and take iterated averaging.
+    (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0],
+     QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 768),
+], ids=["exp-sin", "exp-cos", "rational-sin-capped"])
+def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
+    rows = oscillatory_rows(amp.value, nus, kind, spec, max_lobes)
+    used = []
+    for nu, row in zip(nus, rows):
+        one = oscillatory_raw(amp.value, nu, kind, spec, max_lobes)
+        *ref, n_used = _serial_lobe_sum(amp.value, nu, kind, spec, max_lobes)
+        used.append(n_used)
+        for res in (row, one):
+            assert (complex(res.value), res.error_estimate, res.evaluations,
+                    res.converged) == (complex(ref[0]), *ref[1:])
+    if max_lobes == 768:
+        assert used == [768] * len(nus)
+    else:
+        # Rows stop in different blocks, one just past a block edge.
+        assert len({-(-n // quad._LOBE_BLOCK) for n in used}) > 1
+        assert any(n % quad._LOBE_BLOCK == 1 for n in used)
+
+
+@pytest.mark.parametrize("nu, max_lobes", [
+    (0.0, 4096), (-1.0, 4096), (math.nan, 4096), (math.inf, 4096),
+    (1001.0, 4096), (2.0, 1), (2.0, 0),
+])
+def test_oscillatory_rejects_bad_input(nu, max_lobes):
+    f = lambda x: np.exp(-x)
+    with pytest.raises(DomainError):
+        oscillatory_raw(f, nu, OscKind.SIN, max_lobes=max_lobes)
+    with pytest.raises(DomainError):
+        oscillatory_rows(f, [1.0, nu], OscKind.COS, max_lobes=max_lobes)
 
 
 def test_improper_power_reports_lobe_convergence():
