@@ -8,8 +8,6 @@ routes and reported with residuals, never assumed.
 
 from .specfun import (
     gamma,
-    gauss_g,
-    series_s,
     theta,
     trivial_zeta,
     zeta,
@@ -20,8 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "gamma",
-    "gauss_g",
-    "series_s",
     "theta",
     "trivial_zeta",
     "zeta",

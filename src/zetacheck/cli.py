@@ -248,6 +248,49 @@ class RunConfig:
     grid: bool = False
 
 
+class _Option(NamedTuple):
+    """One flag: the subcommands that take it and its add_argument keywords.
+
+    Its default lives in RunConfig alone.  The flag name with "-" written
+    as "_" is its config-file key.
+    """
+
+    commands: tuple[str, ...]
+    kwargs: dict[str, Any]
+
+
+# Subcommand -> help text.
+_COMMANDS = {
+    "verify": "run hard-identity suites",
+    "traces": "trace-sum audits at one argument",
+    "rhfe": "final functional-equation audit",
+    "gram": "kernel positive-definiteness audits",
+    "cm": "complete-monotonicity scan",
+    "ledger": "emit one report per manifest claim",
+}
+
+_EVERY_COMMAND = tuple(_COMMANDS)
+
+_OPTIONS: dict[str, _Option] = {
+    "--out": _Option(_EVERY_COMMAND, {"help": "write the report here"}),
+    "--format": _Option(_EVERY_COMMAND, {"choices": _FORMATS}),
+    "--seed": _Option(_EVERY_COMMAND, {"type": int}),
+    "--digits": _Option(_EVERY_COMMAND, {"type": int}),
+    "--tol": _Option(_EVERY_COMMAND, {
+        "type": float, "help": "override the suite pass tolerance"}),
+    "--strict-claims": _Option(_EVERY_COMMAND, {
+        "action": "store_true",
+        "help": "exit 3 if any audited claim is VIOLATED"}),
+    "--suite": _Option(("verify",), {"choices": _SUITE_CHOICES}),
+    "--re": _Option(("traces", "rhfe"), {"type": float}),
+    "--im": _Option(("traces", "rhfe"), {"type": float}),
+    "--n": _Option(("traces",), {"type": int}),
+    "--l": _Option(("traces",), {"dest": "big_l", "type": int}),
+    "--grid": _Option(("rhfe",), {"action": "store_true",
+                                  "help": "sweep the default region grid"}),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with the config exit code."""
 
@@ -257,38 +300,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
-    def coerce(value: str) -> str:
-        if value not in choices:
-            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
-        return value
-    return coerce
-
-
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _boolean(value: str) -> bool:
-    return _one_of(_TRUE + _FALSE)(value.lower()) in _TRUE
-
-
-_CONFIG_COERCE = {
-    "suite": _one_of(_SUITE_CHOICES),
-    "out": str,
-    "format": _one_of(_FORMATS),
-    "seed": int,
-    "digits": int,
-    "tol": float,
-    "strict_claims": _boolean,
-    "re": float,
-    "im": float,
-    "n": int,
-    "l": int,
-    "grid": _boolean,
-}
+def _file_value(kwargs: dict[str, Any], text: str) -> Any:
+    """A config-file value checked as its flag's argument would be."""
+    if kwargs.get("action") == "store_true":
+        return _file_value({"choices": _TRUE + _FALSE}, text.lower()) in _TRUE
+    value = kwargs.get("type", str)(text)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{text!r} is not one of "
+                         f"{', '.join(kwargs['choices'])}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
+    """RunConfig field -> value for every key=value line of the file."""
+    options = {flag[2:].replace("-", "_"): opt.kwargs
+               for flag, opt in _OPTIONS.items()}
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -300,9 +329,11 @@ def _load_config_file(path: str) -> dict:
                     raise ValueError(f"line {ln}: expected key=value")
                 key, val = line.split("=", 1)
                 key = key.strip().lower().replace("-", "_")
-                if key not in _CONFIG_COERCE:
+                if key not in options:
                     raise ValueError(f"line {ln}: unknown key {key!r}")
-                values[key] = _CONFIG_COERCE[key](val.strip())
+                kwargs = options[key]
+                values[kwargs.get("dest", key)] = _file_value(kwargs,
+                                                              val.strip())
     except OSError as exc:
         print(f"error: cannot read config file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG) from exc
@@ -313,82 +344,31 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=None, help="write the report here")
-    common.add_argument("--format", choices=_FORMATS, default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--digits", type=int, default=60)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the suite pass tolerance")
-    common.add_argument("--strict-claims", action="store_true",
-                        help="exit 3 if any audited claim is VIOLATED")
-    common.add_argument("--config", default=None,
-                        help="key=value file; explicit flags win")
-
+    """Parser whose namespace holds only the command and the flags given."""
     parser = _Parser(prog="zetacheck",
                      description="identity checks and claim audits")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run hard-identity suites")
-    p_verify.add_argument("--suite", choices=_SUITE_CHOICES, default="all")
-
-    p_traces = sub.add_parser("traces", parents=[common],
-                              help="trace-sum audits at one argument")
-    p_traces.add_argument("--re", type=float, default=0.75)
-    p_traces.add_argument("--im", type=float, default=-2.0)
-    p_traces.add_argument("--n", type=int, default=1)
-    p_traces.add_argument("--l", dest="big_l", type=int, default=5)
-
-    p_rhfe = sub.add_parser("rhfe", parents=[common],
-                            help="final functional-equation audit")
-    p_rhfe.add_argument("--re", type=float, default=0.75)
-    p_rhfe.add_argument("--im", type=float, default=-2.0)
-    p_rhfe.add_argument("--grid", action="store_true",
-                        help="sweep the default region grid")
-
-    sub.add_parser("gram", parents=[common],
-                   help="kernel positive-definiteness audits")
-    sub.add_parser("cm", parents=[common],
-                   help="complete-monotonicity scan")
-    sub.add_parser("ledger", parents=[common],
-                   help="emit one report per manifest claim")
+    for command, help_text in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, opt in _OPTIONS.items():
+            if command in opt.commands:
+                p.add_argument(flag, default=argparse.SUPPRESS, **opt.kwargs)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="key=value file; explicit flags win")
     return parser
 
 
 def parse_args(argv: list[str]) -> RunConfig:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.config:
-        file_vals = _load_config_file(ns.config)
-        # Explicit flags win; file values fill in everything else.
-        explicit = {tok[2:].split("=", 1)[0].replace("-", "_")
-                    for tok in argv if tok.startswith("--")}
-        for key, val in file_vals.items():
-            if key in explicit:
-                continue
-            dest = "big_l" if key == "l" else key
-            if hasattr(ns, dest):
-                setattr(ns, dest, val)
-    if ns.digits is not None and not (15 <= ns.digits <= 200):
+    given = vars(parser.parse_args(argv))
+    path = given.pop("config", None)
+    file_values = _load_config_file(path) if path else {}
+    # Explicit flags win; file values fill in everything else.
+    cfg = RunConfig(**{**file_values, **given})
+    if not 15 <= cfg.digits <= 200:
         parser.error("digits must lie in [15, 200]")
-    if ns.tol is not None and not (0.0 < ns.tol < 1.0):
+    if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
         parser.error("tol must lie in (0, 1)")
-    cfg = RunConfig(
-        command=ns.command,
-        suite=getattr(ns, "suite", "all"),
-        out=ns.out,
-        format=ns.format,
-        seed=ns.seed,
-        digits=ns.digits,
-        tol=ns.tol,
-        strict_claims=ns.strict_claims,
-        re=getattr(ns, "re", 0.75),
-        im=getattr(ns, "im", -2.0),
-        n=getattr(ns, "n", 1),
-        big_l=getattr(ns, "big_l", 5),
-        grid=getattr(ns, "grid", False),
-    )
     return cfg
 
 
@@ -466,21 +446,25 @@ def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
     return [rhfe.rhfe_residual(s, p, allow_outside_region=True)]
 
 
+# Samples shared by gram, cm and ledger.
+_SIGNED_PAIR = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
+                                  weights=(1.0, -1.0))
+_CM_GRID = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
+
+
 def run_gram(cfg: RunConfig) -> list[ClaimReport]:
     diag = laplace.GramSample(points=tuple((t, t) for t in
                                            (0.2, 0.5, 1.0, 2.0, 5.0)))
-    pair = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
-                              weights=(1.0, -1.0))
     return [
         laplace.gram_psd_check(diag),
-        laplace.gram_psd_check(pair),
+        laplace.gram_psd_check(_SIGNED_PAIR),
         laplace.lhpd_falsify(seed=_SEED_BASE + cfg.seed),
     ]
 
 
 def run_cm(cfg: RunConfig) -> list[ClaimReport]:
-    grid = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
-    return [laplace.cm_scan(grid, order=1), laplace.cm_scan(grid, order=2)]
+    return [laplace.cm_scan(_CM_GRID, order=1),
+            laplace.cm_scan(_CM_GRID, order=2)]
 
 
 def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
@@ -489,14 +473,11 @@ def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
     p_audit = traces.TraceParams(s_audit, j_max=400, n_max=3,
                                  digits=max(cfg.digits, 50))
     direct, factored = laplace.rep_green_fresnel(1.0 + 0.0j)
-    pair = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
-                              weights=(1.0, -1.0))
     by_id = {
-        "gram-psd": lambda: laplace.gram_psd_check(pair),
+        "gram-psd": lambda: laplace.gram_psd_check(_SIGNED_PAIR),
         "lhpd-search": lambda: laplace.lhpd_falsify(
             seed=_SEED_BASE + cfg.seed),
-        "cm-scan": lambda: laplace.cm_scan(
-            laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5), order=2),
+        "cm-scan": lambda: laplace.cm_scan(_CM_GRID, order=2),
         "green-fresnel-direct": lambda: direct,
         "green-fresnel-factored": lambda: factored,
         "fresnel-positivity": lambda: fresnel.positivity_audit(

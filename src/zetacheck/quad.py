@@ -358,15 +358,18 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
     # keeps the memory of a many-row walk independent of max_lobes.
     partials: deque[complex] = deque(maxlen=66)
     total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
+    lobes_converged, diverged = True, False
     for k in range(max_lobes):
-        val, err, *_ = yield
+        val, err, conv, div, _ = yield
         total += val
         total_err += err
+        lobes_converged, diverged = lobes_converged and conv, diverged or div
         partials.append(total)
         if k >= 1 and abs(val) < spec.abs_tol / 10.0:
             # Alternating-series tail: first omitted lobe bounds the rest.
-            nval, nerr, *_ = yield
+            nval, nerr, conv, div, _ = yield
             tail = abs(nval) + nerr
+            lobes_converged, diverged = lobes_converged and conv, diverged or div
             converged = True
             break
     if not converged and len(partials) >= 16:
@@ -377,7 +380,7 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
         tail = 3.0 * abs(accel - short)
         total = accel
         converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
-    yield total, total_err + tail, converged, False
+    yield total, total_err + tail, converged and lobes_converged, diverged
 
 
 def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),

@@ -21,9 +21,7 @@ __all__ = [
     "zeta",
     "zeta_star",
     "theta",
-    "gauss_g",
     "trivial_zeta",
-    "series_s",
     "ZETA_RE_MAX",
     "ZETA_IM_MAX",
     "POLE_GUARD_RADIUS",
@@ -222,35 +220,7 @@ def theta(x):
     return total
 
 
-def gauss_g(x):
-    """Canonical Gaussian exp(-pi x^2) (scalar or ndarray)."""
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-math.pi * arr * arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def trivial_zeta(s: complex) -> float:
     """im(s) * (2 re(s) - 1); vanishes exactly on the critical line."""
     s = _require_finite(s, "s")
     return s.imag * (2.0 * s.real - 1.0)
-
-
-def series_s(a: float) -> float:
-    """Sum over m >= 1 of a^m / (m! (m-1)!), for a >= 0."""
-    a = float(a)
-    if not math.isfinite(a) or a < 0.0:
-        raise DomainError("series_s requires finite a >= 0")
-    if a == 0.0:
-        return 0.0
-    term = a
-    total = a
-    for m in range(2, 100000):
-        term *= a / (m * (m - 1))
-        total += term
-        if math.isinf(total):
-            raise OverflowError("series value exceeds the double range")
-        if term < 1e-17 * total:
-            break
-    return total

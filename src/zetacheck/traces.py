@@ -396,6 +396,24 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
 # --------------------------------------------------------------------------
 
 
+def _poisson_constants(n: int, L: int, u: float,
+                       v: float) -> tuple[float, float, float]:
+    """(c_n, b, e^{aL}) of the L-indexed Poissonian term at re(z) = u and
+    frequency v, after the argument checks both evaluation routes share."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if L < 0:
+        raise DomainError("L must be nonnegative")
+    if v == 0.0:
+        raise DomainError("frequency must be nonzero")
+    if u <= 0.0:
+        raise DomainError("re(z) must be positive")
+    a = 2.0 * math.pi * u / v
+    if a * L > 690.0:
+        raise DomainError("growth prefactor e^{aL} overflows")
+    return math.pi * n * n, 4.0 * math.pi / v, math.exp(a * L)
+
+
 def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
                     spec: QuadSpec = QuadSpec()) -> QuadResult:
     """One-dimensional reduction of the L-indexed Poissonian term.
@@ -406,21 +424,8 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
     frequency of s.  Derived from the quadrant form by rotating to the
     diagonal; the sine factor is the collapsed anti-diagonal integral.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if L < 0:
-        raise DomainError("L must be nonnegative")
-    if v_freq == 0.0:
-        raise DomainError("frequency must be nonzero")
     u = z.real
-    if u <= 0.0:
-        raise DomainError("re(z) must be positive")
-    c = math.pi * n * n
-    a = 2.0 * math.pi * u / v_freq
-    b = 4.0 * math.pi / v_freq
-    if a * L > 690.0:
-        raise DomainError("growth prefactor e^{aL} overflows")
-    scale = math.exp(a * L)
+    c, b, scale = _poisson_constants(n, L, u, v_freq)
     inner_tol = max(1e-15, spec.abs_tol * min(1.0, 1.0 / scale))
     inner_spec = replace(spec, abs_tol=inner_tol)
 
@@ -442,22 +447,8 @@ def poisson_term_quadrant(n: int, L: int, z: complex,
     The frequency is im(z).  Slower by orders of magnitude; exists to
     validate the reduced form.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if L < 0:
-        raise DomainError("L must be nonnegative")
-    v = z.imag
-    if v == 0.0:
-        raise DomainError("frequency must be nonzero")
-    u = z.real
-    if u <= 0.0:
-        raise DomainError("re(z) must be positive")
-    c = math.pi * n * n
-    a = 2.0 * math.pi * u / v
-    b = 4.0 * math.pi / v
-    if a * L > 690.0:
-        raise DomainError("growth prefactor e^{aL} overflows")
-    scale = math.exp(a * L)
+    u, v = z.real, z.imag
+    c, b, scale = _poisson_constants(n, L, u, v)
 
     def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         inner = np.minimum(b * L - 2.0 * (l1 + l2), _EXP_CLIP)

@@ -148,6 +148,89 @@ def test_explicit_flags_beat_config_values(tmp_path, capsys):
     assert len(data) == 20                     # theta grid, not the race grid
 
 
+def test_abbreviated_flags_beat_config_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = race\nformat = csv\n", encoding="utf-8")
+    assert run(["verify", "--config", str(cfg), "--sui", "theta",
+                "--form", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [d["claimId"] for d in data] == ["theta-jacobi"] * 20
+
+
+# flag -> (argument text or None for a switch, RunConfig field, value)
+FLAG_VALUES = {
+    "--out": ("r.json", "out", "r.json"),
+    "--format": ("csv", "format", "csv"),
+    "--seed": ("4", "seed", 4),
+    "--digits": ("70", "digits", 70),
+    "--tol": ("0.001", "tol", 0.001),
+    "--strict-claims": (None, "strict_claims", True),
+    "--suite": ("theta", "suite", "theta"),
+    "--re": ("0.6", "re", 0.6),
+    "--im": ("3", "im", 3.0),
+    "--n": ("2", "n", 2),
+    "--l": ("7", "big_l", 7),
+    "--grid": (None, "grid", True),
+}
+COMMON_FLAGS = ["--out", "--format", "--seed", "--digits", "--tol",
+                "--strict-claims"]
+COMMAND_FLAGS = {
+    "verify": COMMON_FLAGS + ["--suite"],
+    "traces": COMMON_FLAGS + ["--re", "--im", "--n", "--l"],
+    "rhfe": COMMON_FLAGS + ["--re", "--im", "--grid"],
+    "gram": COMMON_FLAGS,
+    "cm": COMMON_FLAGS,
+    "ledger": COMMON_FLAGS,
+}
+
+
+def flag_argv(flag):
+    text = FLAG_VALUES[flag][0]
+    return [flag] if text is None else [flag, text]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_command_takes_exactly_its_flags(command, capsys):
+    argv, want = [command], cli.RunConfig(command)
+    for flag in COMMAND_FLAGS[command]:
+        argv += flag_argv(flag)
+        _, field, value = FLAG_VALUES[flag]
+        setattr(want, field, value)
+    assert cli.parse_args(argv) == want
+    for flag in sorted(set(FLAG_VALUES) - set(COMMAND_FLAGS[command])):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([command, *flag_argv(flag)])
+        assert exc.value.code == 64
+    capsys.readouterr()
+
+
+ALL_KEYS = ("suite = theta\nout = r.json\nformat = csv\nseed = 4\n"
+            "digits = 70\ntol = 0.001\nstrict-claims = YES\nre = 0.6\n"
+            "im = 3\nn = 2\nl = 7\ngrid = on\n")
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_every_command_accepts_every_config_key(command, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ALL_KEYS, encoding="utf-8")
+    got = cli.parse_args([command, "--config", str(cfg)])
+    for flag in COMMAND_FLAGS[command]:
+        _, field, value = FLAG_VALUES[flag]
+        assert getattr(got, field) == value
+    assert cli.parse_args([command, "--config", str(cfg),
+                           "--digits", "80"]).digits == 80
+
+
+def test_config_keys_without_a_flag_have_no_effect(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = race\nre = 0.3\nim = 9\nn = 4\nl = 2\n"
+                   "grid = yes\n", encoding="utf-8")
+    assert run(["cm"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["cm", "--config", str(cfg)]) == 0
+    assert strip_volatile(capsys.readouterr().out) == strip_volatile(plain)
+
+
 @pytest.mark.parametrize("body", [
     "unknown_key = 3\n",
     "just a line without equals\n",
@@ -156,6 +239,10 @@ def test_explicit_flags_beat_config_values(tmp_path, capsys):
     "format = xml\n",
     "strict_claims = ture\n",
     "grid = maybe\n",
+    "digits = 7\n",
+    "tol = 2.0\n",
+    "config = other.cfg\n",
+    "big_l = 3\n",
 ])
 def test_malformed_config_exits_sixty_four(body, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"

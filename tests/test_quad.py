@@ -213,20 +213,24 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
 
     walk, partials, used = lobes(), [], 0
     total, total_err, tail, converged = 0j, 0.0, 0.0, False
+    lobes_converged = True
     for k in range(max_lobes):
-        val, err, *_ = next(walk)
+        val, err, _, conv, *_ = next(walk)
         total, total_err, used = total + val, total_err + err, used + 1
+        lobes_converged = lobes_converged and conv
         partials.append(total)
         if k >= 1 and abs(val) < spec.abs_tol / 10.0:
-            nval, nerr, *_ = next(walk)
+            nval, nerr, _, conv, *_ = next(walk)
             tail, converged, used = abs(nval) + nerr, True, used + 1
+            lobes_converged = lobes_converged and conv
             break
     if not converged and len(partials) >= 16:
         accel = quad._iterated_average(partials)
         tail = 3.0 * abs(accel - quad._iterated_average(partials[:-2]))
         total = accel
         converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
-    return total, total_err + tail, evals, converged, used
+    return (total, total_err + tail, evals, converged and lobes_converged,
+            used)
 
 
 @pytest.mark.parametrize("amp, kind, nus, spec, max_lobes", [
@@ -276,6 +280,17 @@ def test_improper_power_reports_lobe_convergence():
     for power, kind in ((1.0, OscKind.SIN), (0.5, OscKind.SIN),
                         (0.5, OscKind.COS)):
         assert quad._improper_power(power, kind, QuadSpec()).converged
+
+
+def test_lobe_walk_reports_lobe_convergence():
+    # The jump at 1.3 keeps the first lobe unconverged at the depth cap, so
+    # the walk must not report convergence, though its tail stop fires.
+    f = lambda x: np.where(x < 1.3, np.exp(-x), 0.0)
+    res = oscillatory_raw(f, 1.0, OscKind.SIN)
+    assert not res.converged
+    assert res.error_estimate > QuadSpec().abs_tol
+    assert not oscillatory_rows(f, [2.0, 1.0], OscKind.SIN)[1].converged
+    assert oscillatory_raw(lambda x: np.exp(-x), 1.0, OscKind.SIN).converged
 
 
 def test_inv_sqrt_improper_amplitude():

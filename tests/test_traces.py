@@ -229,3 +229,17 @@ def test_reduced_term_scale_guard():
     # exp(a L) overflows double range for extreme parameter combinations
     with pytest.raises(DomainError):
         traces.poisson_reduced(1, 2000, 0.99 + 0.01j, 0.01)
+
+
+@pytest.mark.parametrize("n, L, z", [
+    (0, 1, 0.75 + 2.0j),          # n < 1
+    (1, -1, 0.75 + 2.0j),         # L < 0
+    (1, 1, 0.75 + 0.0j),          # zero frequency
+    (1, 1, 0.0 + 2.0j),           # re(z) = 0
+    (1, 2000, 0.99 + 0.01j),      # e^{aL} overflows
+])
+def test_both_routes_reject_the_same_arguments(n, L, z):
+    with pytest.raises(DomainError):
+        traces.poisson_reduced(n, L, z, z.imag)
+    with pytest.raises(DomainError):
+        traces.poisson_term_quadrant(n, L, z)
