@@ -97,7 +97,7 @@ class AmplitudeSpec:
 
     # -- admissibility -----------------------------------------------------
 
-    def validate_pcid(self, samples: int = 64) -> None:
+    def validate_pcid(self) -> None:
         """Check positivity, continuity (finiteness), decrease on a grid.
 
         Also cross-checks the stated derivative against a central finite
@@ -105,7 +105,7 @@ class AmplitudeSpec:
         closed forms drifted apart is rejected before any integral is
         trusted.  Raises AmplitudeError on any failure.
         """
-        grid = np.geomspace(1e-6, 1e3, samples)
+        grid = np.geomspace(1e-6, 1e3, 64)
         vals = np.asarray(self.value(grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise AmplitudeError("amplitude is not finite on the test grid")

@@ -248,6 +248,149 @@ class RunConfig:
     grid: bool = False
 
 
+# --------------------------------------------------------------------------
+# Hard-identity suites.
+# --------------------------------------------------------------------------
+
+
+def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:
+    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
+    reports: list[ClaimReport] = []
+    all_ok = True
+    for name in names:
+        for threshold, evaluate in _SUITES[name]:
+            for rep in evaluate(cfg.seed):
+                reports.append(rep)
+                if threshold is None:
+                    ok = rep.status == ClaimStatus.CONFIRMED
+                else:
+                    bound = cfg.tol if cfg.tol is not None else threshold
+                    ok = rep.abs_residual <= bound
+                all_ok = all_ok and ok
+    return reports, EXIT_OK if all_ok else EXIT_IDENTITY
+
+
+# --------------------------------------------------------------------------
+# Claim-audit commands.
+# --------------------------------------------------------------------------
+
+
+def _series_digits(n_max: int, digits_floor: int) -> int:
+    """Working digits large enough for the exp(pi*n^2) series peak."""
+    return max(digits_floor, 40,
+               17 + math.ceil(math.pi * n_max * n_max / math.log(10.0)))
+
+
+def run_traces(cfg: RunConfig) -> list[ClaimReport]:
+    if not 0.0 < cfg.re < 1.0:
+        # The Poisson routes run at s and at 1 - s, so both need re > 0.
+        raise DomainError(f"traces needs re(s) in the open strip (0, 1), "
+                          f"got {cfg.re}")
+    s = complex(cfg.re, cfg.im)
+    n_top = max(3, cfg.n)
+    p = traces.TraceParams(s, n_top, _series_digits(n_top, cfg.digits))
+    reports = [traces.trace_decomposition_check(cfg.n, s)]
+    reports.append(traces.hausdorff_moment_audit(
+        s, cfg.digits, allow_outside_region=True))
+    reports.append(traces.tr_cg_total(p))
+    reports.append(traces.poisson_vanishing_audit(
+        cfg.n, complex(s.real, abs(s.imag)), cfg.big_l))
+    reports.append(rhfe.decomposition_audit(
+        cfg.n, s, cfg.big_l, _series_digits(cfg.n, max(cfg.digits, 50))))
+    return reports
+
+
+def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
+    digits = _series_digits(3, cfg.digits)
+    if cfg.grid:
+        return [rhfe.rhfe_residual(complex(u, v), digits)
+                for u in (0.55, 0.65, 0.75, 0.85, 0.95)
+                for v in (-2.0, -4.0, -6.0, -8.0, -10.0)]
+    return [rhfe.rhfe_residual(complex(cfg.re, cfg.im), digits,
+                               allow_outside_region=True)]
+
+
+# Samples shared by gram, cm and ledger.
+_SIGNED_PAIR = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
+                                  weights=(1.0, -1.0))
+_CM_GRID = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
+
+
+def run_gram(cfg: RunConfig) -> list[ClaimReport]:
+    diag = laplace.GramSample(points=tuple((t, t) for t in
+                                           (0.2, 0.5, 1.0, 2.0, 5.0)))
+    return [
+        laplace.gram_psd_check(diag),
+        laplace.gram_psd_check(_SIGNED_PAIR),
+        laplace.lhpd_falsify(seed=_SEED_BASE + cfg.seed),
+    ]
+
+
+def run_cm(cfg: RunConfig) -> list[ClaimReport]:
+    return [laplace.cm_scan(_CM_GRID, order=1),
+            laplace.cm_scan(_CM_GRID, order=2)]
+
+
+def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
+    """One report per manifest claim id, in manifest order, deterministic."""
+    s_audit = 0.75 - 2.0j
+    digits = max(cfg.digits, 50)
+    direct, factored = laplace.rep_green_fresnel(1.0 + 0.0j)
+    by_id = {
+        "gram-psd": lambda: laplace.gram_psd_check(_SIGNED_PAIR),
+        "lhpd-search": lambda: laplace.lhpd_falsify(
+            seed=_SEED_BASE + cfg.seed),
+        "cm-scan": lambda: laplace.cm_scan(_CM_GRID, order=2),
+        "green-fresnel-direct": lambda: direct,
+        "green-fresnel-factored": lambda: factored,
+        "fresnel-positivity": lambda: fresnel.positivity_audit(
+            seed=_SEED_BASE + cfg.seed),
+        "poisson-vanishing": lambda: traces.poisson_vanishing_audit(),
+        "hausdorff-moments": lambda: traces.hausdorff_moment_audit(
+            s_audit, cfg.digits),
+        "j-decomposition": lambda: rhfe.decomposition_audit(
+            1, s_audit, 5, digits),
+        "trace-total-positivity": lambda: traces.tr_cg_total(
+            traces.TraceParams(s_audit, digits=digits)),
+        "rhfe": lambda: rhfe.rhfe_residual(s_audit, digits),
+    }
+    return [by_id[claim_id]() for claim_id in CLAIM_IDS]
+
+
+# --------------------------------------------------------------------------
+# Subcommands and their options.
+# --------------------------------------------------------------------------
+
+# A runner returns the reports and the exit code they earn before
+# --strict-claims is applied.
+_Runner = Callable[[RunConfig], tuple[list[ClaimReport], int]]
+
+
+def _audits(run: Callable[[RunConfig], list[ClaimReport]]) -> _Runner:
+    """Runner for a claim-audit command, whose reports set no exit code."""
+    return lambda cfg: (run(cfg), EXIT_OK)
+
+
+class _Command(NamedTuple):
+    help: str
+    run: _Runner
+
+
+_COMMANDS: dict[str, _Command] = {
+    "verify": _Command("run hard-identity suites", run_verify),
+    "traces": _Command("trace-sum audits at one argument",
+                       _audits(run_traces)),
+    "rhfe": _Command("final functional-equation audit", _audits(run_rhfe)),
+    "gram": _Command("kernel positive-definiteness audits",
+                     _audits(run_gram)),
+    "cm": _Command("complete-monotonicity scan", _audits(run_cm)),
+    "ledger": _Command("emit one report per manifest claim",
+                       _audits(run_ledger)),
+}
+
+_EVERY_COMMAND = tuple(_COMMANDS)
+
+
 class _Option(NamedTuple):
     """One flag: the subcommands that take it and its add_argument keywords.
 
@@ -258,18 +401,6 @@ class _Option(NamedTuple):
     commands: tuple[str, ...]
     kwargs: dict[str, Any]
 
-
-# Subcommand -> help text.
-_COMMANDS = {
-    "verify": "run hard-identity suites",
-    "traces": "trace-sum audits at one argument",
-    "rhfe": "final functional-equation audit",
-    "gram": "kernel positive-definiteness audits",
-    "cm": "complete-monotonicity scan",
-    "ledger": "emit one report per manifest claim",
-}
-
-_EVERY_COMMAND = tuple(_COMMANDS)
 
 _OPTIONS: dict[str, _Option] = {
     "--out": _Option(_EVERY_COMMAND, {"help": "write the report here"}),
@@ -348,10 +479,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="zetacheck",
                      description="identity checks and claim audits")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         for flag, opt in _OPTIONS.items():
-            if command in opt.commands:
+            if name in opt.commands:
                 p.add_argument(flag, default=argparse.SUPPRESS, **opt.kwargs)
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="key=value file; explicit flags win")
@@ -369,128 +500,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         parser.error("digits must lie in [15, 200]")
     if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
         parser.error("tol must lie in (0, 1)")
+    if cfg.seed < 0:
+        parser.error("seed must be nonnegative")
     return cfg
-
-
-# --------------------------------------------------------------------------
-# Hard-identity suites.
-# --------------------------------------------------------------------------
-
-
-def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
-    reports: list[ClaimReport] = []
-    all_ok = True
-    for name in names:
-        for threshold, evaluate in _SUITES[name]:
-            for rep in evaluate(cfg.seed):
-                reports.append(rep)
-                if threshold is None:
-                    ok = rep.status == ClaimStatus.CONFIRMED
-                else:
-                    bound = cfg.tol if cfg.tol is not None else threshold
-                    ok = rep.abs_residual <= bound
-                all_ok = all_ok and ok
-    return reports, EXIT_OK if all_ok else EXIT_IDENTITY
-
-
-# --------------------------------------------------------------------------
-# Claim-audit commands.
-# --------------------------------------------------------------------------
-
-
-def _series_headroom(n_max: int, digits_floor: int) -> tuple[int, int]:
-    """j_max and digits large enough for the exp(pi*n^2) series peak."""
-    peak = math.ceil(math.pi * n_max * n_max)
-    j_max = max(400, 4 * peak + 50)
-    digits = max(digits_floor, 40,
-                 17 + math.ceil(math.pi * n_max * n_max / math.log(10.0)))
-    return j_max, digits
-
-
-def run_traces(cfg: RunConfig) -> list[ClaimReport]:
-    if not 0.0 < cfg.re < 1.0:
-        # The Poisson routes run at s and at 1 - s, so both need re > 0.
-        raise DomainError(f"traces needs re(s) in the open strip (0, 1), "
-                          f"got {cfg.re}")
-    s = complex(cfg.re, cfg.im)
-    n_top = max(3, cfg.n)
-    j_max, digits = _series_headroom(n_top, cfg.digits)
-    p = traces.TraceParams(s, j_max=j_max, n_max=n_top, digits=digits)
-    reports = [traces.trace_decomposition_check(cfg.n, s)]
-    reports.append(traces.hausdorff_moment_audit(
-        s, cfg.digits, allow_outside_region=True))
-    reports.append(traces.tr_cg_total(p))
-    reports.append(traces.poisson_vanishing_audit(
-        cfg.n, complex(s.real, abs(s.imag)), cfg.big_l))
-    j_max_dec, digits_dec = _series_headroom(max(1, cfg.n),
-                                             max(cfg.digits, 50))
-    reports.append(rhfe.decomposition_audit(
-        cfg.n, s, cfg.big_l,
-        traces.TraceParams(s, j_max_dec, max(1, cfg.n), digits_dec)))
-    return reports
-
-
-def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
-    j_max, digits = _series_headroom(3, cfg.digits)
-    if cfg.grid:
-        reports = []
-        for u in (0.55, 0.65, 0.75, 0.85, 0.95):
-            for v in (-2.0, -4.0, -6.0, -8.0, -10.0):
-                p = traces.TraceParams(complex(u, v), j_max=j_max, n_max=3,
-                                       digits=digits)
-                reports.append(rhfe.rhfe_residual(complex(u, v), p))
-        return reports
-    s = complex(cfg.re, cfg.im)
-    p = traces.TraceParams(s, j_max=j_max, n_max=3, digits=digits)
-    return [rhfe.rhfe_residual(s, p, allow_outside_region=True)]
-
-
-# Samples shared by gram, cm and ledger.
-_SIGNED_PAIR = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
-                                  weights=(1.0, -1.0))
-_CM_GRID = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
-
-
-def run_gram(cfg: RunConfig) -> list[ClaimReport]:
-    diag = laplace.GramSample(points=tuple((t, t) for t in
-                                           (0.2, 0.5, 1.0, 2.0, 5.0)))
-    return [
-        laplace.gram_psd_check(diag),
-        laplace.gram_psd_check(_SIGNED_PAIR),
-        laplace.lhpd_falsify(seed=_SEED_BASE + cfg.seed),
-    ]
-
-
-def run_cm(cfg: RunConfig) -> list[ClaimReport]:
-    return [laplace.cm_scan(_CM_GRID, order=1),
-            laplace.cm_scan(_CM_GRID, order=2)]
-
-
-def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
-    """One report per manifest claim id, in manifest order, deterministic."""
-    s_audit = 0.75 - 2.0j
-    p_audit = traces.TraceParams(s_audit, j_max=400, n_max=3,
-                                 digits=max(cfg.digits, 50))
-    direct, factored = laplace.rep_green_fresnel(1.0 + 0.0j)
-    by_id = {
-        "gram-psd": lambda: laplace.gram_psd_check(_SIGNED_PAIR),
-        "lhpd-search": lambda: laplace.lhpd_falsify(
-            seed=_SEED_BASE + cfg.seed),
-        "cm-scan": lambda: laplace.cm_scan(_CM_GRID, order=2),
-        "green-fresnel-direct": lambda: direct,
-        "green-fresnel-factored": lambda: factored,
-        "fresnel-positivity": lambda: fresnel.positivity_audit(
-            seed=_SEED_BASE + cfg.seed),
-        "poisson-vanishing": lambda: traces.poisson_vanishing_audit(),
-        "hausdorff-moments": lambda: traces.hausdorff_moment_audit(
-            s_audit, cfg.digits),
-        "j-decomposition": lambda: rhfe.decomposition_audit(
-            1, s_audit, 5, p_audit),
-        "trace-total-positivity": lambda: traces.tr_cg_total(p_audit),
-        "rhfe": lambda: rhfe.rhfe_residual(s_audit, p_audit),
-    }
-    return [by_id[claim_id]() for claim_id in CLAIM_IDS]
 
 
 # --------------------------------------------------------------------------
@@ -516,14 +528,7 @@ def _emit(reports: list[ClaimReport], cfg: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if cfg.command == "verify":
-            reports, code = run_verify(cfg)
-        else:
-            runner = {"traces": run_traces, "rhfe": run_rhfe,
-                      "gram": run_gram, "cm": run_cm,
-                      "ledger": run_ledger}[cfg.command]
-            reports = runner(cfg)
-            code = EXIT_OK
+        reports, code = _COMMANDS[cfg.command].run(cfg)
     except (DomainError, InsufficientPrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,15 +33,15 @@ __all__ = [
 
 
 def fresnel_sin(amplitude: AmplitudeSpec, nu: float,
-                spec: QuadSpec = QuadSpec(), **kw) -> QuadResult:
+                spec: QuadSpec = QuadSpec()) -> QuadResult:
     """F_s(A, nu) = int_0^inf A(x) sin(nu x) dx."""
-    return integrate_oscillatory(amplitude, nu, OscKind.SIN, spec, **kw)
+    return integrate_oscillatory(amplitude, nu, OscKind.SIN, spec)
 
 
 def fresnel_cos(amplitude: AmplitudeSpec, nu: float,
-                spec: QuadSpec = QuadSpec(), **kw) -> QuadResult:
+                spec: QuadSpec = QuadSpec()) -> QuadResult:
     """F_c(A, nu) = int_0^inf A(x) cos(nu x) dx."""
-    return integrate_oscillatory(amplitude, nu, OscKind.COS, spec, **kw)
+    return integrate_oscillatory(amplitude, nu, OscKind.COS, spec)
 
 
 def closed_form_sin(amplitude: AmplitudeSpec, nu: float) -> float | None:

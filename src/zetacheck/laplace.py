@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, StepSizeError
 from .fresnel import fresnel_cos
 from .amplitudes import AmplitudeSpec
-from .quad import QuadSpec, integrate_quadrant, integrate_semi_infinite
+from .quad import integrate_quadrant, integrate_semi_infinite
 from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
@@ -49,12 +49,12 @@ def complex_form(z: complex, l: tuple) -> complex:
 # --------------------------------------------------------------------------
 
 
-def rep_inverse_z(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
+def rep_inverse_z(z: complex) -> ClaimReport:
     """1/z as the transform of the unit exponential along a complex ray."""
     if z.real <= 0.0:
         raise DomainError(f"need re(z) > 0, got {z}")
     t0 = time.perf_counter()
-    res = integrate_semi_infinite(lambda l: np.exp(-z * l), 0.0, spec)
+    res = integrate_semi_infinite(lambda l: np.exp(-z * l), 0.0)
     return make_report(
         "laplace-inverse", {"z": z}, lhs=complex(res.value), rhs=1.0 / z,
         error_estimate=res.error_estimate, started=t0,
@@ -62,7 +62,7 @@ def rep_inverse_z(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     )
 
 
-def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
+def rep_green_complex(z: complex) -> ClaimReport:
     """1/|z|^2 as a quadrant integral of exp(-<z, l>)."""
     if z.real <= 0.0:
         raise DomainError(f"need re(z) > 0, got {z}")
@@ -71,7 +71,7 @@ def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         return np.exp(-complex_form(z, (l1, l2)))
 
-    res = integrate_quadrant(f2, spec)
+    res = integrate_quadrant(f2)
     return make_report(
         "laplace-quadrant", {"z": z}, lhs=complex(res.value),
         rhs=1.0 / abs(z) ** 2, error_estimate=res.error_estimate, started=t0,
@@ -80,8 +80,7 @@ def rep_green_complex(z: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     )
 
 
-def rep_green_fresnel(z: complex,
-                      spec: QuadSpec = QuadSpec()) -> tuple[ClaimReport, ClaimReport]:
+def rep_green_fresnel(z: complex) -> tuple[ClaimReport, ClaimReport]:
     """The double cosine-weighted quadrant integral, two ways.
 
     Direct route: quadrant quadrature of e^{-x(l1+l2)} cos(y(l2-l1)),
@@ -102,7 +101,7 @@ def rep_green_fresnel(z: complex,
     def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         return np.exp(-x * (l1 + l2)) * np.cos(y * (l2 - l1))
 
-    direct = integrate_quadrant(f2, spec)
+    direct = integrate_quadrant(f2)
     direct_rep = make_report(
         "green-fresnel-direct", {"z": z, "route": "direct"},
         lhs=complex(direct.value).real, rhs=target,
@@ -117,7 +116,7 @@ def rep_green_fresnel(z: complex,
     if y == 0.0:
         f_cos, f_cos_err, ev = AmplitudeSpec.exponential(x).total_integral(), 0.0, 0
     else:
-        r = fresnel_cos(AmplitudeSpec.exponential(x), y, spec)
+        r = fresnel_cos(AmplitudeSpec.exponential(x), y)
         f_cos, f_cos_err, ev = float(np.real(r.value)), r.error_estimate, r.evaluations
     factored = f_half * f_cos
     factored_rep = make_report(

@@ -455,8 +455,7 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
 
 
 def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
-                          spec: QuadSpec = QuadSpec(),
-                          max_lobes: int = 4096) -> QuadResult:
+                          spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Integral of amplitude(x) * sin(nu x) (or cos) over [0, inf).
 
     Decreasing integrable amplitudes go through the sign-lobe path whose
@@ -478,7 +477,7 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
         return QuadResult(res.value * scale, res.error_estimate * scale,
                           res.evaluations, res.converged)
     amplitude.validate_pcid()
-    return oscillatory_raw(amplitude.value, nu, kind, spec, max_lobes)
+    return oscillatory_raw(amplitude.value, nu, kind, spec)
 
 
 # --------------------------------------------------------------------------

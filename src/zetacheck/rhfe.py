@@ -71,9 +71,9 @@ def race_check(s: complex, spec: QuadSpec = QuadSpec()) -> RaceResult:
     return RaceResult(s, direct, polar, j_val, residual, budget)
 
 
-def race_report(s: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
+def race_report(s: complex) -> ClaimReport:
     t0 = time.perf_counter()
-    r = race_check(s, spec)
+    r = race_check(s)
     return make_report(
         "race", {"s": s}, lhs=r.zeta_star_direct,
         rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
@@ -81,7 +81,7 @@ def race_report(s: complex, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     )
 
 
-def im_j_direct(s: complex, spec: QuadSpec = QuadSpec()) -> QuadResult:
+def im_j_direct(s: complex) -> QuadResult:
     """im of the half-line integral, collapsed to a real integrand.
 
     2 int_1^inf (x^{u-1} - x^{-u}) sin(v log x) theta(x^2) dx with
@@ -95,10 +95,10 @@ def im_j_direct(s: complex, spec: QuadSpec = QuadSpec()) -> QuadResult:
         return 2.0 * (np.exp((u - 1.0) * lx) - np.exp(-u * lx)) \
             * np.sin(v * lx) * theta(x * x)
 
-    return integrate_semi_infinite(f, 1.0, spec)
+    return integrate_semi_infinite(f, 1.0)
 
 
-def im_j_n(n: int, s: complex, spec: QuadSpec = QuadSpec()) -> QuadResult:
+def im_j_n(n: int, s: complex) -> QuadResult:
     """Single-n slice of im of the half-line integral.
 
     int_0^inf (e^{r u} - e^{r(1-u)}) sin(v r) e^{-pi n^2 e^{2r}} dr; the
@@ -113,7 +113,7 @@ def im_j_n(n: int, s: complex, spec: QuadSpec = QuadSpec()) -> QuadResult:
         damp = np.exp(-c * np.exp(np.minimum(2.0 * r, 700.0)))
         return (np.exp(r * u) - np.exp(r * (1.0 - u))) * np.sin(v * r) * damp
 
-    return integrate_semi_infinite(f, 0.0, spec)
+    return integrate_semi_infinite(f, 0.0)
 
 
 def newton_leibnitz(w: float, v: float, N: float) -> float:
@@ -125,21 +125,18 @@ def newton_leibnitz(w: float, v: float, N: float) -> float:
         + v / den
 
 
-def newton_leibnitz_quadrature(w: float, v: float, N: float,
-                               spec: QuadSpec = QuadSpec()) -> QuadResult:
+def newton_leibnitz_quadrature(w: float, v: float, N: float) -> QuadResult:
     if v == 0.0:
         raise DomainError("oscillation frequency must be nonzero")
     if not (N > 0.0 and math.isfinite(N)):
         raise DomainError("N must be positive and finite")
     if N * w > 690.0:
         raise DomainError("integrand overflows")
-    return integrate_finite(
-        lambda r: np.exp(w * r) * np.sin(v * r), 0.0, N, spec
-    )
+    return integrate_finite(lambda r: np.exp(w * r) * np.sin(v * r), 0.0, N)
 
 
-def decomposition_audit(n: int, s: complex, L: int, p: TraceParams,
-                        spec: QuadSpec = QuadSpec()) -> ClaimReport:
+def decomposition_audit(n: int, s: complex, L: int,
+                        digits: int = 60) -> ClaimReport:
     """Audit of the claimed finite-cutoff decomposition of im J_n.
 
     The claim writes im J_n as the Poissonian difference P(s) - P(1-s) at
@@ -152,26 +149,24 @@ def decomposition_audit(n: int, s: complex, L: int, p: TraceParams,
     """
     if L < 0:
         raise DomainError("L must be nonnegative")
+    p = TraceParams(s, digits=digits)
     t0 = time.perf_counter()
-    u, v = s.real, s.imag
-    if v == 0.0:
-        raise DomainError("im(s) must be nonzero")
+    v = s.imag
     v_f = abs(v)
-    lhs_q = im_j_n(n, s, spec)
+    lhs_q = im_j_n(n, s)
     lhs = float(np.real(lhs_q.value))
-    p_s = poisson_reduced(n, L, s, v_f, spec)
-    p_r = poisson_reduced(n, L, 1.0 - s, v_f, spec)
-    tr_n = float(tr_cg_n_series(n, TraceParams(s, p.j_max, max(p.n_max, n),
-                                               p.digits)))
+    p_s = poisson_reduced(n, L, s, v_f)
+    p_r = poisson_reduced(n, L, 1.0 - s, v_f)
+    tr_n = float(tr_cg_n_series(n, p))
     zt = trivial_zeta(s)
     poisson_as_stated = p_s.value - p_r.value
     rhs_as_stated = poisson_as_stated + zt * tr_n
     rhs_corrected = v * (p_r.value - p_s.value) - zt * tr_n
     budget = (lhs_q.error_estimate
               + max(1.0, abs(v)) * (p_s.error_estimate + p_r.error_estimate)
-              + 10.0 ** (-p.digits + 4))
+              + 10.0 ** (-digits + 4))
     return make_report(
-        "j-decomposition", {"n": n, "s": s, "L": L, "digits": p.digits},
+        "j-decomposition", {"n": n, "s": s, "L": L, "digits": digits},
         lhs=lhs, rhs=rhs_as_stated, error_estimate=budget, started=t0,
         notes=("rhs groups the Poissonian terms and the trace product as "
                "stated; the grouping that closes to quadrature accuracy "
@@ -208,8 +203,7 @@ def j_tail_bound(u: float, m: int, n_start: int) -> float:
     return big_k * n_tail * x_factor
 
 
-def rhfe_residual(s: complex, p: TraceParams | None = None,
-                  spec: QuadSpec = QuadSpec(),
+def rhfe_residual(s: complex, digits: int = 60,
                   allow_outside_region: bool = False) -> ClaimReport:
     """Final audit: im of completed zeta against the trace-sum product.
 
@@ -225,13 +219,10 @@ def rhfe_residual(s: complex, p: TraceParams | None = None,
         raise DomainError(
             f"s={s} outside the claimed region; pass allow_outside_region"
         )
-    if p is None:
-        p = TraceParams(s, j_max=400, n_max=3, digits=60)
+    p = TraceParams(s, digits=digits)
     t0 = time.perf_counter()
     lhs = zeta_star(s).imag
-    total, budget_total, terms = tr_cg_total_value(
-        p if p.s == s else TraceParams(s, p.j_max, p.n_max, p.digits)
-    )
+    total, budget_total, terms = tr_cg_total_value(p)
     zt = trivial_zeta(s)
     rhs = zt * total
     budget = abs(zt) * budget_total + 1e-13 * (1.0 + abs(lhs))

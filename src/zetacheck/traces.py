@@ -12,6 +12,7 @@ quadratures, with an independent limit value obtained in closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, replace
@@ -50,23 +51,18 @@ class TraceParams:
     """Shared knobs for trace evaluations at a fixed argument s."""
 
     s: complex
-    j_max: int = 400
     n_max: int = 3
     digits: int = 60
 
     def __post_init__(self) -> None:
+        if not cmath.isfinite(self.s):
+            raise DomainError("s must be finite")
         if not (0.0 <= self.s.real <= 1.0):
             raise DomainError("re(s) must lie in [0, 1]")
         if self.s.imag == 0.0:
             raise DomainError("im(s) must be nonzero")
         if self.n_max < 0:
             raise DomainError("n_max must be nonnegative")
-        floor = math.ceil(math.pi * self.n_max ** 2) + 20
-        if self.j_max < floor:
-            raise DomainError(
-                f"j_max={self.j_max} below {floor}; the alternating series "
-                f"must pass its peak term"
-            )
         if not (15 <= self.digits <= 200):
             raise DomainError("digits must lie in [15, 200]")
 
@@ -208,6 +204,8 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
     The terms peak near e^{pi n^2}, so the working precision must carry
     that many digits of headroom on top of the answer's.  Truncation is
     certified by a geometric majorant once the term ratio falls below one.
+    The number of terms is bounded by _series_j_max(n, digits); a series
+    not certified by then raises rather than return an uncertain sum.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -216,6 +214,7 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
         raise InsufficientPrecisionError(
             f"digits={p.digits} < required {headroom} for n={n}"
         )
+    j_max = _series_j_max(n, p.digits)
     with mp.workdps(p.digits + 10):
         sm = mp.mpc(p.s)
         c = mp.pi * n * n
@@ -235,10 +234,10 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
             term = power * t_prev
             total += term if j % 2 == 0 else -term
             running_max = max(running_max, abs(term))
-            if j + 1 > p.j_max:
+            if j + 1 > j_max:
                 raise InsufficientPrecisionError(
                     f"series for n={n} not certifiably truncated by j_max="
-                    f"{p.j_max}"
+                    f"{j_max}"
                 )
             power = power * c / (j + 1)
             t_next = t_of(j + 1)
@@ -258,8 +257,7 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
 # --------------------------------------------------------------------------
 
 
-def tr_cg_sigma_result(n: int, z: complex,
-                       spec: QuadSpec = QuadSpec()) -> QuadResult:
+def tr_cg_sigma_result(n: int, z: complex) -> QuadResult:
     """(1/v) int_0^inf e^{-ut} sin(vt) K_n(t) dt with the Gaussian kernel.
 
     K_n = e^{-pi n^2 e^{-2t}} resums sum_j (-pi n^2)^j / j! / |2j+z|^2
@@ -278,11 +276,11 @@ def tr_cg_sigma_result(n: int, z: complex,
         kern = np.exp(-c * np.exp(-2.0 * t))
         return np.exp(-u * t) * np.sin(v * t) / v * kern
 
-    return integrate_semi_infinite(integrand, 0.0, spec)
+    return integrate_semi_infinite(integrand, 0.0)
 
 
-def tr_cg_sigma(n: int, z: complex, spec: QuadSpec = QuadSpec()) -> float:
-    return float(np.real(tr_cg_sigma_result(n, z, spec).value))
+def tr_cg_sigma(n: int, z: complex) -> float:
+    return float(np.real(tr_cg_sigma_result(n, z).value))
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def tr_cg_total_value(p: TraceParams) -> tuple[float, float, list[float]]:
     return value, budget, terms
 
 
-def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
+def tr_cg_total(p: TraceParams) -> ClaimReport:
     """Polar term plus the n-summed traces, with tail control audited.
 
     The value is the partial sum through n_max.  The claimed envelope for
@@ -348,8 +346,8 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
     # Measure the next actual terms through the cancellation-free route.
     measured = []
     for n in range(p.n_max + 1, p.n_max + 4):
-        sig_s = tr_cg_sigma_result(n, s, spec)
-        sig_r = tr_cg_sigma_result(n, 1.0 - s, spec)
+        sig_s = tr_cg_sigma_result(n, s)
+        sig_r = tr_cg_sigma_result(n, 1.0 - s)
         # v (sigma(s) - sigma(1-s)) = -zeta_t(s) tr^n, so
         # tr^n = (sigma(1-s) - sigma(s)) / (2u - 1).
         denom = 2.0 * s.real - 1.0
@@ -358,8 +356,7 @@ def tr_cg_total(p: TraceParams, spec: QuadSpec = QuadSpec()) -> ClaimReport:
         else:
             digits = max(p.digits, 15 + math.ceil(
                 math.pi * n * n * math.log10(math.e)))
-            tr_n = float(tr_cg_n_series(n, TraceParams(
-                s, max(p.j_max, _series_j_max(n, digits)), n, digits)))
+            tr_n = float(tr_cg_n_series(n, replace(p, digits=digits)))
         measured.append(tr_n)
     envelope_honest = all(abs(m) <= best_env for m in measured)
 
@@ -414,8 +411,7 @@ def _poisson_constants(n: int, L: int, u: float,
     return math.pi * n * n, 4.0 * math.pi / v, math.exp(a * L)
 
 
-def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
-                    spec: QuadSpec = QuadSpec()) -> QuadResult:
+def poisson_reduced(n: int, L: int, z: complex, v_freq: float) -> QuadResult:
     """One-dimensional reduction of the L-indexed Poissonian term.
 
     e^{aL} int_0^inf e^{-c_n e^{bL - 2w}} e^{-re(z) w} sin(v w)/v dw with
@@ -426,8 +422,8 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
     """
     u = z.real
     c, b, scale = _poisson_constants(n, L, u, v_freq)
-    inner_tol = max(1e-15, spec.abs_tol * min(1.0, 1.0 / scale))
-    inner_spec = replace(spec, abs_tol=inner_tol)
+    inner_tol = max(1e-15, QuadSpec().abs_tol * min(1.0, 1.0 / scale))
+    inner_spec = QuadSpec(abs_tol=inner_tol)
 
     def integrand(w):
         inner = np.minimum(b * L - 2.0 * w, _EXP_CLIP)
@@ -440,8 +436,7 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float,
                       res.converged, res.diverged)
 
 
-def poisson_term_quadrant(n: int, L: int, z: complex,
-                          spec: QuadSpec = QuadSpec()) -> QuadResult:
+def poisson_term_quadrant(n: int, L: int, z: complex) -> QuadResult:
     """Direct two-dimensional evaluation of the same Poissonian term.
 
     The frequency is im(z).  Slower by orders of magnitude; exists to
@@ -456,7 +451,7 @@ def poisson_term_quadrant(n: int, L: int, z: complex,
         osc = np.cos(v * (l1 - l2)) - 1j * np.sin(v * (l1 - l2))
         return kern * np.exp(-u * (l1 + l2)) * osc
 
-    res = integrate_quadrant(f2, spec)
+    res = integrate_quadrant(f2)
     return QuadResult(scale * float(np.real(res.value)),
                       scale * res.error_estimate, res.evaluations,
                       res.converged, res.diverged, res.inner_failures)
@@ -503,8 +498,7 @@ def poisson_coarse_bound(n: int, L: int, z: complex) -> float:
 
 
 def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
-                            l_max: int = 5,
-                            spec: QuadSpec = QuadSpec()) -> ClaimReport:
+                            l_max: int = 5) -> ClaimReport:
     """Audit of the claimed vanishing of the Poissonian term.
 
     Tracks P_n^0(L, z) for L = 0..l_max in the stated region im(z) > 0,
@@ -518,10 +512,10 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     values = []
     errs = []
     for L in range(l_max + 1):
-        res = poisson_reduced(n, L, z, z.imag, spec)
+        res = poisson_reduced(n, L, z, z.imag)
         values.append(res.value)
         errs.append(res.error_estimate)
-    mirrored = [poisson_reduced(n, L, z.conjugate(), -z.imag, spec).value
+    mirrored = [poisson_reduced(n, L, z.conjugate(), -z.imag).value
                 for L in range(l_max + 1)]
     limit = poisson_gamma_limit(n, z)
     bounds = [poisson_coarse_bound(n, L, z) for L in range(l_max + 1)]

@@ -118,7 +118,7 @@ def test_criterion_07_trace_algebra_random():
 def test_criterion_08_series_vs_integral_cross_path():
     t0 = time.perf_counter()
     for s in (0.75 - 1.0j, 0.6 - 2.0j, 0.9 - 4.0j):
-        p = traces.TraceParams(s, j_max=400, n_max=3, digits=80)
+        p = traces.TraceParams(s, n_max=3, digits=80)
         for n in (1, 2, 3):
             series = float(traces.tr_cg_n_series(n, p))
             sig_s = traces.tr_cg_sigma(n, s)

@@ -82,6 +82,7 @@ def test_unwritable_output_exits_four(tmp_path):
     ["verify", "--tol", "2.0"],
     ["verify", "--format", "xml"],
     ["no-such-command"],
+    ["gram", "--seed", "-20260816"],
 ])
 def test_invalid_usage_exits_sixty_four(argv, capsys):
     assert run(argv) == 64
@@ -241,6 +242,7 @@ def test_config_keys_without_a_flag_have_no_effect(tmp_path, capsys):
     "grid = maybe\n",
     "digits = 7\n",
     "tol = 2.0\n",
+    "seed = -1\n",
     "config = other.cfg\n",
     "big_l = 3\n",
 ])
@@ -307,6 +309,22 @@ def test_traces_on_the_critical_line_at_high_precision(capsys):
     data = json.loads(capsys.readouterr().out)
     total = next(d for d in data if d["claimId"] == "trace-total-positivity")
     assert len(total["extra"]["measuredNextTerms"]) == 3
+
+
+@pytest.mark.parametrize("n, digits", [(5, 150), (5, 200), (6, 200)])
+def test_traces_sizes_the_series_at_every_precision(n, digits, capsys):
+    # The series' term bound grows with n and the working digits; a bound
+    # fixed by n alone stops these short of certified truncation.
+    assert run(["traces", "--n", str(n), "--digits", str(digits)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    total = next(d for d in data if d["claimId"] == "trace-total-positivity")
+    assert len(total["extra"]["seriesTerms"]) == n
+
+
+@pytest.mark.parametrize("im_s", ["inf", "nan"])
+def test_traces_rejects_a_non_finite_argument(im_s, capsys):
+    assert run(["traces", "--im", im_s]) == 64
+    assert "s must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("re_s", ["0", "1"])

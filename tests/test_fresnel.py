@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zetacheck import fresnel
+from zetacheck import fresnel, quad
 from zetacheck.amplitudes import AmplitudeSpec, Family
 from zetacheck.errors import AmplitudeError
-from zetacheck.quad import QuadSpec
+from zetacheck.quad import OscKind, QuadSpec
 from zetacheck.report import ClaimStatus
 
 TIGHT = QuadSpec(abs_tol=1e-12, rel_tol=1e-12)
@@ -126,14 +126,14 @@ def test_amplitude_derivative_consistency():
 @pytest.mark.parametrize("seed", [20260815, 4])
 def test_positivity_audit_matches_serial_transforms(seed):
     # The audit walks each family's frequencies as rows of one lobe walk;
-    # it must report what one fresnel_sin call per frequency gives.
+    # it must report what one single-row walk per frequency gives.
     rng = np.random.default_rng(seed)
     per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
     worst, lcb, converged = None, math.inf, True
     for amp in fresnel._DEFAULT_FAMILIES:
         for nu in fresnel._NU_MAX * (1.0 - rng.random(per)):
-            res = fresnel.fresnel_sin(amp, float(nu), fresnel._SPEC_POSITIVITY,
-                                      max_lobes=768)
+            res = quad.oscillatory_raw(amp.value, float(nu), OscKind.SIN,
+                                       fresnel._SPEC_POSITIVITY, 768)
             lcb = min(lcb, res.value - 3.0 * res.error_estimate)
             converged = converged and res.converged
             if worst is None or res.value < worst[0]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zetacheck import rhfe, traces
+from zetacheck import rhfe
 from zetacheck.errors import DomainError
 from zetacheck.quad import QuadSpec
 from zetacheck.report import ClaimStatus
@@ -122,8 +122,7 @@ def test_antiderivative_guards():
 
 
 def test_decomposition_audit_as_stated_and_corrected():
-    p = traces.TraceParams(S_AUDIT, j_max=400, n_max=1, digits=60)
-    rep = rhfe.decomposition_audit(1, S_AUDIT, 5, p)
+    rep = rhfe.decomposition_audit(1, S_AUDIT, 5)
     assert rep.status == ClaimStatus.VIOLATED
     assert rep.abs_residual > 1e3 * rep.error_estimate
     # both groupings must reconstruct exactly from the reported pieces
@@ -143,8 +142,7 @@ def test_decomposition_audit_as_stated_and_corrected():
 
 def test_decomposition_corrected_form_other_point():
     s = 0.6 + 1.5j
-    p = traces.TraceParams(s, j_max=400, n_max=1, digits=60)
-    rep = rhfe.decomposition_audit(1, s, 4, p)
+    rep = rhfe.decomposition_audit(1, s, 4)
     assert rep.extra["correctedResidual"] <= 1e-9
 
 

@@ -13,7 +13,6 @@ import pytest
 from zetacheck import traces
 from zetacheck.errors import (DomainError, InsufficientPrecisionError,
                               PoleError)
-from zetacheck.quad import QuadSpec
 from zetacheck.report import ClaimStatus
 
 S_AUDIT = 0.75 - 2.0j
@@ -78,8 +77,10 @@ def test_trace_params_validation():
         traces.TraceParams(1.5 + 1.0j)            # re(s) outside [0, 1]
     with pytest.raises(DomainError):
         traces.TraceParams(0.5 + 0.0j)            # im(s) = 0
-    with pytest.raises(DomainError):
-        traces.TraceParams(S_AUDIT, j_max=10, n_max=3)
+    for s in (complex(0.75, math.inf), complex(0.75, math.nan),
+              complex(math.nan, -2.0)):
+        with pytest.raises(DomainError, match="s must be finite"):
+            traces.TraceParams(s)
     with pytest.raises(DomainError):
         traces.TraceParams(S_AUDIT, digits=10)
 
@@ -117,7 +118,7 @@ def test_moment_audit_region_guard():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("s", [0.75 - 1.0j, 0.6 - 2.0j])
 def test_series_vs_sigma_cross_validation(n, s):
-    p = traces.TraceParams(s, j_max=200, n_max=n, digits=60)
+    p = traces.TraceParams(s, n_max=n, digits=60)
     series = float(traces.tr_cg_n_series(n, p))
     sig_s = traces.tr_cg_sigma(n, s)
     sig_r = traces.tr_cg_sigma(n, 1.0 - s)
@@ -126,13 +127,13 @@ def test_series_vs_sigma_cross_validation(n, s):
 
 
 def test_series_needs_headroom_digits():
-    p = traces.TraceParams(0.75 - 2.0j, j_max=400, n_max=3, digits=15)
+    p = traces.TraceParams(0.75 - 2.0j, n_max=3, digits=15)
     with pytest.raises(InsufficientPrecisionError):
         traces.tr_cg_n_series(3, p)
 
 
 def test_total_trace_partial_sum_is_negative_at_audit_point():
-    p = traces.TraceParams(S_AUDIT, j_max=400, n_max=3, digits=60)
+    p = traces.TraceParams(S_AUDIT, n_max=3, digits=60)
     value, budget, terms = traces.tr_cg_total_value(p)
     assert value == pytest.approx(-0.19270267889059456, abs=1e-12)
     assert len(terms) == 3
