@@ -275,12 +275,6 @@ def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:
 # --------------------------------------------------------------------------
 
 
-def _series_digits(n_max: int, digits_floor: int) -> int:
-    """Working digits large enough for the exp(pi*n^2) series peak."""
-    return max(digits_floor, 40,
-               17 + math.ceil(math.pi * n_max * n_max / math.log(10.0)))
-
-
 def run_traces(cfg: RunConfig) -> list[ClaimReport]:
     if not 0.0 < cfg.re < 1.0:
         # The Poisson routes run at s and at 1 - s, so both need re > 0.
@@ -288,7 +282,9 @@ def run_traces(cfg: RunConfig) -> list[ClaimReport]:
                           f"got {cfg.re}")
     s = complex(cfg.re, cfg.im)
     n_top = max(3, cfg.n)
-    p = traces.TraceParams(s, n_top, _series_digits(n_top, cfg.digits))
+    # The reports carry at least 40 digits and 17 beyond the series peak.
+    p = traces.TraceParams(s, n_top, traces._series_digits(
+        n_top, max(cfg.digits, 40), spare=17))
     reports = [traces.trace_decomposition_check(cfg.n, s)]
     reports.append(traces.hausdorff_moment_audit(
         s, cfg.digits, allow_outside_region=True))
@@ -296,12 +292,13 @@ def run_traces(cfg: RunConfig) -> list[ClaimReport]:
     reports.append(traces.poisson_vanishing_audit(
         cfg.n, complex(s.real, abs(s.imag)), cfg.big_l))
     reports.append(rhfe.decomposition_audit(
-        cfg.n, s, cfg.big_l, _series_digits(cfg.n, max(cfg.digits, 50))))
+        cfg.n, s, cfg.big_l,
+        traces._series_digits(cfg.n, max(cfg.digits, 50), spare=17)))
     return reports
 
 
 def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
-    digits = _series_digits(3, cfg.digits)
+    digits = traces._series_digits(3, max(cfg.digits, 40), spare=17)
     if cfg.grid:
         return [rhfe.rhfe_residual(complex(u, v), digits)
                 for u in (0.55, 0.65, 0.75, 0.85, 0.95)

@@ -184,15 +184,29 @@ def hausdorff_moment_audit(s: complex, digits: int = 60,
 # --------------------------------------------------------------------------
 
 
-def _series_j_max(n: int, digits: int) -> int:
-    """Smallest j past the peak with (pi n^2)^j / j! below 10^-(digits+12).
+def _series_digits(n: int, floor: int = 0, spare: int = 15) -> int:
+    """Working digits for the series of n: its terms peak near e^{pi n^2},
+    and the answer needs `spare` digits beyond that; at least `floor`."""
+    return max(floor, spare + math.ceil(math.pi * n * n * math.log10(math.e)))
 
-    Terms beyond it sit far under the truncation cutoff of tr_cg_n_series at
-    that working precision, so the series is certifiably truncated by then.
+
+# Most terms the series may take; the bound exceeds it for |im s| > 3.4e5.
+_SERIES_TERM_LIMIT = 100_000
+
+
+def _series_j_max(n: int, s: complex, digits: int) -> int:
+    """Smallest j past the peak of (pi n^2)^j / j!, with that below
+    10^-(digits+12), and past the peak of t_j(s) at j ~ |v| / sqrt(12).
+
+    For v = im s and j >= |v| / sqrt(12), a = 2j + re s and b = a + 1 - 2 re s
+    are at least |v| / sqrt(3), so d/dj log t_j = 4/(a+b) - 4a/(a^2+v^2)
+    - 4b/(b^2+v^2) <= 4/(a+b) - 1/a - 1/b <= 0.  As t_j <= (4j+1) t_0, the
+    stop's tail at j_max - 1 is below 10^-14 (4 j_max + 1)(pi n^2 + 21)/21
+    of its cutoff, under one for every admitted n, so the stop fires first.
     """
     c = math.pi * n * n
     target = -(digits + 12) * math.log(10.0)
-    j = math.ceil(c) + 20
+    j = max(math.ceil(c) + 20, math.ceil(abs(s.imag) / math.sqrt(12.0)) + 1)
     while j * math.log(c) - math.lgamma(j + 1) >= target:
         j += 1
     return j
@@ -203,18 +217,20 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
 
     The terms peak near e^{pi n^2}, so the working precision must carry
     that many digits of headroom on top of the answer's.  Truncation is
-    certified by a geometric majorant once the term ratio falls below one.
-    The number of terms is bounded by _series_j_max(n, digits); a series
-    not certified by then raises rather than return an uncertain sum.
+    certified by a geometric majorant once the term ratio and t_j fall.
+    A bound _series_j_max over _SERIES_TERM_LIMIT raises, as does a series
+    not certified by that bound, rather than return an uncertain sum.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    headroom = 15 + math.ceil(math.pi * n * n * math.log10(math.e))
+    headroom = _series_digits(n)
     if p.digits < headroom:
         raise InsufficientPrecisionError(
-            f"digits={p.digits} < required {headroom} for n={n}"
-        )
-    j_max = _series_j_max(n, p.digits)
+            f"digits={p.digits} < required {headroom} for n={n}")
+    j_max = _series_j_max(n, p.s, p.digits)
+    if j_max > _SERIES_TERM_LIMIT:
+        raise InsufficientPrecisionError(
+            f"series for n={n} needs {j_max} terms at s={p.s}")
     with mp.workdps(p.digits + 10):
         sm = mp.mpc(p.s)
         c = mp.pi * n * n
@@ -237,8 +253,7 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
             if j + 1 > j_max:
                 raise InsufficientPrecisionError(
                     f"series for n={n} not certifiably truncated by j_max="
-                    f"{j_max}"
-                )
+                    f"{j_max}")
             power = power * c / (j + 1)
             t_next = t_of(j + 1)
             ratio = c / (j + 2)
@@ -354,8 +369,7 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
         if denom != 0.0:
             tr_n = float(np.real(sig_r.value - sig_s.value)) / denom
         else:
-            digits = max(p.digits, 15 + math.ceil(
-                math.pi * n * n * math.log10(math.e)))
+            digits = _series_digits(n, p.digits)
             tr_n = float(tr_cg_n_series(n, replace(p, digits=digits)))
         measured.append(tr_n)
     envelope_honest = all(abs(m) <= best_env for m in measured)

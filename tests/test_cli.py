@@ -321,6 +321,15 @@ def test_traces_sizes_the_series_at_every_precision(n, digits, capsys):
     assert len(total["extra"]["seriesTerms"]) == n
 
 
+def test_traces_runs_far_up_the_strip(capsys):
+    # At im s = 400 the series needs more terms than n and the digits
+    # alone call for.
+    assert run(["traces", "--im", "400"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    total = next(d for d in data if d["claimId"] == "trace-total-positivity")
+    assert len(total["extra"]["seriesTerms"]) == 3
+
+
 @pytest.mark.parametrize("im_s", ["inf", "nan"])
 def test_traces_rejects_a_non_finite_argument(im_s, capsys):
     assert run(["traces", "--im", im_s]) == 64

@@ -132,6 +132,21 @@ def test_series_needs_headroom_digits():
         traces.tr_cg_n_series(3, p)
 
 
+@pytest.mark.parametrize("s", [0.75 + 400.0j, 0.6 - 300.0j])
+def test_series_runs_past_the_peak_of_t_j(s):
+    # t_j rises until j ~ |im s| / sqrt(12), here past the power's peak,
+    # so the term bound must follow s as well as n and the digits.
+    lo = float(traces.tr_cg_n_series(1, traces.TraceParams(s, digits=60)))
+    hi = float(traces.tr_cg_n_series(1, traces.TraceParams(s, digits=100)))
+    assert abs(lo - hi) <= 1e-12 * abs(hi)
+
+
+def test_series_refuses_an_unbounded_term_count():
+    p = traces.TraceParams(0.75 + 1e12j)
+    with pytest.raises(InsufficientPrecisionError, match="terms"):
+        traces.tr_cg_n_series(1, p)
+
+
 def test_total_trace_partial_sum_is_negative_at_audit_point():
     p = traces.TraceParams(S_AUDIT, n_max=3, digits=60)
     value, budget, terms = traces.tr_cg_total_value(p)
