@@ -283,8 +283,15 @@ def run_traces(cfg: RunConfig) -> list[ClaimReport]:
     s = complex(cfg.re, cfg.im)
     n_top = max(3, cfg.n)
     # The reports carry at least 40 digits and 17 beyond the series peak.
-    p = traces.TraceParams(s, n_top, traces._series_digits(
-        n_top, max(cfg.digits, 40), spare=17))
+    digits = traces._series_digits(n_top, max(cfg.digits, 40), spare=17)
+    # On re s = 1/2 tr_cg_total sums the next three n by the series too.
+    n_last = n_top + 3 if s.real == 0.5 else n_top
+    need = traces._series_digits(n_last, digits)
+    if need > 200:
+        raise DomainError(f"--n {cfg.n} needs {need} digits for the trace "
+                          f"series at re(s) = {cfg.re}; at most 200 are "
+                          f"supported")
+    p = traces.TraceParams(s, n_top, digits)
     reports = [traces.trace_decomposition_check(cfg.n, s)]
     reports.append(traces.hausdorff_moment_audit(
         s, cfg.digits, allow_outside_region=True))

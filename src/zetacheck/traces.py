@@ -13,12 +13,15 @@ quadratures, with an independent limit value obtained in closed form.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import pi_fixed
 
 from .errors import DomainError, InsufficientPrecisionError, PoleError
 from .quad import QuadResult, QuadSpec, integrate_quadrant, integrate_semi_infinite
@@ -212,14 +215,33 @@ def _series_j_max(n: int, s: complex, digits: int) -> int:
     return j
 
 
+def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
+    """floor(t_j(s) 2^prec) for j = 0, 1, 2, ..., in exact integers.
+
+    re s = u and im s = v enter exactly as U/D and V/D, D a power of two,
+    so each t_j = (4j+1) D^4 / (((U+2jD)^2 + V^2)(((2j+1)D - U)^2 + V^2))
+    is one floor division.
+    """
+    (a, da), (b, db) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
+    d = max(da, db)
+    u, v2 = a * (d // da), (b * (d // db)) ** 2
+    d4 = d ** 4 << prec
+    for j in itertools.count():
+        p, q = u + 2 * j * d, (2 * j + 1) * d - u
+        yield (4 * j + 1) * d4 // ((p * p + v2) * (q * q + v2))
+
+
 def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
     """sum_j (-pi n^2)^j / j! * t_j(s), summed in extended precision.
 
     The terms peak near e^{pi n^2}, so the working precision must carry
-    that many digits of headroom on top of the answer's.  Truncation is
-    certified by a geometric majorant once the term ratio and t_j fall.
-    A bound _series_j_max over _SERIES_TERM_LIMIT raises, as does a series
-    not certified by that bound, rather than return an uncertain sum.
+    that many digits of headroom on top of the answer's.  The sum runs in
+    Python integers scaled by 2^prec, prec bits matching p.digits + 10
+    decimal digits plus 20 guard bits; s enters exactly (see _fixed_traces)
+    and pi from mpmath's fixed-point pi.  Truncation is certified by a
+    geometric majorant once the term ratio and t_j fall.  A bound
+    _series_j_max over _SERIES_TERM_LIMIT raises, as does a series not
+    certified by that bound, rather than return an uncertain sum.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -231,40 +253,36 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
     if j_max > _SERIES_TERM_LIMIT:
         raise InsufficientPrecisionError(
             f"series for n={n} needs {j_max} terms at s={p.s}")
+    prec = math.ceil((p.digits + 10) * math.log2(10)) + 20
+    one = 1 << prec
+    c = pi_fixed(prec) * n * n
+    # The stop's tail power t_next / (1 - c/(j+2)) < 10^(2-digits)
+    # running_max, multiplied out so it needs no division.
+    inv_cutoff = 10 ** (p.digits - 2)
+    t_of = _fixed_traces(p.s, prec)
+    total = 0
+    power = one  # c^j / j!
+    running_max = 0
+    t_prev = next(t_of)
+    j = 0
+    while True:
+        term = power * t_prev >> prec
+        total += term if j % 2 == 0 else -term
+        running_max = max(running_max, term)
+        if j + 1 > j_max:
+            raise InsufficientPrecisionError(
+                f"series for n={n} not certifiably truncated by j_max="
+                f"{j_max}")
+        power = (power * c >> prec) // (j + 1)
+        t_next = next(t_of)
+        if c < (j + 2) * one and t_next <= t_prev:
+            if (power * t_next * (j + 2) * inv_cutoff
+                    < running_max * ((j + 2) * one - c)):
+                break
+        t_prev = t_next
+        j += 1
     with mp.workdps(p.digits + 10):
-        sm = mp.mpc(p.s)
-        c = mp.pi * n * n
-        cutoff = mp.mpf(10) ** (-p.digits + 2)
-
-        def t_of(j: int) -> mp.mpf:
-            pp = sm + 2 * j
-            qq = (2 * j + 1) - sm
-            return (4 * j + 1) / (pp * pp.conjugate() * qq * qq.conjugate()).real
-
-        total = mp.mpf(0)
-        power = mp.mpf(1)  # c^j / j!
-        running_max = mp.mpf(0)
-        t_prev = t_of(0)
-        j = 0
-        while True:
-            term = power * t_prev
-            total += term if j % 2 == 0 else -term
-            running_max = max(running_max, abs(term))
-            if j + 1 > j_max:
-                raise InsufficientPrecisionError(
-                    f"series for n={n} not certifiably truncated by j_max="
-                    f"{j_max}")
-            power = power * c / (j + 1)
-            t_next = t_of(j + 1)
-            ratio = c / (j + 2)
-            if ratio < 1 and t_next <= t_prev:
-                tail = power * t_next / (1 - ratio)
-                if tail < cutoff * running_max:
-                    break
-            t_prev = t_next
-            j += 1
-        result = mp.mpf(total)
-    return result
+        return mp.ldexp(total, -prec)
 
 
 # --------------------------------------------------------------------------

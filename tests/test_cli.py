@@ -330,6 +330,26 @@ def test_traces_runs_far_up_the_strip(capsys):
     assert len(total["extra"]["seriesTerms"]) == 3
 
 
+@pytest.mark.parametrize("argv, need", [
+    (["--n", "12"], 214),
+    (["--re", "0.5", "--n", "9"], 212),   # the series reaches n = 12
+])
+def test_traces_names_the_n_whose_series_outgrows_200_digits(argv, need,
+                                                               capsys):
+    assert run(["traces", *argv]) == 64
+    err = capsys.readouterr().err
+    assert f"--n {argv[-1]} needs {need} digits" in err
+    assert "digits must lie in" not in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "11"], ["--re", "0.5", "--n", "8"]])
+def test_traces_runs_up_to_the_largest_n_in_200_digits(argv, capsys):
+    assert run(["traces", *argv]) == 0
+    data = json.loads(capsys.readouterr().out)
+    total = next(d for d in data if d["claimId"] == "trace-total-positivity")
+    assert len(total["extra"]["seriesTerms"]) == int(argv[-1])
+
+
 @pytest.mark.parametrize("im_s", ["inf", "nan"])
 def test_traces_rejects_a_non_finite_argument(im_s, capsys):
     assert run(["traces", "--im", im_s]) == 64

@@ -6,6 +6,7 @@ both the 1-D quadrature and the 2-D quadrant evaluation.
 """
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -126,10 +127,59 @@ def test_series_vs_sigma_cross_validation(n, s):
     assert abs(series - integral) <= 1e-9
 
 
+def _mpc_series(n, p):
+    """Reference for the fixed-point series: the same sum, stop and bounds
+    in mpmath complex arithmetic, each t_j from four mpc products."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    headroom = traces._series_digits(n)
+    if p.digits < headroom:
+        raise InsufficientPrecisionError(
+            f"digits={p.digits} < required {headroom} for n={n}")
+    j_max = traces._series_j_max(n, p.s, p.digits)
+    if j_max > traces._SERIES_TERM_LIMIT:
+        raise InsufficientPrecisionError(
+            f"series for n={n} needs {j_max} terms at s={p.s}")
+    with mp.workdps(p.digits + 10):
+        sm = mp.mpc(p.s)
+        c = mp.pi * n * n
+        cutoff = mp.mpf(10) ** (-p.digits + 2)
+
+        def t_of(j):
+            pp = sm + 2 * j
+            qq = (2 * j + 1) - sm
+            return (4 * j + 1) / (pp * pp.conjugate() * qq * qq.conjugate()).real
+
+        total = mp.mpf(0)
+        power = mp.mpf(1)
+        running_max = mp.mpf(0)
+        t_prev = t_of(0)
+        j = 0
+        while True:
+            term = power * t_prev
+            total += term if j % 2 == 0 else -term
+            running_max = max(running_max, abs(term))
+            if j + 1 > j_max:
+                raise InsufficientPrecisionError(
+                    f"series for n={n} not certifiably truncated by j_max="
+                    f"{j_max}")
+            power = power * c / (j + 1)
+            t_next = t_of(j + 1)
+            ratio = c / (j + 2)
+            if ratio < 1 and t_next <= t_prev:
+                tail = power * t_next / (1 - ratio)
+                if tail < cutoff * running_max:
+                    break
+            t_prev = t_next
+            j += 1
+        return mp.mpf(total)
+
+
 def test_series_needs_headroom_digits():
     p = traces.TraceParams(0.75 - 2.0j, n_max=3, digits=15)
-    with pytest.raises(InsufficientPrecisionError):
-        traces.tr_cg_n_series(3, p)
+    for route in (traces.tr_cg_n_series, _mpc_series):
+        with pytest.raises(InsufficientPrecisionError, match="required 28"):
+            route(3, p)
 
 
 @pytest.mark.parametrize("s", [0.75 + 400.0j, 0.6 - 300.0j])
@@ -143,8 +193,72 @@ def test_series_runs_past_the_peak_of_t_j(s):
 
 def test_series_refuses_an_unbounded_term_count():
     p = traces.TraceParams(0.75 + 1e12j)
-    with pytest.raises(InsufficientPrecisionError, match="terms"):
-        traces.tr_cg_n_series(1, p)
+    for route in (traces.tr_cg_n_series, _mpc_series):
+        with pytest.raises(InsufficientPrecisionError, match="terms"):
+            route(1, p)
+
+
+def _series_grid(seed, n_values, floor, spare, count):
+    """Seeded (n, digits, s) points: re s in {0, 1/2, 1, random}, digits
+    from the n's minimum to 200, |im s| up to 500."""
+    rng = random.Random(seed)
+    points = []
+    for n in n_values:
+        low = traces._series_digits(n, floor, spare=spare)
+        for k in range(count):
+            u = (0.0, 0.5, 1.0, rng.random())[k % 4]
+            digits = (low, 200, rng.randint(low, 200))[k % 3]
+            v = rng.choice((1.0, 10.0, 500.0)) * rng.uniform(0.01, 1.0)
+            points.append((n, digits, complex(u, rng.choice((-v, v)))))
+    return points
+
+
+@pytest.mark.parametrize(
+    "n, digits, s", _series_grid(20261018, (1, 2, 3), 40, 17, 12))
+def test_fixed_point_series_matches_the_mpc_loop(n, digits, s):
+    p = traces.TraceParams(s, digits=digits)
+    assert float(traces.tr_cg_n_series(n, p)) == float(_mpc_series(n, p))
+
+
+def test_both_series_routes_refuse_an_uncertified_stop(monkeypatch):
+    monkeypatch.setattr(traces, "_series_j_max", lambda n, s, digits: 5)
+    p = traces.TraceParams(S_AUDIT)
+    for route in (traces.tr_cg_n_series, _mpc_series):
+        with pytest.raises(InsufficientPrecisionError,
+                           match="not certifiably truncated by j_max=5"):
+            route(2, p)
+
+
+def _series_400(n, s):
+    """(sum, largest term) of the trace series at 400 digits."""
+    with mp.workdps(400):
+        u, v = mp.mpf(s.real), mp.mpf(s.imag)
+        c = mp.pi * n * n
+        total, largest, power, j = mp.mpf(0), mp.mpf(0), mp.mpf(1), 0
+        # For j >= 1 both factors of t_j's denominator exceed 4.
+        while j <= max(c, abs(v)) or power * (4 * j + 1) > mp.mpf(10) ** -420:
+            t = (4 * j + 1) / (((u + 2 * j) ** 2 + v * v)
+                               * ((2 * j + 1 - u) ** 2 + v * v))
+            term = power * t
+            total += -term if j % 2 else term
+            largest = max(largest, term)
+            j += 1
+            power = power * c / j
+        return total, largest
+
+
+@pytest.mark.parametrize("n, digits, s", [
+    (3, 30, -242.77j),
+    (8, 141, 1.0 - 312.7j),
+] + _series_grid(17, range(1, 9), 0, 15, 4))
+def test_both_series_routes_meet_their_certified_stop(n, digits, s):
+    # The stop certifies the tail relative to the largest term; for n >= 4
+    # far up the strip that term is far above the sum itself.
+    p = traces.TraceParams(s, digits=digits)
+    want, largest = _series_400(n, s)
+    bound = 10.0 ** (-digits + 3) * float(largest)
+    for route in (traces.tr_cg_n_series, _mpc_series):
+        assert abs(float(route(n, p) - want)) <= bound
 
 
 def test_total_trace_partial_sum_is_negative_at_audit_point():
