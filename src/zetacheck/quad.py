@@ -11,6 +11,15 @@ would need absurdly many lobes).  A block integrates the next intervals of
 every unfinished row in one engine call, and the ones computed past a row's
 stop count as its evaluations too.
 
+The engine returns per-interval arrays, so an interval that its first panel
+settles costs no Python work.  A walk of many rows (the inner integrals of
+a quadrant, the frequencies of a positivity audit) keeps each row's stopping
+state in array slots and advances all rows a block at a time with
+cumulative numpy operations.  A walk of few rows (every one-row walk) sends
+each interval to one stopping coroutine per row, because the array step's
+fixed numpy cost per block is larger than that below _ARRAY_ROWS rows.  Both
+add a row's intervals in the same order and end it bit for bit alike.
+
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
 """
@@ -95,7 +104,9 @@ _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 # multiply them (8 outer windows x 15 nodes x 8 inner windows).
 _MAX_INTERVALS = 128
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
-_EDGES = [math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)]
+_EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
+# Walks of at least this many rows step on array state (see _walk_rows).
+_ARRAY_ROWS = 16
 
 
 def _call(f, x: np.ndarray, *args) -> np.ndarray:
@@ -116,10 +127,11 @@ def _panels(g, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     y = g(c[:, None] + h[:, None] * _NODES, owner)
-    k15 = h * np.sum(_WK * y, axis=1)
-    d = k15 - h * np.sum(_WG * y[:, 1::2], axis=1)
+    # The ufunc reductions np.sum and np.max call, without their wrappers.
+    k15 = h * np.add.reduce(_WK * y, axis=1)
+    d = k15 - h * np.add.reduce(_WG * y[:, 1::2], axis=1)
     # hypot rounds |complex| as a scalar abs does; np.abs may not.
-    return k15, np.hypot(d.real, d.imag), np.max(np.abs(y), axis=1)
+    return k15, np.hypot(d.real, d.imag), np.maximum.reduce(np.abs(y), axis=1)
 
 
 class _Diverge:
@@ -154,49 +166,62 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
     QUADPACK loop on its own panel heap until its error meets the tolerance,
     max_depth, _MAX_EVALS or _Diverge stops it; one generation bisects the
     worst panel of every unfinished interval and evaluates all children in
-    one call.  Yields (value, error, evals, converged, diverged, peak |g|).
+    one call.  Returns per-interval arrays (value, error, evals, converged,
+    diverged, peak |g|): an interval that its first panel settles costs no
+    Python work of its own, and only the others get a heap.
     """
-    lo, hi = [float(x) for x in lo], [float(x) for x in hi]
-    for s in range(0, len(lo), _MAX_INTERVALS):
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    chunks = []
+    for s in range(0, lo.size, _MAX_INTERVALS):
         a, b = lo[s:s + _MAX_INTERVALS], hi[s:s + _MAX_INTERVALS]
-        val, err, pk = _panels(g, np.array(a), np.array(b),
-                               np.arange(s, s + len(a)))
+        val, err, peak = _panels(g, a, b, np.arange(s, s + a.size))
         done = err <= np.fmax(abs_tol, rel_tol * np.hypot(val.real, val.imag))
-        total, total_err, peak = val.tolist(), err.tolist(), pk.tolist()
-        converged, diverged, evals = done.tolist(), [False] * len(a), [15] * len(a)
-        active = np.flatnonzero(~done).tolist()
-        heaps = {i: [(-total_err[i], 0, a[i], b[i], 0, total[i], total_err[i])]
-                 for i in active}
-        watch = {i: _Diverge(abs(total[i])) for i in active}
+        evals, diverged = np.full(a.size, 15), np.zeros(a.size, dtype=bool)
+        chunks.append((val, err, evals, done, diverged, peak))
+        todo = (~done).nonzero()[0]
+        if not todo.size:
+            continue
+        n, owner = todo.size, (s + todo).tolist()
+        total, total_err = val[todo].tolist(), err[todo].tolist()
+        pk = peak[todo].tolist()
+        ev, converged, div = [15] * n, [False] * n, [False] * n
+        heaps = [[(-e, 0, x, y, 0, v, e)] for v, e, x, y in
+                 zip(total, total_err, a[todo].tolist(), b[todo].tolist())]
+        watch = [_Diverge(abs(v)) for v in total]
+        active = list(range(n))
         while active:
             split = [(i, heappop(heaps[i])) for i in active
-                     if heaps[i][0][4] < max_depth and evals[i] < _MAX_EVALS]
+                     if heaps[i][0][4] < max_depth and ev[i] < _MAX_EVALS]
             if not split:
                 break
             pa, pb = [p[2] for _, p in split], [p[3] for _, p in split]
             mid = [0.5 * (x + y) for x, y in zip(pa, pb)]
-            val, err, pk = (v.tolist() for v in _panels(
+            cv, ce, cp = (v.tolist() for v in _panels(
                 g, np.array(pa + mid), np.array(mid + pb),
-                np.array([s + i for i, _ in split] * 2)))
+                np.array([owner[i] for i, _ in split] * 2)))
             m, active = len(split), []
             for j, (i, (_, _, _, _, depth, pval, perr)) in enumerate(split):
-                lv, le, rv, re_ = val[j], err[j], val[m + j], err[m + j]
-                evals[i] += 30
-                peak[i] = max(peak[i], pk[j], pk[m + j])
+                lv, le, rv, re_ = cv[j], ce[j], cv[m + j], ce[m + j]
+                ev[i] += 30
+                pk[i] = max(pk[i], cp[j], cp[m + j])
                 total[i] = total[i] - pval + lv + rv
                 total_err[i] = total_err[i] - perr + le + re_
                 # The growing evaluation count breaks error ties by age.
-                heappush(heaps[i], (-le, evals[i] - 1, pa[j], mid[j],
+                heappush(heaps[i], (-le, ev[i] - 1, pa[j], mid[j],
                                     depth + 1, lv, le))
-                heappush(heaps[i], (-re_, evals[i], mid[j], pb[j], depth + 1,
+                heappush(heaps[i], (-re_, ev[i], mid[j], pb[j], depth + 1,
                                     rv, re_))
                 if watch[i].update(abs(total[i])):
-                    diverged[i] = True
+                    div[i] = True
                 elif total_err[i] <= max(abs_tol, rel_tol * abs(total[i])):
                     converged[i] = True
                 else:
                     active.append(i)
-        yield from zip(total, total_err, evals, converged, diverged, peak)
+        val[todo], err[todo], evals[todo] = total, total_err, ev
+        done[todo], diverged[todo], peak[todo] = converged, div, pk
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(np.concatenate(c) for c in zip(*chunks))
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -205,9 +230,9 @@ def integrate_finite(f, a: float, b: float, spec: QuadSpec = QuadSpec()) -> Quad
         raise DomainError("integrate_finite requires finite endpoints")
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    (val, err, evals, conv, div, _), = _lockstep(
+    val, err, evals, conv, div, _ = (r.item() for r in _lockstep(
         lambda x, _: _call(f, x), [a], [b], spec.abs_tol, spec.rel_tol,
-        _MAX_DEPTH)
+        _MAX_DEPTH))
     return QuadResult(_tidy(val), err, evals, conv, div)
 
 
@@ -266,51 +291,199 @@ def _walk(spec: QuadSpec):
     yield total, total_err, converged_all and not diverged and quiet >= 2, diverged
 
 
-def _walk_rows(g, walks: list, edges, block: int, limit: int,
+def _settle(ends: list, rows, value, error, converged, diverged) -> None:
+    """ends[r] = the (value, error, converged, diverged) of row r, for r in
+    rows, as Python scalars."""
+    for r, end in zip(rows.tolist(), zip(value.tolist(), error.tolist(),
+                                         converged.tolist(), diverged.tolist())):
+        ends[r] = end
+
+
+def _max(a, b):
+    """Elementwise max(a, b) as the builtin takes it, NaN operands included."""
+    return np.where(b > a, b, a)
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Column of each row's first True in a (rows, k) mask; k where none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
+
+
+def _running(start: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """start[r] + block[r, 0] + ... + block[r, j], added left to right."""
+    return np.add.accumulate(np.concatenate([start[:, None], block], axis=1),
+                             axis=1)[:, 1:]
+
+
+class _Coroutines:
+    """Walk state of few rows: one stopping coroutine per row (see _walk),
+    sent its intervals one at a time."""
+
+    def __init__(self, walks: list) -> None:
+        self.n, self.walks = len(walks), walks
+        self.ends = [next(w) for w in walks]
+
+    def step(self, rows, k0, *block) -> np.ndarray:
+        ended = []
+        for r, *cols in zip(rows.tolist(), *[x.tolist() for x in block]):
+            for interval in zip(*cols):
+                self.ends[r] = self.walks[r].send(interval)
+                if self.ends[r] is not None:
+                    break
+            ended.append(self.ends[r] is not None)
+        return np.array(ended)
+
+
+class _WindowRows:
+    """The stopping rules of _walk for many rows, one block at a time.
+
+    Each row's walk state is a slot of an array; a block's (rows, k) results
+    become running totals, |z|, quiet-run lengths and each row's first stop
+    through cumulative numpy operations, so rows cost no Python work per
+    window.  A row's totals are still added in window order, so every row
+    ends bit for bit where its own _walk coroutine would.
+    """
+
+    def __init__(self, n: int, spec: QuadSpec) -> None:
+        self.n, self.spec = n, spec
+        self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
+        self.conv = np.ones(n, dtype=bool)
+        self.prev, self.env = np.zeros(n), np.zeros(n)  # of the last window
+        self.seen, self.quiet = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+        self.checkpoint = np.full(n, max(spec.abs_tol, 1e-300))
+        self.strikes = np.zeros(n, dtype=int)
+        self.ends = [None] * n
+
+    def step(self, rows, k0, val, err, conv, div, mass) -> np.ndarray:
+        spec, (m, k) = self.spec, val.shape
+        mag = np.hypot(val.real, val.imag)
+        total = _running(self.total[rows], val)
+        error = _running(self.error[rows], err)
+        tmag = np.hypot(total.real, total.imag)
+        conv = np.logical_and.accumulate(conv, axis=1) & self.conv[rows, None]
+        env = _max(mag, 0.01 * mass)
+        grew = mag > np.concatenate([self.prev[rows, None], mag[:, :-1]], axis=1)
+
+        # _Diverge: the next checkpoint crossing of a row is its first total
+        # past 100x the checkpoint; a block rarely holds more than one.
+        checkpoint, strikes = self.checkpoint[rows], self.strikes[rows]
+        fire, after = np.full(m, k), np.zeros(m, dtype=int)
+        idx = np.arange(k)
+        while True:
+            cross = (tmag > 100.0 * checkpoint[:, None]) & (idx >= after[:, None])
+            at = _first(cross)
+            hit = np.flatnonzero(at < k)
+            if not hit.size:
+                break
+            j = at[hit]
+            checkpoint[hit] = tmag[hit, j]
+            strikes[hit] += grew[hit, j]
+            fired = (strikes[hit] >= 3) & (fire[hit] == k)
+            fire[hit[fired]] = j[fired]
+            after[hit] = j + 1
+
+        cut = _max(spec.abs_tol, spec.rel_tol * tmag) / 8.0
+        loud = ~(_max(mag, mass * 1e-3) < cut)
+        last_loud = np.maximum.accumulate(
+            np.where(loud, idx, -1 - self.quiet[rows, None]), axis=1)
+        quiet = idx - last_loud
+        seen = np.logical_or.accumulate(loud, axis=1) | self.seen[rows, None]
+        # Before any loud window, keep scouting far out (see _walk).
+        at_quiet = _first(~loud & (quiet >= np.where(seen, 2, 40)))
+        # The divergence test comes first in a window.
+        at_div = np.minimum(_first(div), fire)
+        stop = np.minimum(at_quiet, at_div)
+
+        go = np.flatnonzero(stop == k)
+        if k0 + k < _MAX_WINDOWS:
+            g = rows[go]
+            self.total[g], self.error[g] = total[go, -1], error[go, -1]
+            self.conv[g], self.seen[g] = conv[go, -1], seen[go, -1]
+            self.prev[g], self.env[g] = mag[go, -1], env[go, -1]
+            self.quiet[g] = quiet[go, -1]
+            self.checkpoint[g], self.strikes[g] = checkpoint[go], strikes[go]
+            ended = stop < k
+        else:
+            # The last window a walk may take: every row ends, unconverged.
+            stop[go] = k - 1
+            ended = np.ones(m, dtype=bool)
+        i = np.flatnonzero(ended)
+        s, g = stop[i], rows[i]
+        # Geometric stub for everything past the last window.
+        e0 = np.where(s > 0, env[i, s - 1], self.env[g])
+        e1 = env[i, s]
+        stub = (k0 + s > 0) & (e0 > 0.0)
+        ratio = np.divide(e1, e0, out=np.zeros_like(e1), where=stub)
+        ratio = np.where(0.9 < ratio, 0.9, ratio)
+        error = np.where(stub, error[i, s] + e1 * ratio / (1.0 - ratio),
+                         error[i, s])
+        _settle(self.ends, g, total[i, s], error,
+                conv[i, s] & (at_quiet[i] < at_div[i]), at_div[i] == s)
+        return ended
+
+
+def _walker(n_rows: int, arrays, coroutine, *args):
+    """The walk state of n_rows rows: arrays(n_rows, *args) from _ARRAY_ROWS
+    rows up, else one coroutine(*args) per row."""
+    if n_rows >= _ARRAY_ROWS:
+        return arrays(n_rows, *args)
+    return _Coroutines([coroutine(*args) for _ in range(n_rows)])
+
+
+def _walk_rows(g, walker, edges, block: int, limit: int,
                tol: tuple) -> list[QuadResult]:
     """Walk one interval sequence per row, all rows in lockstep.
 
-    edges(rows, ks) lists the (lo, hi) of intervals ks (a range) of each
-    row, row by row; walks[r] is row r's stopping coroutine (see _walk).  A
-    block takes the next intervals of every row whose coroutine still runs
-    at the block's first interval, integrates them all in one engine call
-    with g(x, rows), rows[j] the row of x[j], and replays each row's results
-    in order through its coroutine.  Peak of the integrand times width
-    over-estimates an interval's absolute mass even under cancellation,
-    which is what the window stopping rule needs.
+    edges(rows, ks) gives the (lo, hi) arrays of intervals ks (a range) of
+    each row, row by row; walker holds the stopping state of all walker.n
+    rows.  A block takes the next intervals of every row still walking at
+    the block's first interval, integrates them all in one engine call with
+    g(x, rows), rows[j] the row of x[j], and hands walker.step the (rows, k)
+    results in order; it returns which rows ended.  Every interval of the
+    block counts as its row's evaluations, those past the row's stop too.
+    Peak of the integrand times width over-estimates an interval's absolute
+    mass even under cancellation, which is what the window stopping rule
+    needs.
+
+    Many rows step on array state (_WindowRows, _LobeRows): numpy calls per
+    block, none per interval.  That fixed cost loses to a coroutine step per
+    interval below _ARRAY_ROWS rows, which one-row walks (integrate_semi_
+    infinite, oscillatory_raw, the outer quadrant walk) always are; _walker
+    selects by row count.
     """
-    ends = [next(w) for w in walks]
-    evals = [0] * len(walks)
-    active = list(range(len(walks)))
+    active, spent = np.arange(walker.n), []
     for k0 in range(0, limit, block):
-        if not active:
+        if not active.size:
             break
-        ks = range(k0, min(k0 + block, limit))
-        lo, hi = edges(active, ks)
-        rows = np.repeat(active, len(ks))
-        results = _lockstep(lambda x, owner: g(x, rows[owner]), lo, hi, *tol)
-        for r, (val, err, ev, conv, div, peak), a, b in zip(
-                rows.tolist(), results, lo, hi):
-            evals[r] += ev
-            if ends[r] is None:
-                ends[r] = walks[r].send((val, err, conv, div, peak * (b - a)))
-        active = [r for r in active if ends[r] is None]
+        k = min(block, limit - k0)
+        lo, hi = edges(active, range(k0, k0 + k))
+        rows = active.repeat(k)
+        val, err, ev, conv, div, peak = _lockstep(
+            lambda x, owner: g(x, rows[owner]), lo, hi, *tol)
+        spent.append((rows, ev))
+        shape = (active.size, k)
+        ended = walker.step(active, k0, val.reshape(shape), err.reshape(shape),
+                            conv.reshape(shape), div.reshape(shape),
+                            (peak * (hi - lo)).reshape(shape))
+        active = active[~ended]
+    evals = np.zeros(walker.n, dtype=int)
+    if spent:
+        np.add.at(evals, *(np.concatenate(x) for x in zip(*spent)))
     return [QuadResult(_tidy(v), e, ev, c, d)
-            for (v, e, c, d), ev in zip(ends, evals)]
+            for (v, e, c, d), ev in zip(walker.ends, evals.tolist())]
 
 
-def _walk_windows(f, a: float, spec: QuadSpec, n_rows: int) -> list[QuadResult]:
-    """Integrals over [a, inf) of n_rows integrands, walked in lockstep.
+def _walk_windows(f, a: float, spec: QuadSpec, walker) -> list[QuadResult]:
+    """Integrals over [a, inf) of walker.n integrands, walked in lockstep.
 
     f(x, rows) gets abscissae x and, per row of x, its integrand's index.
     """
     def edges(rows, ks):
-        return ([_EDGES[k + 1] for k in ks] * len(rows),
-                [_EDGES[k] for k in ks] * len(rows))
+        return (_EDGES[None, ks.start + 1:ks.stop + 1].repeat(rows.size, 0).ravel(),
+                _EDGES[None, ks.start:ks.stop].repeat(rows.size, 0).ravel())
 
     return _walk_rows(lambda t, rows: _call(f, a - np.log(t), rows) / t,
-                      [_walk(spec) for _ in range(n_rows)], edges,
-                      _WINDOW_BLOCK, _MAX_WINDOWS,
+                      walker, edges, _WINDOW_BLOCK, _MAX_WINDOWS,
                       (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH))
 
 
@@ -324,7 +497,8 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     """
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
-    return _walk_windows(lambda x, _: f(x), a, spec, 1)[0]
+    return _walk_windows(lambda x, _: f(x), a, spec,
+                         _walker(1, _WindowRows, _walk, spec))[0]
 
 
 # --------------------------------------------------------------------------
@@ -332,24 +506,28 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
 # --------------------------------------------------------------------------
 
 
-def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[list, list]:
-    """(lo, hi) lists of the sign lobes ks of the oscillator at frequency nu.
+def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) arrays of the sign lobes ks of the oscillator at frequency nu.
 
     nu is a float or an (n, 1) array of row frequencies, whose lobes are
     listed row by row.
     """
     shift = 0.0 if kind == OscKind.SIN else 0.5
     k = np.arange(ks.start, ks.stop)
-    return ((np.maximum(k - shift, 0.0) * math.pi / nu).ravel().tolist(),
-            ((k + 1 - shift) * math.pi / nu).ravel().tolist())
+    return ((np.maximum(k - shift, 0.0) * math.pi / nu).ravel(),
+            ((k + 1 - shift) * math.pi / nu).ravel())
 
 
-def _iterated_average(partials: list) -> complex:
-    """Euler-style acceleration of an alternating-lobe partial-sum sequence."""
-    row = np.asarray(partials[-64:], dtype=complex)
-    while len(row) > 1:
-        row = 0.5 * (row[1:] + row[:-1])
-    return complex(row[0])
+def _iterated_average(partials):
+    """Euler-style acceleration of an alternating-lobe partial-sum sequence.
+
+    partials is a sequence, or a (rows, m) array of one per row; the last 64
+    terms of each are averaged.
+    """
+    row = np.asarray(partials, dtype=complex)[..., -64:]
+    while row.shape[-1] > 1:
+        row = 0.5 * (row[..., 1:] + row[..., :-1])
+    return row[..., 0] if row.ndim > 1 else complex(row[0])
 
 
 def _lobe_sum(spec: QuadSpec, max_lobes: int):
@@ -383,6 +561,103 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
     yield total, total_err + tail, converged and lobes_converged, diverged
 
 
+class _LobeRows:
+    """The stopping rules of _lobe_sum for many rows, one block at a time.
+
+    As _WindowRows does for _walk.  A row that stops on a block's last lobe
+    stays pending until the next block brings its lookahead lobe, and the
+    last 66 partial sums of every row live in a (rows, 66) array for the
+    rows that reach max_lobes and accelerate.
+    """
+
+    def __init__(self, n: int, spec: QuadSpec, max_lobes: int) -> None:
+        self.n, self.spec, self.max_lobes = n, spec, max_lobes
+        self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
+        self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        self.pending = np.zeros(n, dtype=bool)
+        self.partials = np.zeros((n, 66), dtype=complex)
+        self.ends = [None] * n
+
+    def step(self, rows, k0, val, err, conv, div, _mass) -> np.ndarray:
+        spec, max_lobes, k = self.spec, self.max_lobes, val.shape[1]
+        mag = np.hypot(val.real, val.imag)
+        ended = self.pending[rows]
+        # Alternating-series tail: the first omitted lobe bounds the rest.
+        p = np.flatnonzero(ended)
+        g = rows[p]
+        _settle(self.ends, g, self.total[g],
+                self.error[g] + (mag[p, 0] + err[p, 0]),
+                self.conv[g] & conv[p, 0], self.div[g] | div[p, 0])
+
+        w = np.flatnonzero(~ended)
+        rw = rows[w]
+        total = _running(self.total[rw], val[w])
+        error = _running(self.error[rw], err[w])
+        conv = np.logical_and.accumulate(conv[w], axis=1) & self.conv[rw, None]
+        div = np.logical_or.accumulate(div[w], axis=1) | self.div[rw, None]
+        lobe = k0 + np.arange(k)
+        stop = _first((mag[w] < spec.abs_tol / 10.0) & (lobe >= 1)
+                      & (lobe < max_lobes))
+
+        # A stop before the block's last lobe has its lookahead in the block.
+        j = np.flatnonzero(stop < k - 1)
+        s, i = stop[j], w[j]
+        ended[i] = True
+        _settle(self.ends, rows[i], total[j, s],
+                error[j, s] + (mag[i, s + 1] + err[i, s + 1]),
+                conv[j, s + 1], div[j, s + 1])
+
+        walking = stop == k
+        cap = max_lobes - 1 - k0
+        if cap < k:
+            # Rows that reach max_lobes without a tail stop end here.
+            j = np.flatnonzero(walking)
+            ended[w[j]] = True
+            self._accelerate(rw[j], total[j, :cap + 1], error[j, cap],
+                             conv[j, cap], div[j, cap])
+            walking[:] = False
+        j = np.flatnonzero(walking | (stop == k - 1))
+        g = rw[j]
+        self.pending[g] = ~walking[j]
+        self.total[g], self.error[g] = total[j, -1], error[j, -1]
+        self.conv[g], self.div[g] = conv[j, -1], div[j, -1]
+        self.partials[g] = np.concatenate([self.partials[g], total[j]],
+                                          axis=1)[:, -66:]
+        return ended
+
+    def _accelerate(self, rows, partials, error, conv, div) -> None:
+        """End rows whose lobe sums stop at max_lobes; partials holds the
+        block's partial sums of each up to lobe max_lobes - 1."""
+        spec, count = self.spec, min(self.max_lobes, 66)
+        value = partials[:, -1]
+        if count >= 16:
+            # Plain summation would need too many lobes; accelerate.
+            last = np.concatenate([self.partials[rows], partials],
+                                  axis=1)[:, -count:]
+            value = _iterated_average(last)
+            miss = value - _iterated_average(last[:, :-2])
+            tail = 3.0 * np.hypot(miss.real, miss.imag)
+            error = error + tail
+            conv = conv & (tail < 10.0 * _max(
+                spec.abs_tol, spec.rel_tol * np.hypot(value.real, value.imag)))
+        else:
+            conv = np.zeros_like(conv)
+        _settle(self.ends, rows, value, error, conv, div)
+
+
+def _walk_lobes(f, nus: np.ndarray, kind: OscKind, spec: QuadSpec,
+                max_lobes: int, walker) -> list[QuadResult]:
+    """Lobe sums of f(x)*osc(nu x) over [0, inf) for nu in nus (walker.n
+    rows), walked in lockstep."""
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    # The last block holds the lookahead lobe max_lobes.
+    limit = _LOBE_BLOCK * (max_lobes // _LOBE_BLOCK + 1)
+    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
+                      walker,
+                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
+                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
+
+
 def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
                      max_lobes: int = 4096) -> list[QuadResult]:
     """Lobe-partitioned integrals of f(x)*osc(nu x) over [0, inf), nu in nus.
@@ -399,13 +674,8 @@ def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
             raise DomainError("oscillator frequency must be finite and > 0")
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
-    osc = np.sin if kind == OscKind.SIN else np.cos
-    # The last block holds the lookahead lobe max_lobes.
-    limit = _LOBE_BLOCK * (max_lobes // _LOBE_BLOCK + 1)
-    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
-                      [_lobe_sum(spec, max_lobes) for _ in nus],
-                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
-                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
+    return _walk_lobes(f, nus, kind, spec, max_lobes,
+                       _walker(nus.size, _LobeRows, _lobe_sum, spec, max_lobes))
 
 
 def oscillatory_raw(f, nu: float, kind: OscKind,
@@ -430,16 +700,18 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
     shift = 0.0 if kind == OscKind.SIN else 0.5
     n_lobes = 480
     # u = q*q removes the endpoint singularity of the first lobe.
-    lobes = [*_lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-power),
-                        [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
-                        spec.abs_tol / 50.0, 1e-12, 40)]
-    lobes += _lockstep(lambda u, _: osc(u) * u ** (-power),
-                       *_lobe_edges(kind, 1.0, range(1, n_lobes)),
-                       spec.abs_tol / 50.0, 1e-12, 24)
+    first = _lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-power),
+                      [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
+                      spec.abs_tol / 50.0, 1e-12, 40)
+    rest = _lockstep(lambda u, _: osc(u) * u ** (-power),
+                     *_lobe_edges(kind, 1.0, range(1, n_lobes)),
+                     spec.abs_tol / 50.0, 1e-12, 24)
+    val, err, evals, conv = (np.concatenate([x, y]).tolist()
+                             for x, y in zip(first[:4], rest[:4]))
     total, total_err = 0.0, 0.0
-    for val, err, _, _, _, _ in lobes:
-        total += val
-        total_err += err
+    for v, e in zip(val, err):
+        total += v
+        total_err += e
     a = (n_lobes - shift) * math.pi
     p = power
     # Three integrations by parts; |R| <= p (p+1) a^-(p+2) rigorously.
@@ -450,8 +722,8 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
         tail = (-math.sin(a) * a ** (-p) + p * math.cos(a) * a ** (-p - 1)
                 + p * (p + 1) * math.sin(a) * a ** (-p - 2))
     remainder = p * (p + 1) * a ** (-p - 2)
-    return QuadResult(total + tail, total_err + remainder,
-                      sum(r[2] for r in lobes), all(r[3] for r in lobes))
+    return QuadResult(total + tail, total_err + remainder, sum(evals),
+                      all(conv))
 
 
 def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
@@ -500,14 +772,16 @@ def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
     def marginal(l1: np.ndarray, _) -> np.ndarray:
         nodes = l1.ravel()
         inner = _walk_windows(lambda l2, rows: f2(nodes[rows, None], l2), 0.0,
-                              inner_spec, nodes.size)
+                              inner_spec, _walker(nodes.size, _WindowRows,
+                                                  _walk, inner_spec))
         state["evals"] += sum(r.evaluations for r in inner)
         state["inner_err"] = max([state["inner_err"]]
                                  + [r.error_estimate for r in inner])
         state["failures"] += sum(not r.converged for r in inner)
         return np.array([complex(r.value) for r in inner]).reshape(l1.shape)
 
-    outer = _walk_windows(marginal, 0.0, spec, 1)[0]
+    outer = _walk_windows(marginal, 0.0, spec,
+                          _walker(1, _WindowRows, _walk, spec))[0]
     # Inner error is charged over the effective outer integration length.
     length = max(1.0, math.log(1.0 + state["evals"]))
     err = outer.error_estimate + state["inner_err"] * 8.0 * length

@@ -160,6 +160,86 @@ def test_late_onset_exp_cascade():
     assert abs(res.value - HALF_E1_PI) <= 1e-14
 
 
+# -- array walkers against one coroutine per row -----------------------------
+
+
+def _key(res):
+    return (complex(res.value), res.error_estimate, res.evaluations,
+            res.converged, res.diverged)
+
+
+def _rows_of(fs):
+    """f(x, rows) that evaluates fs[rows[j]] on x[j]."""
+    def f(x, rows):
+        y = np.empty(x.shape)
+        for r in np.unique(rows).tolist():
+            y[rows == r] = fs[r](x[rows == r])
+        return y
+    return f
+
+
+def _counting(walk, sent):
+    """The stopping coroutine walk, noting every interval it is sent."""
+    end = next(walk)
+    while end is None:
+        sent.append((yield))
+        end = walk.send(sent[-1])
+    yield end
+
+
+def _one_row_windows(f, spec):
+    """f's one-row coroutine window walk: its result and window count."""
+    sent = []
+    res, = quad._walk_windows(lambda x, _: f(x), 0.0, spec, quad._Coroutines(
+        [_counting(quad._walk(spec), sent)]))
+    return res, len(sent)
+
+
+def _delayed_onset(w):
+    # Exactly zero until w ~ 3.3, then all its mass, 1/(2 pi), in [4, 8].
+    return np.exp(-math.pi * np.exp(np.minimum(12.0 - 2.0 * w, 700.0))
+                  + (12.0 - 2.0 * w))
+
+
+def _third_crossing_shrinks(x):
+    # Windows of 1e-7, 1e-4, 6e-3, then 5.1e-3 and falling: the total passes
+    # its third _Diverge checkpoint on a smaller window, which is no strike.
+    return np.where(x < 1, 1e-7, np.where(x < 2, 1e-4, np.where(
+        x < 3, 6e-3, 8e-3 * np.exp(3.0 - x))))
+
+
+WINDOW_ROWS = [
+    lambda x: np.exp(-x) * np.cos(x),
+    lambda x: np.exp(-x * x),
+    lambda x: np.exp(-0.08 * x),
+    _delayed_onset,
+    lambda x: 1e-30 * np.exp(-x),      # never loud: the scout ends it
+    lambda x: np.exp(0.2 * x),         # runaway growth
+    lambda x: x / (1.0 + x * x) ** 2,  # algebraic tail: every window
+    _third_crossing_shrinks,
+]
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_window_rows_match_one_row_walks(copies):
+    # The array walker is called directly, so it runs below _ARRAY_ROWS too
+    # (8 rows) as well as above (24).
+    spec, fs = QuadSpec(), WINDOW_ROWS * copies
+    rows = quad._walk_windows(_rows_of(fs), 0.0, spec,
+                              quad._WindowRows(len(fs), spec))
+    windows = []
+    for f, row in zip(fs, rows):
+        one, n_windows = _one_row_windows(f, spec)
+        assert _key(row) == _key(one)
+        windows.append(n_windows)
+    assert abs(rows[3].value - 1.0 / (2.0 * math.pi)) <= 1e-9
+    assert windows[4] == 40 and rows[4].converged
+    assert rows[5].diverged and not rows[5].converged
+    assert windows[6] == quad._MAX_WINDOWS and not rows[6].converged
+    assert rows[7].converged and not rows[7].diverged
+    assert len({-(-n // quad._WINDOW_BLOCK) for n in windows}) > 3
+
+
 # -- oscillatory half-line ---------------------------------------------------
 
 
@@ -203,11 +283,11 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
         nonlocal evals
         for k0 in range(0, max_lobes + 1, quad._LOBE_BLOCK):
             ks = range(k0, k0 + quad._LOBE_BLOCK)
-            block = list(quad._lockstep(
+            block = list(zip(*(column.tolist() for column in quad._lockstep(
                 lambda x, _: f(x) * osc(nu * x),
                 [max(k - shift, 0.0) * math.pi / nu for k in ks],
                 [(k + 1 - shift) * math.pi / nu for k in ks],
-                spec.abs_tol / 50.0, 1e-10, 24))
+                spec.abs_tol / 50.0, 1e-10, 24))))
             evals += sum(r[2] for r in block)
             yield from block
 
@@ -233,18 +313,25 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
             used)
 
 
+# More frequencies, so that each rows walk below has _ARRAY_ROWS rows or more.
+MORE_NUS = [1.3, 2.2, 4.4, 5.9, 9.5, 11.0, 13.3, 21.0, 24.4, 33.0, 38.5, 44.0,
+            49.0]
+
+
 @pytest.mark.parametrize("amp, kind, nus, spec, max_lobes", [
     # exp(-2x) at nu = 8.12 (sin) and 7.87 (cos) stops at lobe 31, so its
     # tail lookahead is the first lobe of the next block.
-    (AmplitudeSpec.exponential(2.0), OscKind.SIN, [0.7, 8.12, 17.15, 30.0],
-     QuadSpec(), 4096),
-    (AmplitudeSpec.exponential(2.0), OscKind.COS, [0.7, 7.87, 16.9, 30.0],
-     QuadSpec(), 4096),
+    (AmplitudeSpec.exponential(2.0), OscKind.SIN,
+     [0.7, 8.12, 17.15, 30.0] + MORE_NUS, QuadSpec(), 4096),
+    (AmplitudeSpec.exponential(2.0), OscKind.COS,
+     [0.7, 7.87, 16.9, 30.0] + MORE_NUS, QuadSpec(), 4096),
     # rational(2.5) rows reach max_lobes and take iterated averaging.
-    (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0],
+    (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0] + MORE_NUS,
      QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 768),
 ], ids=["exp-sin", "exp-cos", "rational-sin-capped"])
 def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
+    # The rows walk takes the array path; each one-row walk, the coroutine.
+    assert len(nus) >= quad._ARRAY_ROWS
     rows = oscillatory_rows(amp.value, nus, kind, spec, max_lobes)
     used = []
     for nu, row in zip(nus, rows):
@@ -254,6 +341,7 @@ def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
         for res in (row, one):
             assert (complex(res.value), res.error_estimate, res.evaluations,
                     res.converged) == (complex(ref[0]), *ref[1:])
+        assert _key(row) == _key(one)
     if max_lobes == 768:
         assert used == [768] * len(nus)
     else:
@@ -293,6 +381,26 @@ def test_lobe_walk_reports_lobe_convergence():
     assert oscillatory_raw(lambda x: np.exp(-x), 1.0, OscKind.SIN).converged
 
 
+def test_lobe_rows_report_an_unconverged_lookahead():
+    # A step to 1 at x = 12.5 lies in each row's lookahead lobe: the first of
+    # the next block at nu = 8.12, whose tail stop is lobe 31; inside the
+    # block at the others.  The tail stop fires, but no row may converge.
+    f = lambda x: np.where(x < 12.5, np.exp(-2.0 * x), 1.0)
+    spec, nus = QuadSpec(), np.array([6.9, 7.42, 8.12, 9.5])
+    rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,
+                            quad._LobeRows(nus.size, spec, 64))
+    used = []
+    for nu, row in zip(nus, rows):
+        sent = []
+        one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
+                                quad._Coroutines([_counting(
+                                    quad._lobe_sum(spec, 64), sent)]))
+        assert _key(row) == _key(one)
+        assert not row.converged
+        used.append(len(sent))
+    assert used == [28, 30, 33, 38]
+
+
 def test_inv_sqrt_improper_amplitude():
     # int_0^inf sin(x)/sqrt(x) dx = sqrt(pi/2)
     res = integrate_oscillatory(AmplitudeSpec.inv_sqrt(), 1.0, OscKind.SIN)
@@ -316,22 +424,23 @@ def test_quadrant_with_oscillation():
 
 def test_quadrant_rows_match_independent_inner_integrals():
     # integrate_quadrant runs the inner integrals of many outer nodes in
-    # lockstep; each must equal its own one-node public evaluation.
-    z, spec = 0.8 - 2.65j, QuadSpec()
+    # lockstep on array state; each must equal, bit for bit, its own one-node
+    # public evaluation on the coroutine walker.
+    spec = QuadSpec()
     inner_spec = replace(spec, abs_tol=max(spec.abs_tol / 64.0, 1e-14),
                          rel_tol=max(spec.rel_tol / 16.0, 1e-13))
+    for z in (0.8 - 2.65j, 3.0 + 4.0j, 0.6 + 3.5j):
+        def f2(l1, l2):
+            return np.exp(-complex_form(z, (l1, l2)))
 
-    def f2(l1, l2):
-        return np.exp(-complex_form(z, (l1, l2)))
+        def marginal(l1):
+            return np.array([complex(integrate_semi_infinite(
+                lambda l2: f2(node, l2), 0.0, inner_spec).value)
+                for node in l1.ravel()]).reshape(l1.shape)
 
-    def marginal(l1):
-        return np.array([complex(integrate_semi_infinite(
-            lambda l2: f2(node, l2), 0.0, inner_spec).value)
-            for node in l1.ravel()]).reshape(l1.shape)
-
-    reference = integrate_semi_infinite(marginal, 0.0, spec)
-    res = integrate_quadrant(f2, spec)
-    assert abs(complex(res.value) - complex(reference.value)) <= 1e-14
+        reference = integrate_semi_infinite(marginal, 0.0, spec)
+        res = integrate_quadrant(f2, spec)
+        assert complex(res.value) == complex(reference.value), z
 
 
 def test_diag_reduction_agrees_with_quadrant():
