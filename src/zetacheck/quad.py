@@ -447,9 +447,10 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
 
     Many rows step on array state (_WindowRows, _LobeRows): numpy calls per
     block, none per interval.  That fixed cost loses to a coroutine step per
-    interval below _ARRAY_ROWS rows, which one-row walks (integrate_semi_
-    infinite, oscillatory_raw, the outer quadrant walk) always are; _walker
-    selects by row count.
+    interval below _ARRAY_ROWS rows.  One-row walks (integrate_semi_infinite,
+    the outer quadrant walk) take _Coroutines outright; where the row count
+    comes from the input (oscillatory_rows, the inner quadrant walks)
+    _walker selects by it.
     """
     active, spent = np.arange(walker.n), []
     for k0 in range(0, limit, block):
@@ -498,7 +499,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
     return _walk_windows(lambda x, _: f(x), a, spec,
-                         _walker(1, _WindowRows, _walk, spec))[0]
+                         _Coroutines([_walk(spec)]))[0]
 
 
 # --------------------------------------------------------------------------
@@ -518,16 +519,16 @@ def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[np.ndarray, np.ndarray]:
             ((k + 1 - shift) * math.pi / nu).ravel())
 
 
-def _iterated_average(partials):
-    """Euler-style acceleration of an alternating-lobe partial-sum sequence.
+def _iterated_average(partials: np.ndarray) -> np.ndarray:
+    """Euler-style acceleration of alternating-lobe partial-sum sequences.
 
-    partials is a sequence, or a (rows, m) array of one per row; the last 64
-    terms of each are averaged.
+    partials is an (..., m) array, one sequence along its last axis; the
+    last 64 terms of each are averaged.
     """
     row = np.asarray(partials, dtype=complex)[..., -64:]
     while row.shape[-1] > 1:
         row = 0.5 * (row[..., 1:] + row[..., :-1])
-    return row[..., 0] if row.ndim > 1 else complex(row[0])
+    return row[..., 0]
 
 
 def _lobe_sum(spec: QuadSpec, max_lobes: int):
@@ -552,9 +553,9 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
             break
     if not converged and len(partials) >= 16:
         # Plain summation would need too many lobes; accelerate.
-        last = list(partials)
-        accel = _iterated_average(last)
-        short = _iterated_average(last[:-2])
+        last = np.array(partials)
+        accel = complex(_iterated_average(last))
+        short = complex(_iterated_average(last[:-2]))
         tail = 3.0 * abs(accel - short)
         total = accel
         converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
@@ -609,7 +610,8 @@ class _LobeRows:
 
         walking = stop == k
         cap = max_lobes - 1 - k0
-        if cap < k:
+        # Past the cap (cap < 0) a block holds only pending lookaheads.
+        if 0 <= cap < k:
             # Rows that reach max_lobes without a tail stop end here.
             j = np.flatnonzero(walking)
             ended[w[j]] = True
@@ -780,8 +782,7 @@ def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
         state["failures"] += sum(not r.converged for r in inner)
         return np.array([complex(r.value) for r in inner]).reshape(l1.shape)
 
-    outer = _walk_windows(marginal, 0.0, spec,
-                          _walker(1, _WindowRows, _walk, spec))[0]
+    outer = _walk_windows(marginal, 0.0, spec, _Coroutines([_walk(spec)]))[0]
     # Inner error is charged over the effective outer integration length.
     length = max(1.0, math.log(1.0 + state["evals"]))
     err = outer.error_estimate + state["inner_err"] * 8.0 * length

@@ -305,8 +305,9 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
             lobes_converged = lobes_converged and conv
             break
     if not converged and len(partials) >= 16:
-        accel = quad._iterated_average(partials)
-        tail = 3.0 * abs(accel - quad._iterated_average(partials[:-2]))
+        accel = complex(quad._iterated_average(np.array(partials)))
+        tail = 3.0 * abs(accel - complex(
+            quad._iterated_average(np.array(partials[:-2]))))
         total = accel
         converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
     return (total, total_err + tail, evals, converged and lobes_converged,
@@ -399,6 +400,29 @@ def test_lobe_rows_report_an_unconverged_lookahead():
         assert not row.converged
         used.append(len(sent))
     assert used == [28, 30, 33, 38]
+
+
+@pytest.mark.parametrize("nus", [[1.0] * 16, [1.0] * 14 + [2.0, 0.5], [1.0]],
+                         ids=["all-at-cap", "mixed", "one-row"])
+def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(nus):
+    # At nu = 1 lobe 63 = max_lobes - 1 is the first small one, so its
+    # lookahead, lobe 64, comes in a block past the cap that holds only
+    # pending rows.  At nu = 2 no lobe is small and the row accelerates; at
+    # nu = 0.5 the tail stop comes early.
+    f = lambda x: np.where(x < 63.0 * math.pi, 1.0, 0.0)
+    spec, nus = QuadSpec(), np.array(nus)
+    rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,
+                            quad._LobeRows(nus.size, spec, 64))
+    assert [_key(r) for r in oscillatory_rows(f, nus, OscKind.SIN,
+                                              max_lobes=64)] == \
+        [_key(r) for r in rows]
+    for nu, row in zip(nus, rows):
+        sent = []
+        one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
+                                quad._Coroutines([_counting(
+                                    quad._lobe_sum(spec, 64), sent)]))
+        assert _key(row) == _key(one)
+        assert len(sent) == {1.0: 65, 2.0: 64, 0.5: 34}[nu]
 
 
 def test_inv_sqrt_improper_amplitude():
