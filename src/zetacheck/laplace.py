@@ -157,9 +157,10 @@ class GramSample:
 
 
 def _gram_matrix(points) -> np.ndarray:
+    """Kernel 1/||z_i + z_j||^2 of (..., n, 2) points: one matrix per sample."""
     pts = np.asarray(points, dtype=float)
-    sx = pts[:, 0, None] + pts[None, :, 0]
-    sy = pts[:, 1, None] + pts[None, :, 1]
+    sx = pts[..., :, None, 0] + pts[..., None, :, 0]
+    sy = pts[..., :, None, 1] + pts[..., None, :, 1]
     return 1.0 / (sx * sx + sy * sy)
 
 
@@ -196,46 +197,142 @@ def gram_psd_check(sample: GramSample) -> ClaimReport:
     )
 
 
+class _Spent(Exception):
+    """The simplex's evaluation budget ran out before its next call."""
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int):
+    """Nelder-Mead simplex descent as an ask/tell generator.
+
+    Yields each point to evaluate and receives its value by ``send``; returns
+    ``(x, fun, nfev)``.  The iteration is the classic non-adaptive one
+    (Nelder & Mead, Comput. J. 7, 1965) in the exact arithmetic of scipy's
+    unbounded ``minimize(method="Nelder-Mead")`` with xatol 1e-8 and fatol
+    1e-14, so every iterate is reproducible against it: the initial simplex
+    steps each coordinate by +5% (0.00025 where it is zero); reflection,
+    expansion, contraction and shrink use 1, 2, 0.5 and 0.5; vertices are
+    ordered by ``np.argsort``.  The budget is checked before each call.  When
+    it runs out mid-step, the rest of the step is skipped, a partly applied
+    shrink is kept with its stale values, and the vertices are re-sorted.
+    """
+    n = len(x0)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return (yield x)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = yield from call(sim[k])
+    except _Spent:
+        pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-8
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = yield from call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = yield from call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = yield from call(xc)
+                    keep = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = yield from call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = yield from call(sim[j])
+        except _Spent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nfev
+
+
+def _log_points(logs: np.ndarray) -> np.ndarray:
+    """Sample points MIN_OFFSET + exp(logs) of (..., 2n) log-coordinates."""
+    return MIN_OFFSET + np.exp(logs.reshape(*logs.shape[:-1], -1, 2))
+
+
+def _lam_min(logs: np.ndarray) -> np.ndarray:
+    """Smallest Gram eigenvalue of each row of (k, 2n) log-coordinates."""
+    return np.linalg.eigvalsh(_gram_matrix(_log_points(logs)))[:, 0]
+
+
 def lhpd_falsify(seed: int = 20260815) -> ClaimReport:
     """Search for an 8-point sample making the Gram kernel indefinite.
 
-    Eight random restarts seed a derivative-free simplex descent on the
-    minimum eigenvalue over log-coordinates (which keeps every point inside
-    the admissible quadrant), within a budget of 4000 evaluations.  A
+    Eight random restarts seed a derivative-free simplex descent
+    (``_nelder_mead``, 500 evaluations each) on the minimum eigenvalue over
+    log-coordinates, which keep every point inside the admissible quadrant.
+    The restarts run in lockstep: each round stacks every pending point and
+    takes all their eigenvalues in one batched ``eigvalsh``.  The reported
+    count is 4008 evaluations, since each start is evaluated once on its own
+    and once more as the first vertex of its simplex.  The results are folded
+    into the best value in restart order, start before descent.  A
     materially negative minimum eigenvalue at any witness refutes positive
     semidefiniteness of the kernel, hence the claimed measure
     representation; absence of one within budget proves nothing and is
     reported as such.
     """
-    # scipy is imported here, not at module level, to keep it off the
-    # start-up path of every command that never runs this search.
-    from scipy.optimize import minimize
-
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     budget, n_points, n_restarts = 4000, 8, 8
+    starts = rng.uniform(-2.5, 1.5, size=(n_restarts, 2 * n_points))
+    start_vals = _lam_min(starts)
+    evals = n_restarts
 
-    def lam_min_of(logs: np.ndarray) -> float:
-        pts = MIN_OFFSET + np.exp(logs.reshape(n_points, 2))
-        return float(np.linalg.eigvalsh(_gram_matrix(pts))[0])
+    searches = [_nelder_mead(x0, budget // n_restarts) for x0 in starts]
+    pending = {r: next(s) for r, s in enumerate(searches)}
+    results: dict = {}
+    while pending:
+        vals = _lam_min(np.array(list(pending.values())))
+        evals += len(vals)
+        for r, val in zip(list(pending), vals.tolist()):
+            try:
+                pending[r] = searches[r].send(val)
+            except StopIteration as done:
+                results[r] = done.value
+                del pending[r]
 
     best_val = math.inf
     best_logs: np.ndarray | None = None
-    evals = 0
-    for _ in range(n_restarts):
-        logs = rng.uniform(-2.5, 1.5, size=2 * n_points)
-        val = lam_min_of(logs)
-        evals += 1
-        if val < best_val:
-            best_val, best_logs = val, logs.copy()
-        out = minimize(lam_min_of, logs, method="Nelder-Mead",
-                       options={"maxfev": budget // n_restarts, "xatol": 1e-8,
-                                "fatol": 1e-14})
-        evals += out.nfev
-        if out.fun < best_val:
-            best_val, best_logs = float(out.fun), out.x.copy()
+    for r in range(n_restarts):
+        x, fun, _ = results[r]
+        if start_vals[r] < best_val:
+            best_val, best_logs = float(start_vals[r]), starts[r]
+        if fun < best_val:
+            best_val, best_logs = float(fun), x
     assert best_logs is not None
-    pts = MIN_OFFSET + np.exp(best_logs.reshape(n_points, 2))
+    pts = _log_points(best_logs)
     m = _gram_matrix(pts)
     tol = n_points * 1e-10 * float(np.max(np.abs(m)))
     if best_val < -10.0 * tol:

@@ -366,12 +366,21 @@ def test_traces_rejects_the_strip_edges(re_s, capsys):
 # -- start-up -----------------------------------------------------------------
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Only the lhpd search uses scipy, so no other command pays its import.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # No command needs scipy: with every scipy import made to fail, the lhpd
+    # search's commands still exit 0 and write the same reports.
     src = str(Path(zetacheck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, zetacheck.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    probe = ("import sys; sys.modules['scipy'] = None\n"
+             "from zetacheck import cli\n"
+             "for command, out in zip(('ledger', 'gram'), sys.argv[1:]):\n"
+             "    assert cli.main([command, '--out', out]) == 0\n")
+    without = [tmp_path / "ledger.json", tmp_path / "gram.json"]
+    subprocess.run([sys.executable, "-c", probe, *map(str, without)],
+                   env=env, capture_output=True, text=True, check=True)
+    for command, path in zip(("ledger", "gram"), without):
+        here = tmp_path / f"{command}-here.json"
+        assert run([command, "--out", str(here)]) == 0
+        assert strip_volatile(path.read_text()) == \
+            strip_volatile(here.read_text())
