@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from . import fresnel, laplace, rhfe, traces
 from .amplitudes import AmplitudeSpec
 from .errors import DomainError, InsufficientPrecisionError
-from .quad import QuadSpec
+from .quad import QuadResult, QuadSpec
 from .report import (CLAIM_IDS, ClaimReport, ClaimStatus, make_report,
                      reports_to_csv, reports_to_json)
 from .specfun import theta, zeta_star
@@ -77,39 +78,18 @@ def _critical_line_real(t: float) -> ClaimReport:
                        error_estimate=1e-13, started=t0)
 
 
-def _fresnel_closed(kind: str) -> Callable[[float], ClaimReport]:
-    def check(nu: float) -> ClaimReport:
+def _closed_form(check: str, transform: Callable[[float], QuadResult],
+                 closed: Callable[[float], float]
+                 ) -> Callable[[float], ClaimReport]:
+    """Audit timing the Fresnel transform(nu) against its closed(nu)."""
+    def audit(nu: float) -> ClaimReport:
         t0 = time.perf_counter()
-        amp = AmplitudeSpec.exponential(1.0)
-        if kind == "sin":
-            got = fresnel.fresnel_sin(amp, nu, _SPEC_FRESNEL)
-            closed = fresnel.closed_form_sin(amp, nu)
-        else:
-            got = fresnel.fresnel_cos(amp, nu, _SPEC_FRESNEL)
-            closed = fresnel.closed_form_cos(amp, nu)
-        return make_report("fresnel-closed-form",
-                           {"check": f"closed-{kind}", "nu": nu},
-                           lhs=float(np.real(got.value)), rhs=closed,
+        got = transform(nu)
+        return make_report("fresnel-closed-form", {"check": check, "nu": nu},
+                           lhs=float(np.real(got.value)), rhs=closed(nu),
                            error_estimate=got.error_estimate + 1e-13,
                            started=t0)
-    return check
-
-
-def _half_pi(nu: float) -> ClaimReport:
-    t0 = time.perf_counter()
-    got = fresnel.fresnel_sin(AmplitudeSpec.reciprocal(), nu, _SPEC_FRESNEL)
-    return make_report("fresnel-closed-form", {"check": "half-pi", "nu": nu},
-                       lhs=float(np.real(got.value)), rhs=math.pi / 2.0,
-                       error_estimate=got.error_estimate + 1e-13, started=t0)
-
-
-def _fresnel_classic(nu: float) -> ClaimReport:
-    t0 = time.perf_counter()
-    got = fresnel.fresnel_classic(nu, _SPEC_FRESNEL)
-    return make_report("fresnel-closed-form", {"check": "classic", "nu": nu},
-                       lhs=float(np.real(got.value)),
-                       rhs=fresnel.fresnel_classic_value(nu),
-                       error_estimate=got.error_estimate + 1e-13, started=t0)
+    return audit
 
 
 def _fresnel_derivative(amp: AmplitudeSpec) -> ClaimReport:
@@ -128,27 +108,19 @@ def _theta_jacobi(x: float) -> ClaimReport:
                        error_estimate=1e-14, started=t0)
 
 
-def _newton_leibnitz(seed: int) -> list[ClaimReport]:
-    t0 = time.perf_counter()
+def _newton_leibnitz_samples(seed: int) -> list[tuple[float, float, float]]:
+    """The 100 seeded (w, v, N) samples, N w <= 8, of the newton-leibnitz
+    check."""
     rng = np.random.default_rng(_SEED_BASE + seed)
-    worst = 0.0
-    done = 0
-    while done < 100:
+    samples = []
+    while len(samples) < 100:
         w = float(rng.uniform(-3.0, 2.0))
         v = float(rng.uniform(0.25, 8.0)
                   * (1.0 if rng.random() < 0.5 else -1.0))
         big_n = float(rng.uniform(0.1, 2.0 * math.pi))
-        if big_n * w > 8.0:
-            continue
-        closed = rhfe.newton_leibnitz(w, v, big_n)
-        quad = rhfe.newton_leibnitz_quadrature(w, v, big_n)
-        worst = max(worst, abs(closed - float(np.real(quad.value))))
-        done += 1
-    return [make_report(
-        "newton-leibnitz", {"samples": 100, "seed": seed},
-        lhs=worst, rhs=0.0, error_estimate=1e-11, started=t0,
-        notes="lhs is the worst |closed form - quadrature| over the samples",
-    )]
+        if big_n * w <= 8.0:
+            samples.append((w, v, big_n))
+    return samples
 
 
 def _trace_samples(seed: int) -> list[tuple[int, complex]]:
@@ -163,17 +135,17 @@ def _trace_samples(seed: int) -> list[tuple[int, complex]]:
     return samples
 
 
-def _worst_trace_residual(claim_id: str,
-                          residual: Callable[[int, complex], float],
-                          error_estimate: float,
-                          notes: str) -> Callable[[int], list[ClaimReport]]:
-    """Evaluator reporting the worst residual over the trace samples."""
+def _worst_residual(claim_id: str, samples: Callable[[int], list[tuple]],
+                    residual: Callable[..., float], error_estimate: float,
+                    notes: str) -> Callable[[int], list[ClaimReport]]:
+    """Evaluator reporting the worst residual(*sample) over samples(seed)."""
     def evaluate(seed: int) -> list[ClaimReport]:
         t0 = time.perf_counter()
+        drawn = samples(seed)
         worst = 0.0
-        for j, s in _trace_samples(seed):
-            worst = max(worst, residual(j, s))
-        return [make_report(claim_id, {"samples": 200, "seed": seed},
+        for sample in drawn:
+            worst = max(worst, residual(*sample))
+        return [make_report(claim_id, {"samples": len(drawn), "seed": seed},
                             lhs=worst, rhs=0.0, error_estimate=error_estimate,
                             started=t0, notes=notes)]
     return evaluate
@@ -204,9 +176,31 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
                            lambda z: laplace.rep_green_complex(z))),
     ),
     "fresnel": (
-        _Check(1e-9, _over(_NUS, _fresnel_closed("sin"),
-                           _fresnel_closed("cos"))),
-        _Check(1e-6, _over(_NUS, _half_pi, _fresnel_classic)),
+        _Check(1e-9, _over(
+            _NUS,
+            _closed_form(
+                "closed-sin",
+                lambda nu: fresnel.fresnel_sin(AmplitudeSpec.exponential(1.0),
+                                               nu, _SPEC_FRESNEL),
+                lambda nu: fresnel.closed_form_sin(
+                    AmplitudeSpec.exponential(1.0), nu)),
+            _closed_form(
+                "closed-cos",
+                lambda nu: fresnel.fresnel_cos(AmplitudeSpec.exponential(1.0),
+                                               nu, _SPEC_FRESNEL),
+                lambda nu: fresnel.closed_form_cos(
+                    AmplitudeSpec.exponential(1.0), nu)))),
+        _Check(1e-6, _over(
+            _NUS,
+            _closed_form(
+                "half-pi",
+                lambda nu: fresnel.fresnel_sin(AmplitudeSpec.reciprocal(), nu,
+                                               _SPEC_FRESNEL),
+                lambda nu: math.pi / 2.0),
+            _closed_form(
+                "classic",
+                lambda nu: fresnel.fresnel_classic(nu, _SPEC_FRESNEL),
+                lambda nu: fresnel.fresnel_classic_value(nu)))),
         _Check(1e-7, _over((AmplitudeSpec.exponential(1.0),
                             AmplitudeSpec.gaussian(1.0),
                             AmplitudeSpec.rational(2.0)),
@@ -217,14 +211,23 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
     "theta": (
         _Check(1e-12, _over(np.linspace(0.1, 10.0, 20), _theta_jacobi)),
     ),
-    "newton-leibnitz": (_Check(1e-9, _newton_leibnitz),),
+    "newton-leibnitz": (
+        _Check(1e-9, _worst_residual(
+            "newton-leibnitz", _newton_leibnitz_samples,
+            lambda w, v, big_n: abs(
+                rhfe.newton_leibnitz(w, v, big_n) - float(np.real(
+                    rhfe.newton_leibnitz_quadrature(w, v, big_n).value))),
+            1e-11,
+            "lhs is the worst |closed form - quadrature| over the samples")),
+    ),
     "trace-algebra": (
-        _Check(1e-11, _worst_trace_residual(
-            "trace-decomposition",
+        _Check(1e-11, _worst_residual(
+            "trace-decomposition", _trace_samples,
             lambda j, s: traces.trace_decomposition_check(j, s).abs_residual,
             1e-13, "lhs is the worst residual over the samples")),
-        _Check(1e-12, _worst_trace_residual(
-            "bridge", lambda j, s: traces.bridge_residual(j, s), 1e-14,
+        _Check(1e-12, _worst_residual(
+            "bridge", _trace_samples,
+            lambda j, s: traces.bridge_residual(j, s), 1e-14,
             "lhs is the worst termwise bridge residual over the samples")),
     ),
 }
@@ -428,6 +431,13 @@ _OPTIONS: dict[str, _Option] = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with the config exit code."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A negative number is a value, not a flag, in exponent form too
+        # (--im -1e-3); argparse itself takes only -12 and -1.5 for one.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)

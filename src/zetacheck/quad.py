@@ -15,10 +15,10 @@ The engine returns per-interval arrays, so an interval that its first panel
 settles costs no Python work.  A walk of many rows (the inner integrals of
 a quadrant, the frequencies of a positivity audit) keeps each row's stopping
 state in array slots and advances all rows a block at a time with
-cumulative numpy operations.  A walk of few rows (every one-row walk) sends
-each interval to one stopping coroutine per row, because the array step's
-fixed numpy cost per block is larger than that below _ARRAY_ROWS rows.  Both
-add a row's intervals in the same order and end it bit for bit alike.
+cumulative numpy operations.  A one-row walk sends each interval to a
+stopping coroutine, which costs less than the array step's fixed numpy work
+per block.  Both add a row's intervals in the same order and end it bit for
+bit alike.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
@@ -105,8 +105,6 @@ _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 _MAX_INTERVALS = 128
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
 _EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
-# Walks of at least this many rows step on array state (see _walk_rows).
-_ARRAY_ROWS = 16
 
 
 def _call(f, x: np.ndarray, *args) -> np.ndarray:
@@ -315,23 +313,21 @@ def _running(start: np.ndarray, block: np.ndarray) -> np.ndarray:
                              axis=1)[:, 1:]
 
 
-class _Coroutines:
-    """Walk state of few rows: one stopping coroutine per row (see _walk),
-    sent its intervals one at a time."""
+class _Coroutine:
+    """Walk state of one row: a stopping coroutine (see _walk), sent its
+    intervals one at a time."""
 
-    def __init__(self, walks: list) -> None:
-        self.n, self.walks = len(walks), walks
-        self.ends = [next(w) for w in walks]
+    n = 1
+
+    def __init__(self, walk) -> None:
+        self.walk, self.ends = walk, [next(walk)]
 
     def step(self, rows, k0, *block) -> np.ndarray:
-        ended = []
-        for r, *cols in zip(rows.tolist(), *[x.tolist() for x in block]):
-            for interval in zip(*cols):
-                self.ends[r] = self.walks[r].send(interval)
-                if self.ends[r] is not None:
-                    break
-            ended.append(self.ends[r] is not None)
-        return np.array(ended)
+        for interval in zip(*(x[0].tolist() for x in block)):
+            self.ends[0] = self.walk.send(interval)
+            if self.ends[0] is not None:
+                break
+        return np.array([self.ends[0] is not None])
 
 
 class _WindowRows:
@@ -422,14 +418,6 @@ class _WindowRows:
         return ended
 
 
-def _walker(n_rows: int, arrays, coroutine, *args):
-    """The walk state of n_rows rows: arrays(n_rows, *args) from _ARRAY_ROWS
-    rows up, else one coroutine(*args) per row."""
-    if n_rows >= _ARRAY_ROWS:
-        return arrays(n_rows, *args)
-    return _Coroutines([coroutine(*args) for _ in range(n_rows)])
-
-
 def _walk_rows(g, walker, edges, block: int, limit: int,
                tol: tuple) -> list[QuadResult]:
     """Walk one interval sequence per row, all rows in lockstep.
@@ -446,11 +434,9 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
     needs.
 
     Many rows step on array state (_WindowRows, _LobeRows): numpy calls per
-    block, none per interval.  That fixed cost loses to a coroutine step per
-    interval below _ARRAY_ROWS rows.  One-row walks (integrate_semi_infinite,
-    the outer quadrant walk) take _Coroutines outright; where the row count
-    comes from the input (oscillatory_rows, the inner quadrant walks)
-    _walker selects by it.
+    block, none per interval.  One row (integrate_semi_infinite, the outer
+    quadrant walk, a one-frequency lobe walk) steps a _Coroutine, whose
+    Python work per interval costs less there than that fixed numpy work.
     """
     active, spent = np.arange(walker.n), []
     for k0 in range(0, limit, block):
@@ -499,7 +485,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
     return _walk_windows(lambda x, _: f(x), a, spec,
-                         _Coroutines([_walk(spec)]))[0]
+                         _Coroutine(_walk(spec)))[0]
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +520,7 @@ def _iterated_average(partials: np.ndarray) -> np.ndarray:
 def _lobe_sum(spec: QuadSpec, max_lobes: int):
     """Stopping rules of one lobe walk: a coroutine sent and yielding as _walk."""
     # The averages read only the last 66 partial sums; a bounded history
-    # keeps the memory of a many-row walk independent of max_lobes.
+    # keeps the walk's memory independent of max_lobes.
     partials: deque[complex] = deque(maxlen=66)
     total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
     lobes_converged, diverged = True, False
@@ -551,7 +537,7 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
             lobes_converged, diverged = lobes_converged and conv, diverged or div
             converged = True
             break
-    if not converged and len(partials) >= 16:
+    if not converged:
         # Plain summation would need too many lobes; accelerate.
         last = np.array(partials)
         accel = complex(_iterated_average(last))
@@ -630,21 +616,15 @@ class _LobeRows:
     def _accelerate(self, rows, partials, error, conv, div) -> None:
         """End rows whose lobe sums stop at max_lobes; partials holds the
         block's partial sums of each up to lobe max_lobes - 1."""
-        spec, count = self.spec, min(self.max_lobes, 66)
-        value = partials[:, -1]
-        if count >= 16:
-            # Plain summation would need too many lobes; accelerate.
-            last = np.concatenate([self.partials[rows], partials],
-                                  axis=1)[:, -count:]
-            value = _iterated_average(last)
-            miss = value - _iterated_average(last[:, :-2])
-            tail = 3.0 * np.hypot(miss.real, miss.imag)
-            error = error + tail
-            conv = conv & (tail < 10.0 * _max(
-                spec.abs_tol, spec.rel_tol * np.hypot(value.real, value.imag)))
-        else:
-            conv = np.zeros_like(conv)
-        _settle(self.ends, rows, value, error, conv, div)
+        # Plain summation would need too many lobes; accelerate.
+        last = np.concatenate([self.partials[rows], partials],
+                              axis=1)[:, -min(self.max_lobes, 66):]
+        value = _iterated_average(last)
+        miss = value - _iterated_average(last[:, :-2])
+        tail = 3.0 * np.hypot(miss.real, miss.imag)
+        conv = conv & (tail < 10.0 * _max(self.spec.abs_tol, self.spec.rel_tol
+                                          * np.hypot(value.real, value.imag)))
+        _settle(self.ends, rows, value, error + tail, conv, div)
 
 
 def _walk_lobes(f, nus: np.ndarray, kind: OscKind, spec: QuadSpec,
@@ -668,16 +648,17 @@ def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
     its own lobes, all rows in lockstep; no positivity or monotonicity is
     assumed about f.  A row's result is the same as its own one-row walk.
     """
-    if max_lobes < 2:
-        raise DomainError(f"need max_lobes >= 2, got {max_lobes}")
+    if max_lobes < 16:
+        raise DomainError(f"need max_lobes >= 16, got {max_lobes}")
     nus = np.array([float(nu) for nu in nus])
     for nu in nus:
         if not (math.isfinite(nu) and nu > 0.0):
             raise DomainError("oscillator frequency must be finite and > 0")
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
-    return _walk_lobes(f, nus, kind, spec, max_lobes,
-                       _walker(nus.size, _LobeRows, _lobe_sum, spec, max_lobes))
+    walker = (_LobeRows(nus.size, spec, max_lobes) if nus.size > 1
+              else _Coroutine(_lobe_sum(spec, max_lobes)))
+    return _walk_lobes(f, nus, kind, spec, max_lobes, walker)
 
 
 def oscillatory_raw(f, nu: float, kind: OscKind,
@@ -774,15 +755,14 @@ def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
     def marginal(l1: np.ndarray, _) -> np.ndarray:
         nodes = l1.ravel()
         inner = _walk_windows(lambda l2, rows: f2(nodes[rows, None], l2), 0.0,
-                              inner_spec, _walker(nodes.size, _WindowRows,
-                                                  _walk, inner_spec))
+                              inner_spec, _WindowRows(nodes.size, inner_spec))
         state["evals"] += sum(r.evaluations for r in inner)
         state["inner_err"] = max([state["inner_err"]]
                                  + [r.error_estimate for r in inner])
         state["failures"] += sum(not r.converged for r in inner)
         return np.array([complex(r.value) for r in inner]).reshape(l1.shape)
 
-    outer = _walk_windows(marginal, 0.0, spec, _Coroutines([_walk(spec)]))[0]
+    outer = _walk_windows(marginal, 0.0, spec, _Coroutine(_walk(spec)))[0]
     # Inner error is charged over the effective outer integration length.
     length = max(1.0, math.log(1.0 + state["evals"]))
     err = outer.error_estimate + state["inner_err"] * 8.0 * length

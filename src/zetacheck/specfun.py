@@ -196,7 +196,10 @@ def zeta(s: complex) -> complex:
 def zeta_star(s: complex) -> complex:
     """Completed zeta: pi^(-s/2) * gamma(s/2) * zeta(s)."""
     s = _require_finite(s, "s")
-    return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s) * zeta(s)
+    # zeta rejects s outside its certified strip before gamma(s/2) can
+    # overflow there.
+    z = zeta(s)
+    return cmath.exp(-0.5 * s * math.log(math.pi)) * gamma(0.5 * s) * z
 
 
 # --------------------------------------------------------------------------

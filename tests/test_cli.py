@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, output formats, config handling."""
 
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +14,12 @@ import pytest
 import zetacheck
 from zetacheck import cli
 from zetacheck.report import CLAIM_IDS, strip_volatile
+
+try:
+    from hypothesis import given, seed, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is in the test extra
+    given = None
 
 
 def run(argv):
@@ -83,6 +90,8 @@ def test_unwritable_output_exits_four(tmp_path):
     ["verify", "--format", "xml"],
     ["no-such-command"],
     ["gram", "--seed", "-20260816"],
+    ["rhfe", "--im", "-500"],   # past zeta's certified strip |im s| <= 50
+    ["rhfe", "--im", "-inf"],
 ])
 def test_invalid_usage_exits_sixty_four(argv, capsys):
     assert run(argv) == 64
@@ -273,6 +282,34 @@ def test_point_outside_region_is_allowed_from_the_cli(capsys):
     assert run(["rhfe", "--re", "0.3", "--im", "1.0"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "WARN" in data[0].get("notes", "")
+
+
+@pytest.mark.parametrize("im_s", ["-1e-3", "-2.5E+1", "-3."])
+def test_negative_values_in_any_form_are_not_flags(im_s, capsys):
+    assert run(["rhfe", "--im", im_s]) == 0
+    spaced = strip_volatile(capsys.readouterr().out)
+    assert run(["rhfe", f"--im={im_s}"]) == 0
+    assert strip_volatile(capsys.readouterr().out) == spaced
+
+
+if given is None:
+    def test_numeric_flags_never_raise():
+        pytest.skip("needs hypothesis")
+else:
+    _NUMBER_TEXT = st.one_of(
+        st.builds(lambda x, sign, form: form(sign * x),
+                  st.floats(1e-12, 1e6), st.sampled_from([1.0, -1.0]),
+                  st.sampled_from([repr, "{:e}".format, "{:f}".format])),
+        st.sampled_from(["inf", "-inf", "nan"]))
+
+    @seed(20261018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_NUMBER_TEXT, _NUMBER_TEXT)
+    def test_numeric_flags_never_raise(re_s, im_s):
+        # traces is left out: some valid arguments take many seconds there.
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert run(["rhfe", "--re", re_s, "--im", im_s]) in (0, 64)
 
 
 def test_ledger_covers_the_manifest(tmp_path):

@@ -190,8 +190,8 @@ def _counting(walk, sent):
 def _one_row_windows(f, spec):
     """f's one-row coroutine window walk: its result and window count."""
     sent = []
-    res, = quad._walk_windows(lambda x, _: f(x), 0.0, spec, quad._Coroutines(
-        [_counting(quad._walk(spec), sent)]))
+    res, = quad._walk_windows(lambda x, _: f(x), 0.0, spec, quad._Coroutine(
+        _counting(quad._walk(spec), sent)))
     return res, len(sent)
 
 
@@ -222,8 +222,7 @@ WINDOW_ROWS = [
 
 @pytest.mark.parametrize("copies", [1, 3])
 def test_window_rows_match_one_row_walks(copies):
-    # The array walker is called directly, so it runs below _ARRAY_ROWS too
-    # (8 rows) as well as above (24).
+    # The array walker is called directly, at 8 rows and at 24.
     spec, fs = QuadSpec(), WINDOW_ROWS * copies
     rows = quad._walk_windows(_rows_of(fs), 0.0, spec,
                               quad._WindowRows(len(fs), spec))
@@ -314,7 +313,7 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
             used)
 
 
-# More frequencies, so that each rows walk below has _ARRAY_ROWS rows or more.
+# More frequencies, so that each rows walk below spans many rows.
 MORE_NUS = [1.3, 2.2, 4.4, 5.9, 9.5, 11.0, 13.3, 21.0, 24.4, 33.0, 38.5, 44.0,
             49.0]
 
@@ -332,7 +331,7 @@ MORE_NUS = [1.3, 2.2, 4.4, 5.9, 9.5, 11.0, 13.3, 21.0, 24.4, 33.0, 38.5, 44.0,
 ], ids=["exp-sin", "exp-cos", "rational-sin-capped"])
 def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
     # The rows walk takes the array path; each one-row walk, the coroutine.
-    assert len(nus) >= quad._ARRAY_ROWS
+    assert len(nus) > 1
     rows = oscillatory_rows(amp.value, nus, kind, spec, max_lobes)
     used = []
     for nu, row in zip(nus, rows):
@@ -353,7 +352,7 @@ def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
 
 @pytest.mark.parametrize("nu, max_lobes", [
     (0.0, 4096), (-1.0, 4096), (math.nan, 4096), (math.inf, 4096),
-    (1001.0, 4096), (2.0, 1), (2.0, 0),
+    (1001.0, 4096), (2.0, 15), (2.0, 1), (2.0, 0),
 ])
 def test_oscillatory_rejects_bad_input(nu, max_lobes):
     f = lambda x: np.exp(-x)
@@ -394,8 +393,8 @@ def test_lobe_rows_report_an_unconverged_lookahead():
     for nu, row in zip(nus, rows):
         sent = []
         one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
-                                quad._Coroutines([_counting(
-                                    quad._lobe_sum(spec, 64), sent)]))
+                                quad._Coroutine(_counting(
+                                    quad._lobe_sum(spec, 64), sent)))
         assert _key(row) == _key(one)
         assert not row.converged
         used.append(len(sent))
@@ -419,8 +418,8 @@ def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(nus):
     for nu, row in zip(nus, rows):
         sent = []
         one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
-                                quad._Coroutines([_counting(
-                                    quad._lobe_sum(spec, 64), sent)]))
+                                quad._Coroutine(_counting(
+                                    quad._lobe_sum(spec, 64), sent)))
         assert _key(row) == _key(one)
         assert len(sent) == {1.0: 65, 2.0: 64, 0.5: 34}[nu]
 

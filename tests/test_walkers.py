@@ -1,5 +1,6 @@
-"""Property: the array walkers end every row bit for bit where the per-row
-stopping coroutines do, for windows and for lobes, at any row count."""
+"""Property: the array walkers end every row bit for bit where that row's
+own one-row coroutine walk does, for windows and for lobes, at any row
+count."""
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ def test_array_walkers_equal_coroutine_walkers(params):
                 + np.exp(-(x - onset[r]) ** 2))
 
     arrays = quad._walk_windows(f, 0.0, spec, quad._WindowRows(n, spec))
-    coroutines = quad._walk_windows(f, 0.0, spec, quad._Coroutines(
-        [quad._walk(spec) for _ in range(n)]))
-    assert _keys(arrays) == _keys(coroutines)
+    one_rows = [quad._walk_windows(lambda x, rows, i=i: f(x, rows + i), 0.0,
+                                   spec, quad._Coroutine(quad._walk(spec)))[0]
+                for i in range(n)]
+    assert _keys(arrays) == _keys(one_rows)
 
     # Lobe rows share one amplitude and differ in frequency.
     def amp(x):
@@ -46,7 +48,8 @@ def test_array_walkers_equal_coroutine_walkers(params):
 
     arrays = quad._walk_lobes(amp, nu, OscKind.SIN, spec, MAX_LOBES,
                               quad._LobeRows(n, spec, MAX_LOBES))
-    coroutines = quad._walk_lobes(amp, nu, OscKind.SIN, spec, MAX_LOBES,
-                                  quad._Coroutines([quad._lobe_sum(
-                                      spec, MAX_LOBES) for _ in range(n)]))
-    assert _keys(arrays) == _keys(coroutines)
+    one_rows = [quad._walk_lobes(amp, nu[i:i + 1], OscKind.SIN, spec,
+                                 MAX_LOBES, quad._Coroutine(quad._lobe_sum(
+                                     spec, MAX_LOBES)))[0]
+                for i in range(n)]
+    assert _keys(arrays) == _keys(one_rows)
