@@ -8,6 +8,7 @@ failure, 64 on invalid configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -435,9 +436,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # A negative number is a value, not a flag, in exponent form too
-        # (--im -1e-3); argparse itself takes only -12 and -1.5 for one.
+        # (--im -1e-3), and so are -inf and -nan, which the commands then
+        # reject as not finite; argparse itself takes only -12 and -1.5.
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
@@ -488,8 +491,12 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """Parser whose namespace holds only the command and the flags given."""
+    """Parser whose namespace holds only the command and the flags given.
+
+    Built once per process, on first use rather than at import.
+    """
     parser = _Parser(prog="zetacheck",
                      description="identity checks and claim audits")
     sub = parser.add_subparsers(dest="command", required=True)

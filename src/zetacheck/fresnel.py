@@ -81,9 +81,7 @@ def fresnel_classic(nu: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
     Substituting u = t^2 turns the parabolic phase into a plain oscillation
     against the x^{-1/2} amplitude with an extra factor 1/2.
     """
-    inner = fresnel_sin(AmplitudeSpec.inv_sqrt(), nu, spec)
-    return QuadResult(0.5 * inner.value, 0.5 * inner.error_estimate,
-                      inner.evaluations, inner.converged)
+    return fresnel_sin(AmplitudeSpec.inv_sqrt(), nu, spec).scaled(0.5)
 
 
 def derivative_identity(amplitude: AmplitudeSpec, nu: float,

@@ -73,6 +73,11 @@ class QuadResult:
         if self.error_estimate < 0.0:
             raise ValueError("error_estimate must be >= 0")
 
+    def scaled(self, c: float) -> QuadResult:
+        """This result for c times the integrand."""
+        return replace(self, value=c * self.value,
+                       error_estimate=c * self.error_estimate)
+
 
 # --------------------------------------------------------------------------
 # 15-point Kronrod / 7-point Gauss pair (classical published abscissae).
@@ -390,19 +395,17 @@ class _WindowRows:
         at_div = np.minimum(_first(div), fire)
         stop = np.minimum(at_quiet, at_div)
 
-        go = np.flatnonzero(stop == k)
-        if k0 + k < _MAX_WINDOWS:
-            g = rows[go]
-            self.total[g], self.error[g] = total[go, -1], error[go, -1]
-            self.conv[g], self.seen[g] = conv[go, -1], seen[go, -1]
-            self.prev[g], self.env[g] = mag[go, -1], env[go, -1]
-            self.quiet[g] = quiet[go, -1]
-            self.checkpoint[g], self.strikes[g] = checkpoint[go], strikes[go]
-            ended = stop < k
-        else:
+        if k0 + k == _MAX_WINDOWS:
             # The last window a walk may take: every row ends, unconverged.
-            stop[go] = k - 1
-            ended = np.ones(m, dtype=bool)
+            stop = np.minimum(stop, k - 1)
+        ended = stop < k
+        go = np.flatnonzero(~ended)
+        g = rows[go]
+        self.total[g], self.error[g] = total[go, -1], error[go, -1]
+        self.conv[g], self.seen[g] = conv[go, -1], seen[go, -1]
+        self.prev[g], self.env[g] = mag[go, -1], env[go, -1]
+        self.quiet[g] = quiet[go, -1]
+        self.checkpoint[g], self.strikes[g] = checkpoint[go], strikes[go]
         i = np.flatnonzero(ended)
         s, g = stop[i], rows[i]
         # Geometric stub for everything past the last window.
@@ -551,64 +554,57 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
 class _LobeRows:
     """The stopping rules of _lobe_sum for many rows, one block at a time.
 
-    As _WindowRows does for _walk.  A row that stops on a block's last lobe
-    stays pending until the next block brings its lookahead lobe, and the
-    last 66 partial sums of every row live in a (rows, 66) array for the
-    rows that reach max_lobes and accelerate.
+    As _WindowRows does for _walk.  A lobe is small when it lies below
+    abs_tol / 10 and its index is at least 1 and below max_lobes.  A row
+    ends on lobe e, the first lobe after a small one: its value is the
+    running total through lobe e - 1, and lobe e bounds the alternating
+    tail.  Each row carries whether its last lobe was small, so e may be a
+    block's first lobe.  Rows still walking at lobe max_lobes - 1 that is
+    not small accelerate from their last 66 partial sums, kept in a
+    (rows, 66) array.
     """
 
     def __init__(self, n: int, spec: QuadSpec, max_lobes: int) -> None:
         self.n, self.spec, self.max_lobes = n, spec, max_lobes
         self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.pending = np.zeros(n, dtype=bool)
+        self.small = np.zeros(n, dtype=bool)
         self.partials = np.zeros((n, 66), dtype=complex)
         self.ends = [None] * n
 
     def step(self, rows, k0, val, err, conv, div, _mass) -> np.ndarray:
         spec, max_lobes, k = self.spec, self.max_lobes, val.shape[1]
         mag = np.hypot(val.real, val.imag)
-        ended = self.pending[rows]
-        # Alternating-series tail: the first omitted lobe bounds the rest.
-        p = np.flatnonzero(ended)
-        g = rows[p]
-        _settle(self.ends, g, self.total[g],
-                self.error[g] + (mag[p, 0] + err[p, 0]),
-                self.conv[g] & conv[p, 0], self.div[g] | div[p, 0])
-
-        w = np.flatnonzero(~ended)
-        rw = rows[w]
-        total = _running(self.total[rw], val[w])
-        error = _running(self.error[rw], err[w])
-        conv = np.logical_and.accumulate(conv[w], axis=1) & self.conv[rw, None]
-        div = np.logical_or.accumulate(div[w], axis=1) | self.div[rw, None]
+        total = _running(self.total[rows], val)
+        error = _running(self.error[rows], err)
+        conv = np.logical_and.accumulate(conv, axis=1) & self.conv[rows, None]
+        div = np.logical_or.accumulate(div, axis=1) | self.div[rows, None]
         lobe = k0 + np.arange(k)
-        stop = _first((mag[w] < spec.abs_tol / 10.0) & (lobe >= 1)
-                      & (lobe < max_lobes))
+        small = ((mag < spec.abs_tol / 10.0) & (lobe >= 1)
+                 & (lobe < max_lobes))
+        stop = _first(np.concatenate([self.small[rows, None], small[:, :-1]],
+                                     axis=1))
+        ended = stop < k
+        i = np.flatnonzero(ended)
+        s = stop[i]
+        # Alternating-series tail: the first omitted lobe bounds the rest.
+        _settle(self.ends, rows[i],
+                np.concatenate([self.total[rows, None], total], axis=1)[i, s],
+                np.concatenate([self.error[rows, None], error], axis=1)[i, s]
+                + (mag[i, s] + err[i, s]), conv[i, s], div[i, s])
 
-        # A stop before the block's last lobe has its lookahead in the block.
-        j = np.flatnonzero(stop < k - 1)
-        s, i = stop[j], w[j]
-        ended[i] = True
-        _settle(self.ends, rows[i], total[j, s],
-                error[j, s] + (mag[i, s + 1] + err[i, s + 1]),
-                conv[j, s + 1], div[j, s + 1])
-
-        walking = stop == k
         cap = max_lobes - 1 - k0
-        # Past the cap (cap < 0) a block holds only pending lookaheads.
         if 0 <= cap < k:
             # Rows that reach max_lobes without a tail stop end here.
-            j = np.flatnonzero(walking)
-            ended[w[j]] = True
-            self._accelerate(rw[j], total[j, :cap + 1], error[j, cap],
+            j = np.flatnonzero(~ended & ~small[:, cap])
+            ended[j] = True
+            self._accelerate(rows[j], total[j, :cap + 1], error[j, cap],
                              conv[j, cap], div[j, cap])
-            walking[:] = False
-        j = np.flatnonzero(walking | (stop == k - 1))
-        g = rw[j]
-        self.pending[g] = ~walking[j]
+        j = np.flatnonzero(~ended)
+        g = rows[j]
         self.total[g], self.error[g] = total[j, -1], error[j, -1]
         self.conv[g], self.div[g] = conv[j, -1], div[j, -1]
+        self.small[g] = small[j, -1]
         self.partials[g] = np.concatenate([self.partials[g], total[j]],
                                           axis=1)[:, -66:]
         return ended
@@ -719,18 +715,14 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
     """
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError("oscillator frequency must be finite and > 0")
-    if amplitude.family == Family.RECIPROCAL:
-        if kind == OscKind.COS:
+    if amplitude.family in (Family.RECIPROCAL, Family.INV_SQRT):
+        p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
+        if p == 1.0 and kind == OscKind.COS:
             raise AmplitudeError(
                 "cosine against a 1/x amplitude diverges logarithmically at 0"
             )
-        # int sin(nu x)/x dx = int sin(u)/u du: independent of nu.
-        return _improper_power(1.0, OscKind.SIN, spec)
-    if amplitude.family == Family.INV_SQRT:
-        res = _improper_power(0.5, kind, spec)
-        scale = nu ** -0.5
-        return QuadResult(res.value * scale, res.error_estimate * scale,
-                          res.evaluations, res.converged)
+        # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
+        return _improper_power(p, kind, spec).scaled(nu ** (p - 1.0))
     amplitude.validate_pcid()
     return oscillatory_raw(amplitude.value, nu, kind, spec)
 

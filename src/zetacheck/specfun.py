@@ -68,11 +68,18 @@ _LANCZOS_C = (
 def gamma(z: complex) -> complex:
     """Complex gamma function (relative accuracy ~1e-13 for |z| <= 50)."""
     z = _require_finite(z)
+    if abs(z) > 50.0:
+        raise DomainError(f"gamma is certified for |z| <= 50, got z={z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and abs(z.real - round(z.real)) < 1e-12:
         raise PoleError(f"gamma pole at z={z!r}")
+    return _gamma(z)
+
+
+def _gamma(z: complex) -> complex:
+    """Lanczos gamma, reflected for re(z) < 1/2; |1 - z| may reach 51."""
     if z.real < 0.5:
         # Reflection; sin(pi z) is safe for the |im| <= 50 band we certify.
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (cmath.sin(math.pi * z) * _gamma(1.0 - z))
     z = z - 1.0
     x = complex(_LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):

@@ -146,12 +146,12 @@ def hausdorff_moment_audit(s: complex, digits: int = 60,
         first_violation: dict = {}
         noise_at_worst = mp.mpf(0)
         for k in range(k_max + 1):
-            binoms = [mp.mpf(math.comb(k, i)) for i in range(k + 1)]
-            noise = max(binoms) * t_peak * mp.mpf(10) ** (-digits)
+            weights = [mp.mpf((-1) ** i * math.comb(k, i))
+                       for i in range(k + 1)]
+            noise = (mp.mpf(math.comb(k, k // 2)) * t_peak
+                     * mp.mpf(10) ** (-digits))
             for j in range(j_max + 1):
-                q_jk = mp.fsum(
-                    (-1) ** i * binoms[i] * seq[j + i] for i in range(k + 1)
-                )
+                q_jk = mp.fsum(w * t for w, t in zip(weights, seq[j:]))
                 if q_jk < 0 and not first_violation:
                     first_violation = {"j": j, "k": k, "value": float(q_jk)}
                 if q_jk < worst:
@@ -463,9 +463,7 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float) -> QuadResult:
                 * np.sin(v_freq * w) / v_freq)
 
     res = integrate_semi_infinite(integrand, 0.0, inner_spec)
-    return QuadResult(scale * float(np.real(res.value)),
-                      scale * res.error_estimate, res.evaluations,
-                      res.converged, res.diverged)
+    return replace(res, value=float(np.real(res.value))).scaled(scale)
 
 
 def poisson_term_quadrant(n: int, L: int, z: complex) -> QuadResult:
@@ -484,9 +482,7 @@ def poisson_term_quadrant(n: int, L: int, z: complex) -> QuadResult:
         return kern * np.exp(-u * (l1 + l2)) * osc
 
     res = integrate_quadrant(f2)
-    return QuadResult(scale * float(np.real(res.value)),
-                      scale * res.error_estimate, res.evaluations,
-                      res.converged, res.diverged, res.inner_failures)
+    return replace(res, value=float(np.real(res.value))).scaled(scale)
 
 
 def poisson_gamma_limit(n: int, z: complex) -> float:

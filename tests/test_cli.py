@@ -292,6 +292,13 @@ def test_negative_values_in_any_form_are_not_flags(im_s, capsys):
     assert strip_volatile(capsys.readouterr().out) == spaced
 
 
+@pytest.mark.parametrize("command", ["rhfe", "traces"])
+@pytest.mark.parametrize("im_s", ["-inf", "-INF", "-nan", "-infinity"])
+def test_negative_nonfinite_values_are_not_flags(command, im_s, capsys):
+    assert run([command, "--im", im_s]) == 64
+    assert "s must be finite" in capsys.readouterr().err
+
+
 if given is None:
     def test_numeric_flags_never_raise():
         pytest.skip("needs hypothesis")

@@ -15,7 +15,7 @@ from zetacheck import quad
 from zetacheck.amplitudes import AmplitudeSpec
 from zetacheck.errors import DomainError
 from zetacheck.laplace import complex_form
-from zetacheck.quad import (OscKind, QuadSpec, integrate_finite,
+from zetacheck.quad import (OscKind, QuadResult, QuadSpec, integrate_finite,
                             integrate_diag_reduced, integrate_oscillatory,
                             integrate_quadrant, integrate_semi_infinite,
                             oscillatory_raw, oscillatory_rows)
@@ -251,6 +251,13 @@ def test_oscillatory_exp_amplitude():
     assert abs(res2.value - 1.0 / 5.0) <= 1e-10       # 1/(1+nu^2)
 
 
+def test_scaled_keeps_the_result_flags():
+    res = QuadResult(2.0 - 1.0j, 0.25, 345, False, diverged=True,
+                     inner_failures=3)
+    assert res.scaled(4.0) == QuadResult(8.0 - 4.0j, 1.0, 345, False,
+                                         diverged=True, inner_failures=3)
+
+
 def test_oscillatory_reciprocal_is_half_pi():
     res = integrate_oscillatory(AmplitudeSpec.reciprocal(), 3.0, OscKind.SIN)
     assert abs(res.value - math.pi / 2.0) <= 1e-8
@@ -404,10 +411,10 @@ def test_lobe_rows_report_an_unconverged_lookahead():
 @pytest.mark.parametrize("nus", [[1.0] * 16, [1.0] * 14 + [2.0, 0.5], [1.0]],
                          ids=["all-at-cap", "mixed", "one-row"])
 def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(nus):
-    # At nu = 1 lobe 63 = max_lobes - 1 is the first small one, so its
-    # lookahead, lobe 64, comes in a block past the cap that holds only
-    # pending rows.  At nu = 2 no lobe is small and the row accelerates; at
-    # nu = 0.5 the tail stop comes early.
+    # At nu = 1 lobe 63 = max_lobes - 1 is the first small one, so the row
+    # ends on lobe 64, the first lobe of the block after the cap.  At nu = 2
+    # no lobe is small and the row accelerates; at nu = 0.5 the tail stop
+    # comes early.
     f = lambda x: np.where(x < 63.0 * math.pi, 1.0, 0.0)
     spec, nus = QuadSpec(), np.array(nus)
     rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,

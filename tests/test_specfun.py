@@ -177,6 +177,18 @@ def test_trivial_zero_factor_reflection_symmetries():
             pytest.approx(-trivial_zeta(s))
 
 
+@pytest.mark.parametrize("z", [-0.3 + 240j, 0.25 - 250j, 0.7 + 600j])
+def test_gamma_rejects_arguments_past_its_band(z):
+    with pytest.raises(DomainError):
+        gamma(z)
+
+
+@pytest.mark.parametrize("z", [-49.5 + 0.5j, 0.5 + 49.9j])
+def test_gamma_holds_to_the_edge_of_its_band(z):
+    want = complex(mp.gamma(z))
+    assert abs(gamma(z) - want) <= 1e-12 * abs(want)
+
+
 def test_nonfinite_arguments_rejected():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
