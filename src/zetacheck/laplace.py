@@ -32,7 +32,6 @@ __all__ = [
     "rep_green_fresnel",
     "gram_psd_check",
     "lhpd_falsify",
-    "green_signed_difference",
     "cm_scan",
 ]
 
@@ -392,24 +391,6 @@ def _mixed_difference(f, x: float, y: float, ax: int, ay: int, h: float) -> floa
             sign = -1.0 if (ax - i + ay - j) % 2 else 1.0
             total += sign * math.comb(ax, i) * math.comb(ay, j) * f(x + i * h, y + j * h)
     return total
-
-
-def green_signed_difference(ax: int, ay: int, x: float, y: float,
-                            h: float = 0.05) -> float:
-    """(-1)^{ax+ay} Delta_x^ax Delta_y^ay of 1/(x^2+y^2), scaled by h^{-|a|}.
-
-    Complete monotonicity would make this nonnegative at every quadrant
-    point; a negative value at any single (x, y) is already a witness.
-    """
-    if ax < 0 or ay < 0 or ax + ay < 1:
-        raise DomainError("difference order must be >= 1")
-    if min(x, y) <= 0.0:
-        raise DomainError("the point must lie in the open quadrant")
-    if not (1e-3 <= h <= 0.25):
-        raise StepSizeError(f"step {h} outside [1e-3, 0.25]")
-    order = ax + ay
-    sign = -1.0 if order % 2 else 1.0
-    return sign * _mixed_difference(_green, x, y, ax, ay, h) / h ** order
 
 
 def cm_scan(grid: GridRect, order: int = 2) -> ClaimReport:

@@ -11,14 +11,16 @@ would need absurdly many lobes).  A block integrates the next intervals of
 every unfinished row in one engine call, and the ones computed past a row's
 stop count as its evaluations too.
 
-The engine returns per-interval arrays, so an interval that its first panel
-settles costs no Python work.  A walk of many rows (the inner integrals of
-a quadrant, the frequencies of a positivity audit) keeps each row's stopping
-state in array slots and advances all rows a block at a time with
-cumulative numpy operations.  A one-row walk sends each interval to a
-stopping coroutine, which costs less than the array step's fixed numpy work
-per block.  Both add a row's intervals in the same order and end it bit for
-bit alike.
+The engine returns per-interval arrays.  It takes every interval's first
+panel and, for those that one leaves unsettled, its first bisection on
+arrays, so an interval settled by either costs no Python work; only the
+few still unsettled get a QUADPACK panel heap each.  A walk of many rows
+(the inner integrals of a quadrant, the frequencies of a positivity audit)
+keeps each row's stopping state in array slots and advances all rows a
+block at a time with cumulative numpy operations.  A one-row walk sends
+each interval to a stopping coroutine, which costs less than the array
+step's fixed numpy work per block.  Both add a row's intervals in the same
+order and end it bit for bit alike.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
@@ -39,8 +41,7 @@ from .errors import AmplitudeError, DomainError
 
 __all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
            "integrate_semi_infinite", "integrate_oscillatory",
-           "integrate_quadrant", "integrate_diag_reduced", "oscillatory_raw",
-           "oscillatory_rows"]
+           "integrate_quadrant", "oscillatory_raw", "oscillatory_rows"]
 
 
 class OscKind(Enum):
@@ -105,9 +106,11 @@ _MAX_WINDOWS = 700
 # Windows or lobes integrated per block: past the stop they are wasted work,
 # so a block stays small next to a typical walk of 30-300.
 _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
-# Intervals per engine pass; bounds the working arrays when inner integrals
-# multiply them (8 outer windows x 15 nodes x 8 inner windows).
-_MAX_INTERVALS = 128
+# Intervals per engine pass.  Each pass pays a fixed numpy cost for its
+# first panels and its first split, so more intervals amortise it; the cap
+# bounds the working arrays when inner integrals multiply them (8 outer
+# windows x 15 nodes x 8 inner windows, twice that in a first split).
+_MAX_INTERVALS = 256
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
 _EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
 
@@ -166,12 +169,14 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
 
     g(x, owner) maps an (m, 15) array of abscissae, row j in interval
     owner[j], to an array of x's shape.  Each interval runs the greedy
-    QUADPACK loop on its own panel heap until its error meets the tolerance,
-    max_depth, _MAX_EVALS or _Diverge stops it; one generation bisects the
-    worst panel of every unfinished interval and evaluates all children in
-    one call.  Returns per-interval arrays (value, error, evals, converged,
-    diverged, peak |g|): an interval that its first panel settles costs no
-    Python work of its own, and only the others get a heap.
+    QUADPACK loop until its error meets the tolerance, max_depth, _MAX_EVALS
+    or _Diverge stops it, or its error turns NaN, which no refinement can
+    undo; one generation bisects the worst panel of every unfinished
+    interval and evaluates all children in one call.  The first panel and
+    its bisection run on arrays for every interval, so only the intervals
+    that the first split leaves unsettled get a panel heap and cost Python
+    work of their own.  Returns per-interval arrays (value, error, evals,
+    converged, diverged, peak |g|).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     chunks = []
@@ -182,15 +187,42 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
         evals, diverged = np.full(a.size, 15), np.zeros(a.size, dtype=bool)
         chunks.append((val, err, evals, done, diverged, peak))
         todo = (~done).nonzero()[0]
-        if not todo.size:
+        # The heap loop's gate, at depth 0 after 15 evaluations.
+        if not (todo.size and 0 < max_depth and 15 < _MAX_EVALS):
             continue
-        n, owner = todo.size, (s + todo).tolist()
-        total, total_err = val[todo].tolist(), err[todo].tolist()
+        # The first split: the heap loop's first generation on arrays, in
+        # the same float operations; v - v is its total - pval, which keeps
+        # the sign of zero and the NaN of an infinite first panel.
+        n, pa, pb, v, e = todo.size, a[todo], b[todo], val[todo], err[todo]
+        # [a, mid, b]: its first 2n are the children's lower ends, its last
+        # 2n their upper ends.
+        ends = np.concatenate([pa, 0.5 * (pa + pb), pb])
+        cv, ce, cp = _panels(g, ends[:2 * n], ends[n:],
+                             np.concatenate([todo, todo]) + s)
+        mid, lv, le, rv, re_ = ends[n:2 * n], cv[:n], ce[:n], cv[n:], ce[n:]
+        t, te = v - v + lv + rv, e - e + le + re_
+        tmag = np.hypot(t.real, t.imag)
+        tol = np.fmax(abs_tol, rel_tol * tmag)
+        val[todo], err[todo], evals[todo], done[todo] = t, te, 45, te <= tol
+        peak[todo] = _max(_max(peak[todo], cp[:n]), cp[n:])
+        # Unsettled and not NaN: a NaN error stays NaN and never settles.
+        rest = np.flatnonzero(te > tol)
+        if not rest.size:
+            continue
+        # The rest go on as if their heap loop had just split them once.
+        todo = todo[rest]
+        n, owner = rest.size, (s + todo).tolist()
+        total, total_err = t[rest].tolist(), te[rest].tolist()
         pk = peak[todo].tolist()
-        ev, converged, div = [15] * n, [False] * n, [False] * n
-        heaps = [[(-e, 0, x, y, 0, v, e)] for v, e, x, y in
-                 zip(total, total_err, a[todo].tolist(), b[todo].tolist())]
-        watch = [_Diverge(abs(v)) for v in total]
+        ev, converged, div = [45] * n, [False] * n, [False] * n
+        heaps = [[] for _ in range(n)]
+        for heap, x, c, y, l, r, lerr, rerr in zip(heaps, *(
+                z[rest].tolist() for z in (pa, mid, pb, lv, rv, le, re_))):
+            heappush(heap, (-lerr, 44, x, c, 1, l, lerr))
+            heappush(heap, (-rerr, 45, c, y, 1, r, rerr))
+        watch = [_Diverge(x) for x in np.hypot(v.real, v.imag)[rest].tolist()]
+        for w, x in zip(watch, tmag[rest].tolist()):
+            w.update(x)
         active = list(range(n))
         while active:
             split = [(i, heappop(heaps[i])) for i in active
@@ -218,7 +250,8 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
                     div[i] = True
                 elif total_err[i] <= max(abs_tol, rel_tol * abs(total[i])):
                     converged[i] = True
-                else:
+                elif total_err[i] == total_err[i]:
+                    # A NaN error stays NaN: the interval cannot converge.
                     active.append(i)
         val[todo], err[todo], evals[todo] = total, total_err, ev
         done[todo], diverged[todo], peak[todo] = converged, div, pk
@@ -647,6 +680,8 @@ def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
     if max_lobes < 16:
         raise DomainError(f"need max_lobes >= 16, got {max_lobes}")
     nus = np.array([float(nu) for nu in nus])
+    if not nus.size:
+        raise DomainError("need at least one frequency")
     for nu in nus:
         if not (math.isfinite(nu) and nu > 0.0):
             raise DomainError("oscillator frequency must be finite and > 0")
@@ -762,11 +797,3 @@ def integrate_quadrant(f2, spec: QuadSpec = QuadSpec()) -> QuadResult:
                       outer.converged and state["failures"] == 0,
                       outer.diverged, inner_failures=state["failures"])
 
-
-def integrate_diag_reduced(g, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Integral of w * g(w) over [0, inf).
-
-    Equals the quadrant integral of h(l1 + l2) when g = h, by reducing along
-    the anti-diagonal; the Jacobian contributes the factor w.
-    """
-    return integrate_semi_infinite(lambda w: w * _call(g, w), 0.0, spec)

@@ -28,12 +28,10 @@ __all__ = [
     "RaceResult",
     "race_check",
     "race_report",
-    "im_j_direct",
     "im_j_n",
     "newton_leibnitz",
     "newton_leibnitz_quadrature",
     "decomposition_audit",
-    "j_tail_bound",
     "rhfe_residual",
 ]
 
@@ -79,23 +77,6 @@ def race_report(s: complex) -> ClaimReport:
         rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
         started=t0,
     )
-
-
-def im_j_direct(s: complex) -> QuadResult:
-    """im of the half-line integral, collapsed to a real integrand.
-
-    2 int_1^inf (x^{u-1} - x^{-u}) sin(v log x) theta(x^2) dx with
-    u = re(s), v = im(s); the square in the theta argument comes from the
-    substitution that halves the original exponents.
-    """
-    u, v = s.real, s.imag
-
-    def f(x):
-        lx = np.log(x)
-        return 2.0 * (np.exp((u - 1.0) * lx) - np.exp(-u * lx)) \
-            * np.sin(v * lx) * theta(x * x)
-
-    return integrate_semi_infinite(f, 1.0)
 
 
 def im_j_n(n: int, s: complex) -> QuadResult:
@@ -178,29 +159,6 @@ def decomposition_audit(n: int, s: complex, L: int,
                "correctedResidual": abs(lhs - rhs_corrected),
                "cutoffN": 2.0 * math.pi * L / v_f},
     )
-
-
-def j_tail_bound(u: float, m: int, n_start: int) -> float:
-    """Rigorous majorant for the summed |im J_n| from n_start on.
-
-    Uses G(y) = e^{-pi y^2} <= K / y^m with K the supremum of y^m G(y)
-    over the actual argument range [n_start, inf), integrates the power
-    envelope, and closes the n-sum with an integral-test tail.
-    """
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if n_start < 1:
-        raise DomainError("n_start must be >= 1")
-    if not (0.0 < u < 1.0):
-        raise DomainError("re(s) must lie in (0, 1)")
-    y_peak = math.sqrt(m / (2.0 * math.pi))
-    if n_start <= y_peak:
-        big_k = (m / (2.0 * math.pi * math.e)) ** (m / 2.0)
-    else:
-        big_k = n_start ** m * math.exp(-math.pi * n_start * n_start)
-    n_tail = n_start ** (-float(m)) + n_start ** (1.0 - m) / (m - 1.0)
-    x_factor = 1.0 / (m - u) + 1.0 / (m + u - 1.0)
-    return big_k * n_tail * x_factor
 
 
 def rhfe_residual(s: complex, digits: int = 60,

@@ -34,7 +34,6 @@ __all__ = [
     "bridge_residual",
     "hausdorff_moment_audit",
     "tr_cg_n_series",
-    "tr_cg_sigma",
     "tr_cg_sigma_result",
     "tr_cg_total",
     "tr_cg_total_value",
@@ -310,10 +309,6 @@ def tr_cg_sigma_result(n: int, z: complex) -> QuadResult:
         return np.exp(-u * t) * np.sin(v * t) / v * kern
 
     return integrate_semi_infinite(integrand, 0.0)
-
-
-def tr_cg_sigma(n: int, z: complex) -> float:
-    return float(np.real(tr_cg_sigma_result(n, z).value))
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""Test-side evaluation routes: oracles that no audit runs.
+
+Each is a second way to a quantity the package computes, kept here for the
+comparisons in the tests, as _mpc_series and _serial_lobe_sum are.
+"""
+
+import math
+
+import numpy as np
+
+from zetacheck import laplace, quad
+from zetacheck.errors import DomainError, StepSizeError
+from zetacheck.quad import QuadResult, QuadSpec, integrate_semi_infinite
+from zetacheck.specfun import theta
+from zetacheck.traces import tr_cg_sigma_result
+
+
+def integrate_diag_reduced(g, spec: QuadSpec = QuadSpec()) -> QuadResult:
+    """Integral of w * g(w) over [0, inf).
+
+    Equals the quadrant integral of h(l1 + l2) when g = h, by reducing along
+    the anti-diagonal; the Jacobian contributes the factor w.
+    """
+    return integrate_semi_infinite(lambda w: w * quad._call(g, w), 0.0, spec)
+
+
+def im_j_direct(s: complex) -> QuadResult:
+    """im of the half-line integral of rhfe.race_check, collapsed to a real
+    integrand.
+
+    2 int_1^inf (x^{u-1} - x^{-u}) sin(v log x) theta(x^2) dx with
+    u = re(s), v = im(s); the square in the theta argument comes from the
+    substitution that halves the original exponents.
+    """
+    u, v = s.real, s.imag
+
+    def f(x):
+        lx = np.log(x)
+        return 2.0 * (np.exp((u - 1.0) * lx) - np.exp(-u * lx)) \
+            * np.sin(v * lx) * theta(x * x)
+
+    return integrate_semi_infinite(f, 1.0)
+
+
+def j_tail_bound(u: float, m: int, n_start: int) -> float:
+    """Rigorous majorant for the summed |im J_n| (rhfe.im_j_n) from n_start on.
+
+    Uses G(y) = e^{-pi y^2} <= K / y^m with K the supremum of y^m G(y)
+    over the actual argument range [n_start, inf), integrates the power
+    envelope, and closes the n-sum with an integral-test tail.
+    """
+    if m < 2:
+        raise DomainError("m must be >= 2")
+    if n_start < 1:
+        raise DomainError("n_start must be >= 1")
+    if not (0.0 < u < 1.0):
+        raise DomainError("re(s) must lie in (0, 1)")
+    y_peak = math.sqrt(m / (2.0 * math.pi))
+    if n_start <= y_peak:
+        big_k = (m / (2.0 * math.pi * math.e)) ** (m / 2.0)
+    else:
+        big_k = n_start ** m * math.exp(-math.pi * n_start * n_start)
+    n_tail = n_start ** (-float(m)) + n_start ** (1.0 - m) / (m - 1.0)
+    x_factor = 1.0 / (m - u) + 1.0 / (m + u - 1.0)
+    return big_k * n_tail * x_factor
+
+
+def tr_cg_sigma(n: int, z: complex) -> float:
+    """The real value of traces.tr_cg_sigma_result."""
+    return float(np.real(tr_cg_sigma_result(n, z).value))
+
+
+def green_signed_difference(ax: int, ay: int, x: float, y: float,
+                            h: float = 0.05) -> float:
+    """(-1)^{ax+ay} Delta_x^ax Delta_y^ay of 1/(x^2+y^2), scaled by h^{-|a|}.
+
+    Complete monotonicity would make this nonnegative at every quadrant
+    point; a negative value at any single (x, y) is already a witness.
+    laplace.cm_scan takes the same differences over a grid.
+    """
+    if ax < 0 or ay < 0 or ax + ay < 1:
+        raise DomainError("difference order must be >= 1")
+    if min(x, y) <= 0.0:
+        raise DomainError("the point must lie in the open quadrant")
+    if not (1e-3 <= h <= 0.25):
+        raise StepSizeError(f"step {h} outside [1e-3, 0.25]")
+    order = ax + ay
+    sign = -1.0 if order % 2 else 1.0
+    return sign * laplace._mixed_difference(laplace._green, x, y, ax, ay,
+                                            h) / h ** order

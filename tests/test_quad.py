@@ -16,9 +16,11 @@ from zetacheck.amplitudes import AmplitudeSpec
 from zetacheck.errors import DomainError
 from zetacheck.laplace import complex_form
 from zetacheck.quad import (OscKind, QuadResult, QuadSpec, integrate_finite,
-                            integrate_diag_reduced, integrate_oscillatory,
-                            integrate_quadrant, integrate_semi_infinite,
-                            oscillatory_raw, oscillatory_rows)
+                            integrate_oscillatory, integrate_quadrant,
+                            integrate_semi_infinite, oscillatory_raw,
+                            oscillatory_rows)
+
+import reference_routes as routes
 
 SQRT_PI_OVER_2 = 0.886226925452758     # int_0^inf exp(-x^2) dx
 DAWSON_1 = 0.5380795069127684          # int_0^inf exp(-t^2) sin(2t) dt
@@ -369,6 +371,32 @@ def test_oscillatory_rejects_bad_input(nu, max_lobes):
         oscillatory_rows(f, [1.0, nu], OscKind.COS, max_lobes=max_lobes)
 
 
+def test_oscillatory_rows_reject_an_empty_frequency_list():
+    with pytest.raises(DomainError, match="at least one frequency"):
+        oscillatory_rows(lambda x: np.exp(-x), [], OscKind.SIN)
+
+
+def _nan_near(x):
+    # NaN within 1e-3 of 0.3, which neither the first panel on [0, 1] nor
+    # its first split samples; the second heap generation does.
+    return np.where(np.abs(x - 0.3) < 1e-3, np.nan, np.sqrt(np.abs(x - 0.3)))
+
+
+@pytest.mark.parametrize("integrate, budget", [
+    (lambda: integrate_finite(lambda x: x * np.nan, 0.0, 1.0), 45),
+    # Every window of the walk is loud, so it walks all 700.
+    (lambda: integrate_semi_infinite(lambda x: x * np.nan, 0.0),
+     quad._MAX_WINDOWS * 45),
+    (lambda: integrate_finite(_nan_near, 0.0, 1.0), 105),
+], ids=["finite", "semi-infinite", "finite-deep"])
+def test_nan_error_stops_refinement(integrate, budget):
+    # A NaN running error stays NaN, so the interval can never converge.
+    res = integrate()
+    assert math.isnan(res.value) and math.isnan(res.error_estimate)
+    assert not res.converged and not res.diverged
+    assert res.evaluations <= budget
+
+
 def test_improper_power_reports_lobe_convergence():
     # cos(u)/u is not integrable at 0, so the first lobe cannot converge.
     assert not quad._improper_power(1.0, OscKind.COS, QuadSpec()).converged
@@ -476,7 +504,7 @@ def test_quadrant_rows_match_independent_inner_integrals():
 def test_diag_reduction_agrees_with_quadrant():
     g = lambda w: np.exp(-1.7 * w)
     direct = integrate_quadrant(lambda l1, l2: np.exp(-1.7 * (l1 + l2)))
-    reduced = integrate_diag_reduced(g)
+    reduced = routes.integrate_diag_reduced(g)
     assert abs(reduced.value - 1.0 / 1.7 ** 2) <= 1e-11
     assert abs(direct.value - reduced.value) <= 1e-8
 

@@ -16,6 +16,8 @@ from zetacheck.errors import (DomainError, InsufficientPrecisionError,
                               PoleError)
 from zetacheck.report import ClaimStatus
 
+import reference_routes as routes
+
 S_AUDIT = 0.75 - 2.0j
 
 
@@ -121,8 +123,8 @@ def test_moment_audit_region_guard():
 def test_series_vs_sigma_cross_validation(n, s):
     p = traces.TraceParams(s, n_max=n, digits=60)
     series = float(traces.tr_cg_n_series(n, p))
-    sig_s = traces.tr_cg_sigma(n, s)
-    sig_r = traces.tr_cg_sigma(n, 1.0 - s)
+    sig_s = routes.tr_cg_sigma(n, s)
+    sig_r = routes.tr_cg_sigma(n, 1.0 - s)
     integral = (sig_r - sig_s) / (2.0 * s.real - 1.0)
     assert abs(series - integral) <= 1e-9
 
