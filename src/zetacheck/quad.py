@@ -287,7 +287,8 @@ def _walk(spec: QuadSpec):
 
     Send it each window's (value, error, converged, diverged, mass bound) in
     order; it yields None until the walk stops, then (value, error,
-    converged, diverged).
+    converged, diverged).  A walk stops at its first window whose running
+    total or error is NaN, after the divergence test.
     """
     total, total_err, prev_win = 0.0 + 0.0j, 0.0, 0.0
     converged_all, diverged, seen_loud, quiet = True, False, False, 0
@@ -305,6 +306,8 @@ def _walk(spec: QuadSpec):
         if diverged or watch.update(abs(total), grew=abs(val) > prev_win):
             diverged = True
             break
+        if total != total or total_err != total_err:
+            break  # NaN stays NaN: no later window can settle the walk
         prev_win = abs(val)
         cut = max(spec.abs_tol, spec.rel_tol * abs(total)) / 8.0
         if max(abs(val), mass * 1e-3) < cut:
@@ -424,9 +427,10 @@ class _WindowRows:
         seen = np.logical_or.accumulate(loud, axis=1) | self.seen[rows, None]
         # Before any loud window, keep scouting far out (see _walk).
         at_quiet = _first(~loud & (quiet >= np.where(seen, 2, 40)))
-        # The divergence test comes first in a window.
+        # The divergence test comes first in a window, then the NaN stop.
         at_div = np.minimum(_first(div), fire)
-        stop = np.minimum(at_quiet, at_div)
+        stop = np.minimum(np.minimum(at_quiet, at_div),
+                          _first(np.isnan(total) | np.isnan(error)))
 
         if k0 + k == _MAX_WINDOWS:
             # The last window a walk may take: every row ends, unconverged.
@@ -492,7 +496,8 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
     evals = np.zeros(walker.n, dtype=int)
     if spent:
         np.add.at(evals, *(np.concatenate(x) for x in zip(*spent)))
-    return [QuadResult(_tidy(v), e, ev, c, d)
+    # A NaN value or error never converges.
+    return [QuadResult(_tidy(v), e, ev, c and v == v and e == e, d)
             for (v, e, c, d), ev in zip(walker.ends, evals.tolist())]
 
 
@@ -565,6 +570,8 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
         total += val
         total_err += err
         lobes_converged, diverged = lobes_converged and conv, diverged or div
+        if total != total or total_err != total_err:
+            break  # NaN stays NaN; the row ends on its running sums
         partials.append(total)
         if k >= 1 and abs(val) < spec.abs_tol / 10.0:
             # Alternating-series tail: first omitted lobe bounds the rest.
@@ -573,7 +580,7 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
             lobes_converged, diverged = lobes_converged and conv, diverged or div
             converged = True
             break
-    if not converged:
+    else:
         # Plain summation would need too many lobes; accelerate.
         last = np.array(partials)
         accel = complex(_iterated_average(last))
@@ -592,9 +599,10 @@ class _LobeRows:
     ends on lobe e, the first lobe after a small one: its value is the
     running total through lobe e - 1, and lobe e bounds the alternating
     tail.  Each row carries whether its last lobe was small, so e may be a
-    block's first lobe.  Rows still walking at lobe max_lobes - 1 that is
-    not small accelerate from their last 66 partial sums, kept in a
-    (rows, 66) array.
+    block's first lobe.  A row whose running total or error turns NaN at an
+    earlier lobe below max_lobes ends there, on its running sums.  Rows
+    still walking at lobe max_lobes - 1 that is not small accelerate from
+    their last 66 partial sums, kept in a (rows, 66) array.
     """
 
     def __init__(self, n: int, spec: QuadSpec, max_lobes: int) -> None:
@@ -617,8 +625,16 @@ class _LobeRows:
                  & (lobe < max_lobes))
         stop = _first(np.concatenate([self.small[rows, None], small[:, :-1]],
                                      axis=1))
-        ended = stop < k
-        i = np.flatnonzero(ended)
+        # NaN stays NaN: a row ends on the running sums of its first NaN
+        # lobe, unless that lobe is the lookahead of a tail stop.
+        at_nan = _first((np.isnan(total) | np.isnan(error))
+                        & (lobe < max_lobes))
+        i = np.flatnonzero(at_nan < stop)
+        n = at_nan[i]
+        _settle(self.ends, rows[i], total[i, n], error[i, n], conv[i, n],
+                div[i, n])
+        ended = np.minimum(stop, at_nan) < k
+        i = np.flatnonzero((stop < k) & (stop <= at_nan))
         s = stop[i]
         # Alternating-series tail: the first omitted lobe bounds the rest.
         _settle(self.ends, rows[i],

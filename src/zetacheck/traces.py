@@ -116,10 +116,14 @@ def hausdorff_moment_audit(s: complex, digits: int = 60,
 
     A sequence of moments of a positive measure on [0, 1] must have all
     alternating forward differences nonnegative.  The scan computes
-    sum_i (-1)^i C(k,i) t_{j+i} in extended precision for j <= 20,
-    k <= 20 and reports the most negative entry with its witness.
-    The claimed region is re(s) in (1/2, 1), im(s) < 0; other arguments
-    are audited only on request and flagged.
+    sum_i (-1)^i C(k,i) t_{j+i} for j <= 20, k <= 20 exactly, as an
+    integer difference table of the series' fixed-point traces
+    (_fixed_traces), and reports the most negative entry with its witness.
+    digits sets the working precision, prec = digits log2(10) + 2 k_max
+    bits: each floored t_j is off by under one unit of 2^-prec, so a
+    difference of order k is off by under 2^k.  The claimed region is
+    re(s) in (1/2, 1), im(s) < 0; other arguments are audited only on
+    request and flagged.
     """
     inside = (0.5 < s.real < 1.0) and (s.imag < 0.0)
     if not inside and not allow_outside_region:
@@ -130,35 +134,21 @@ def hausdorff_moment_audit(s: complex, digits: int = 60,
         raise DomainError("digits must lie in [15, 200]")
     t0 = time.perf_counter()
     j_max = k_max = 20
-    n_terms = j_max + k_max + 1
-    with mp.workdps(digits):
-        sm = mp.mpc(s)
-        seq = []
-        for j in range(n_terms):
-            p = sm + 2 * j
-            q = (2 * j + 1) - sm
-            den = (p * p.conjugate() * q * q.conjugate()).real
-            seq.append((4 * j + 1) / den)
-        t_peak = max(abs(x) for x in seq)
-        worst = mp.inf
-        worst_at: dict = {}
-        first_violation: dict = {}
-        noise_at_worst = mp.mpf(0)
-        for k in range(k_max + 1):
-            weights = [mp.mpf((-1) ** i * math.comb(k, i))
-                       for i in range(k + 1)]
-            noise = (mp.mpf(math.comb(k, k // 2)) * t_peak
-                     * mp.mpf(10) ** (-digits))
-            for j in range(j_max + 1):
-                q_jk = mp.fsum(w * t for w, t in zip(weights, seq[j:]))
-                if q_jk < 0 and not first_violation:
-                    first_violation = {"j": j, "k": k, "value": float(q_jk)}
-                if q_jk < worst:
-                    worst = q_jk
-                    worst_at = {"j": j, "k": k}
-                    noise_at_worst = noise
-        worst_f = float(worst)
-        noise_f = float(noise_at_worst)
+    prec = math.ceil(digits * math.log2(10)) + 2 * k_max
+    seq = list(itertools.islice(_fixed_traces(s, prec), j_max + k_max + 1))
+    worst, worst_at, first_violation = math.inf, {}, {}
+    row = seq  # row[j] = sum_i (-1)^i C(k,i) seq[j+i], exactly
+    for k in range(k_max + 1):
+        for j, q_jk in enumerate(row[:j_max + 1]):
+            if q_jk < 0 and not first_violation:
+                first_violation = {"j": j, "k": k, "value": q_jk / (1 << prec)}
+            if q_jk < worst:
+                worst, worst_at = q_jk, {"j": j, "k": k}
+        row = [a - b for a, b in zip(row, row[1:])]
+    worst_f = worst / (1 << prec)
+    # The floor C(k*, k*/2) t_peak 10^-digits at the worst difference's k*.
+    k = worst_at["k"]
+    noise_f = math.comb(k, k // 2) * max(seq) / (10 ** digits << prec)
     if worst >= 0:
         status = ClaimStatus.CONFIRMED
         notes = "all alternating differences nonnegative on the window"

@@ -6,11 +6,13 @@ comparisons in the tests, as _mpc_series and _serial_lobe_sum are.
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from zetacheck import laplace, quad
 from zetacheck.errors import DomainError, StepSizeError
 from zetacheck.quad import QuadResult, QuadSpec, integrate_semi_infinite
+from zetacheck.report import ClaimStatus
 from zetacheck.specfun import theta
 from zetacheck.traces import tr_cg_sigma_result
 
@@ -88,3 +90,49 @@ def green_signed_difference(ax: int, ay: int, x: float, y: float,
     sign = -1.0 if order % 2 else 1.0
     return sign * laplace._mixed_difference(laplace._green, x, y, ax, ay,
                                             h) / h ** order
+
+
+def hausdorff_moment_scan_mpf(s: complex, digits: int) -> dict:
+    """The scan of traces.hausdorff_moment_audit on t_j(s) built in mpf.
+
+    Returns the report fields the scan decides: lhs, errorEstimate,
+    worstAt, firstViolation and status.  Every t_j, weight and difference
+    is an mpf at `digits` decimal digits; the differences are mp.fsum sums.
+    """
+    j_max = k_max = 20
+    with mp.workdps(digits):
+        sm = mp.mpc(s)
+        seq = []
+        for j in range(j_max + k_max + 1):
+            p = sm + 2 * j
+            q = (2 * j + 1) - sm
+            den = (p * p.conjugate() * q * q.conjugate()).real
+            seq.append((4 * j + 1) / den)
+        t_peak = max(abs(x) for x in seq)
+        worst = mp.inf
+        worst_at: dict = {}
+        first_violation: dict = {}
+        noise_at_worst = mp.mpf(0)
+        for k in range(k_max + 1):
+            weights = [mp.mpf((-1) ** i * math.comb(k, i))
+                       for i in range(k + 1)]
+            noise = (mp.mpf(math.comb(k, k // 2)) * t_peak
+                     * mp.mpf(10) ** (-digits))
+            for j in range(j_max + 1):
+                q_jk = mp.fsum(w * t for w, t in zip(weights, seq[j:]))
+                if q_jk < 0 and not first_violation:
+                    first_violation = {"j": j, "k": k, "value": float(q_jk)}
+                if q_jk < worst:
+                    worst = q_jk
+                    worst_at = {"j": j, "k": k}
+                    noise_at_worst = noise
+        worst_f = float(worst)
+        noise_f = float(noise_at_worst)
+    if worst >= 0:
+        status = ClaimStatus.CONFIRMED
+    elif worst_f < -100.0 * noise_f:
+        status = ClaimStatus.VIOLATED
+    else:
+        status = ClaimStatus.INCONCLUSIVE
+    return {"lhs": worst_f, "errorEstimate": noise_f, "worstAt": worst_at,
+            "firstViolation": first_violation or None, "status": status}

@@ -166,8 +166,9 @@ def test_late_onset_exp_cascade():
 
 
 def _key(res):
-    return (complex(res.value), res.error_estimate, res.evaluations,
-            res.converged, res.diverged)
+    # repr, so that NaN results compare equal too.
+    return repr((complex(res.value), res.error_estimate, res.evaluations,
+                 res.converged, res.diverged))
 
 
 def _rows_of(fs):
@@ -219,6 +220,8 @@ WINDOW_ROWS = [
     lambda x: np.exp(0.2 * x),         # runaway growth
     lambda x: x / (1.0 + x * x) ** 2,  # algebraic tail: every window
     _third_crossing_shrinks,
+    # Five quiet windows before any loud one, then NaN: the walk ends there.
+    lambda x: np.where(x < 5.0, 0.0, np.nan),
 ]
 
 
@@ -238,6 +241,8 @@ def test_window_rows_match_one_row_walks(copies):
     assert rows[5].diverged and not rows[5].converged
     assert windows[6] == quad._MAX_WINDOWS and not rows[6].converged
     assert rows[7].converged and not rows[7].diverged
+    assert windows[8] == 6 and math.isnan(rows[8].value)
+    assert not rows[8].converged and not rows[8].diverged
     assert len({-(-n // quad._WINDOW_BLOCK) for n in windows}) > 3
 
 
@@ -384,15 +389,21 @@ def _nan_near(x):
 
 @pytest.mark.parametrize("integrate, budget", [
     (lambda: integrate_finite(lambda x: x * np.nan, 0.0, 1.0), 45),
-    # Every window of the walk is loud, so it walks all 700.
+    # A walk ends on its first NaN window or lobe: one block of 8 or 32.
     (lambda: integrate_semi_infinite(lambda x: x * np.nan, 0.0),
-     quad._MAX_WINDOWS * 45),
+     quad._WINDOW_BLOCK * 45),
     (lambda: integrate_finite(_nan_near, 0.0, 1.0), 105),
-], ids=["finite", "semi-infinite", "finite-deep"])
+    (lambda: integrate_quadrant(lambda l1, l2: l1 * l2 * np.nan), 129_600),
+    (lambda: oscillatory_raw(lambda x: x * np.nan, 1.0, OscKind.SIN),
+     quad._LOBE_BLOCK * 45),
+    (lambda: oscillatory_rows(lambda x: x * np.nan, [1.0, 2.0],
+                              OscKind.COS)[1], quad._LOBE_BLOCK * 45),
+], ids=["finite", "semi-infinite", "finite-deep", "quadrant", "lobe",
+        "lobe-rows"])
 def test_nan_error_stops_refinement(integrate, budget):
     # A NaN running error stays NaN, so the interval can never converge.
     res = integrate()
-    assert math.isnan(res.value) and math.isnan(res.error_estimate)
+    assert np.isnan(res.value) and math.isnan(res.error_estimate)
     assert not res.converged and not res.diverged
     assert res.evaluations <= budget
 

@@ -18,6 +18,12 @@ from zetacheck.report import ClaimStatus
 
 import reference_routes as routes
 
+try:
+    from hypothesis import given, seed, settings
+    from hypothesis import strategies as st
+except ImportError:  # hypothesis is in the test extra
+    given = None
+
 S_AUDIT = 0.75 - 2.0j
 
 
@@ -113,6 +119,35 @@ def test_moment_audit_region_guard():
     rep = traces.hausdorff_moment_audit(outside, allow_outside_region=True)
     assert "WARN" in rep.notes
     assert rep.inputs["insideRegion"] is False
+
+
+def test_moment_audit_is_exact_at_low_digits():
+    # The 120-digit minimum at this argument; the mpf scan at 15 digits
+    # read 2.059408653538094e-14, 1.2% off.
+    rep = traces.hausdorff_moment_audit(0.9 - 0.3j, 15)
+    assert rep.lhs == pytest.approx(2.0852296589308544e-14, rel=1e-8, abs=0)
+    assert rep.status == ClaimStatus.CONFIRMED
+
+
+if given is None:
+    def test_moment_audit_equals_the_mpf_scan():
+        pytest.skip("needs hypothesis")
+else:
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.01, 5000.0),
+           st.sampled_from([1.0, -1.0]), st.integers(30, 200))
+    def test_moment_audit_equals_the_mpf_scan(re_s, im_abs, sign, digits):
+        # Inside the region and out: the fixed-point scan reports what
+        # the mpf scan does, field for field, at 30 digits and more.
+        s = complex(re_s, sign * im_abs)
+        rep = traces.hausdorff_moment_audit(s, digits,
+                                            allow_outside_region=True)
+        assert routes.hausdorff_moment_scan_mpf(s, digits) == {
+            "lhs": rep.lhs, "errorEstimate": rep.error_estimate,
+            "worstAt": rep.extra["worstAt"],
+            "firstViolation": rep.extra["firstViolation"],
+            "status": rep.status}
 
 
 # -- series route vs integral route ------------------------------------------

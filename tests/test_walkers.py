@@ -1,6 +1,6 @@
 """Property: the array walkers end every row bit for bit where that row's
 own one-row coroutine walk does, for windows and for lobes, at any row
-count and lobe cap."""
+count and lobe cap, NaN integrands included."""
 
 import math
 
@@ -14,34 +14,43 @@ from hypothesis import strategies as st  # noqa: E402
 from zetacheck import quad  # noqa: E402
 from zetacheck.quad import OscKind, QuadSpec  # noqa: E402
 
-# Per row: exp decay rate, Gaussian-bump onset, frequency.
+# Per row: exp decay rate, Gaussian-bump onset, frequency, and the x past
+# which its window integrand is NaN (inf: never).
 ROW = st.tuples(st.floats(0.2, 3.0), st.floats(0.0, 30.0),
-                st.floats(0.05, 50.0))
+                st.floats(0.05, 50.0),
+                st.one_of(st.just(math.inf), st.floats(0.0, 40.0)))
 # Caps on both sides of the 32-lobe block edges.
 MAX_LOBES = st.sampled_from([16, 31, 32, 33, 63, 64, 65, 256])
 # Lobe of the first row at which the amplitude steps to 0, so that lobe is
 # the row's first small one: none, the last or first lobe of a block, or
 # max_lobes - 1 (-1).
 STEP = st.sampled_from([None, 31, 32, -1])
+# Lobe of the first row past whose middle the amplitude is NaN: none, early,
+# the last or first lobe of a block, or max_lobes - 1 (-1).
+NAN_LOBE = st.sampled_from([None, 0, 3, 31, 32, -1])
 
 
 def _keys(results):
-    return [(complex(r.value), r.error_estimate, r.evaluations, r.converged,
-             r.diverged) for r in results]
+    # repr, so that NaN results compare equal too.
+    return [repr((complex(r.value), r.error_estimate, r.evaluations,
+                  r.converged, r.diverged)) for r in results]
 
 
 @seed(20261018)
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.integers(1, 40).flatmap(
-    lambda n: st.lists(ROW, min_size=n, max_size=n)), MAX_LOBES, STEP)
-def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step):
-    rate, onset, nu = (np.array(c) for c in zip(*params))
+    lambda n: st.lists(ROW, min_size=n, max_size=n)), MAX_LOBES, STEP,
+    NAN_LOBE)
+def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
+                                               nan_lobe):
+    rate, onset, nu, nan_from = (np.array(c) for c in zip(*params))
     n, spec = len(params), QuadSpec()
 
     def f(x, rows):
         r = rows[:, None]
-        return (np.exp(-rate[r] * x) * np.cos(nu[r] * x)
-                + np.exp(-(x - onset[r]) ** 2))
+        return np.where(x > nan_from[r], np.nan,
+                        np.exp(-rate[r] * x) * np.cos(nu[r] * x)
+                        + np.exp(-(x - onset[r]) ** 2))
 
     arrays = quad._walk_windows(f, 0.0, spec, quad._WindowRows(n, spec))
     one_rows = [quad._walk_windows(lambda x, rows, i=i: f(x, rows + i), 0.0,
@@ -59,6 +68,14 @@ def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step):
 
         def amp(x):
             return np.where(x < edge, 1.0 + np.exp(-rate[0] * x), 0.0)
+
+    if nan_lobe is not None:
+        nan_at = ((max_lobes - 1 if nan_lobe == -1 else nan_lobe) + 0.5) \
+            * math.pi / nu[0]
+        finite_amp = amp
+
+        def amp(x):
+            return np.where(x > nan_at, np.nan, finite_amp(x))
 
     arrays = quad._walk_lobes(amp, nu, OscKind.SIN, spec, max_lobes,
                               quad._LobeRows(n, spec, max_lobes))
