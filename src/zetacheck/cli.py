@@ -280,6 +280,10 @@ def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:
 
 
 def run_traces(cfg: RunConfig) -> list[ClaimReport]:
+    if cfg.n < 1:
+        raise DomainError(f"--n must be >= 1, got {cfg.n}")
+    if cfg.big_l < 0:
+        raise DomainError(f"--l must be >= 0, got {cfg.big_l}")
     if not 0.0 < cfg.re < 1.0:
         # The Poisson routes run at s and at 1 - s, so both need re > 0.
         raise DomainError(f"traces needs re(s) in the open strip (0, 1), "
@@ -318,10 +322,9 @@ def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
                                allow_outside_region=True)]
 
 
-# Samples shared by gram, cm and ledger.
+# The signed sample shared by gram and ledger.
 _SIGNED_PAIR = laplace.GramSample(points=((1.0, 0.1), (0.1, 1.0)),
                                   weights=(1.0, -1.0))
-_CM_GRID = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
 
 
 def run_gram(cfg: RunConfig) -> list[ClaimReport]:
@@ -335,8 +338,7 @@ def run_gram(cfg: RunConfig) -> list[ClaimReport]:
 
 
 def run_cm(cfg: RunConfig) -> list[ClaimReport]:
-    return [laplace.cm_scan(_CM_GRID, order=1),
-            laplace.cm_scan(_CM_GRID, order=2)]
+    return [laplace.cm_scan(order=1), laplace.cm_scan(order=2)]
 
 
 def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
@@ -348,7 +350,7 @@ def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
         "gram-psd": lambda: laplace.gram_psd_check(_SIGNED_PAIR),
         "lhpd-search": lambda: laplace.lhpd_falsify(
             seed=_SEED_BASE + cfg.seed),
-        "cm-scan": lambda: laplace.cm_scan(_CM_GRID, order=2),
+        "cm-scan": lambda: laplace.cm_scan(order=2),
         "green-fresnel-direct": lambda: direct,
         "green-fresnel-factored": lambda: factored,
         "fresnel-positivity": lambda: fresnel.positivity_audit(

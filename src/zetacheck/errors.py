@@ -13,9 +13,5 @@ class AmplitudeError(ValueError):
     """Amplitude fails the positivity / monotonicity requirements."""
 
 
-class StepSizeError(ValueError):
-    """Finite-difference step incompatible with the grid or noise floor."""
-
-
 class InsufficientPrecisionError(RuntimeError):
     """Working precision too small for the requested cancellation headroom."""

@@ -69,6 +69,17 @@ class TraceParams:
             raise DomainError("digits must lie in [15, 200]")
 
 
+def _abs2(z: complex) -> float:
+    """|z|^2, or DomainError where it leaves the double range."""
+    try:
+        a2 = abs(z) ** 2
+    except OverflowError:
+        a2 = math.inf
+    if not math.isfinite(a2):
+        raise DomainError(f"|{z}|^2 overflows double precision")
+    return a2
+
+
 def trace_t(j: int, s: complex) -> float:
     """t_j(s) = (4j+1) / |(s+2j)(2j+1-s)|^2."""
     if j < 0:
@@ -76,15 +87,15 @@ def trace_t(j: int, s: complex) -> float:
     p, q = s + 2 * j, (2 * j + 1) - s
     if abs(p) < 1e-12 or abs(q) < 1e-12:
         raise PoleError(f"t_{j} has a pole at s={s}")
-    return (4 * j + 1) / abs(p * q) ** 2
+    return (4 * j + 1) / _abs2(p * q)
 
 
 def trace_decomposition_check(j: int, s: complex) -> ClaimReport:
     """t_j(s) against its three-factor product form (exact algebra)."""
     t0 = time.perf_counter()
     lhs = trace_t(j, s)
-    first = 1.0 / abs((0.5 - s) / (4 * j + 1) + 0.5) ** 2
-    rhs = first / (4 * j + 1) / abs(s + 2 * j) ** 2
+    first = 1.0 / _abs2((0.5 - s) / (4 * j + 1) + 0.5)
+    rhs = first / (4 * j + 1) / _abs2(s + 2 * j)
     return make_report(
         "trace-decomposition", {"j": j, "s": s}, lhs=lhs, rhs=rhs,
         error_estimate=1e-13 * max(1.0, lhs), started=t0,
@@ -98,8 +109,11 @@ def bridge_residual(j: int, s: complex) -> float:
     holds exactly; the residual measures double-precision noise only.
     """
     u, v = s.real, s.imag
-    a2 = abs(s + 2 * j) ** 2
-    b2 = abs(2 * j + 1 - s) ** 2
+    a2 = _abs2(s + 2 * j)
+    b2 = _abs2(2 * j + 1 - s)
+    if math.isinf(a2 * b2):
+        raise DomainError(f"|s+2j|^2 |2j+1-s|^2 overflows double precision "
+                          f"at s={s}")
     lhs = v * (1.0 / a2 - 1.0 / b2)
     rhs = (4 * j + 1) * (1.0 - 2.0 * u) * v / (a2 * b2)
     return abs(lhs - rhs)
@@ -521,6 +535,8 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     """
     if z.imag <= 0.0:
         raise DomainError("audit is stated for im(z) > 0")
+    if l_max < 0:
+        raise DomainError(f"l_max must be >= 0, got {l_max}")
     t0 = time.perf_counter()
     values = []
     errs = []

@@ -5,14 +5,15 @@ comparisons in the tests, as _mpc_series and _serial_lobe_sum are.
 """
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
 
 from zetacheck import laplace, quad
-from zetacheck.errors import DomainError, StepSizeError
+from zetacheck.errors import DomainError
 from zetacheck.quad import QuadResult, QuadSpec, integrate_semi_infinite
-from zetacheck.report import ClaimStatus
+from zetacheck.report import ClaimReport, ClaimStatus, make_report
 from zetacheck.specfun import theta
 from zetacheck.traces import tr_cg_sigma_result
 
@@ -72,6 +73,17 @@ def tr_cg_sigma(n: int, z: complex) -> float:
     return float(np.real(tr_cg_sigma_result(n, z).value))
 
 
+def mixed_difference(f, x: float, y: float, ax: int, ay: int,
+                     h: float) -> float:
+    """Forward difference Delta_x^ax Delta_y^ay f at (x, y), step h."""
+    total = 0.0
+    for i in range(ax + 1):
+        for j in range(ay + 1):
+            sign = -1.0 if (ax - i + ay - j) % 2 else 1.0
+            total += sign * math.comb(ax, i) * math.comb(ay, j) * f(x + i * h, y + j * h)
+    return total
+
+
 def green_signed_difference(ax: int, ay: int, x: float, y: float,
                             h: float = 0.05) -> float:
     """(-1)^{ax+ay} Delta_x^ax Delta_y^ay of 1/(x^2+y^2), scaled by h^{-|a|}.
@@ -85,11 +97,48 @@ def green_signed_difference(ax: int, ay: int, x: float, y: float,
     if min(x, y) <= 0.0:
         raise DomainError("the point must lie in the open quadrant")
     if not (1e-3 <= h <= 0.25):
-        raise StepSizeError(f"step {h} outside [1e-3, 0.25]")
+        raise DomainError(f"step {h} outside [1e-3, 0.25]")
     order = ax + ay
     sign = -1.0 if order % 2 else 1.0
-    return sign * laplace._mixed_difference(laplace._green, x, y, ax, ay,
-                                            h) / h ** order
+    return sign * mixed_difference(laplace._green, x, y, ax, ay,
+                                   h) / h ** order
+
+
+def cm_scan_per_point(order: int) -> ClaimReport:
+    """laplace.cm_scan as one scalar difference per grid point and index.
+
+    Walks the 5 x 5 grid on [0.5, 2.5]^2 x-major with h = 0.05 and keeps
+    the first strictly smaller value, as the array scan's argmin does.
+    """
+    h = 0.05
+    t0 = time.perf_counter()
+    axis = np.linspace(0.5, 2.5, 5)
+    worst = math.inf
+    witness: dict = {}
+    checked = 0
+    for ax in range(order + 1):
+        for ay in range(order + 1 - ax):
+            if ax + ay == 0:
+                continue
+            scale = (-1.0 if (ax + ay) % 2 else 1.0) / h ** (ax + ay)
+            for x in axis:
+                for y in axis:
+                    val = scale * mixed_difference(laplace._green, float(x),
+                                                   float(y), ax, ay, h)
+                    checked += 1
+                    if val < worst:
+                        worst = val
+                        witness = {"alpha": [ax, ay], "x": float(x),
+                                   "y": float(y), "value": val}
+    status = ClaimStatus.CONFIRMED if worst >= -1e-8 else ClaimStatus.VIOLATED
+    return make_report(
+        "cm-scan",
+        {"grid": [0.5, 2.5, 0.5, 2.5], "nx": 5, "ny": 5, "order": order,
+         "h": h},
+        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0, status=status,
+        notes="lhs is the most negative alternating difference, scaled by h^|a|",
+        extra={"witness": witness, "differencesChecked": checked},
+    )
 
 
 def hausdorff_moment_scan_mpf(s: complex, digits: int) -> dict:

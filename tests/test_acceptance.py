@@ -170,8 +170,7 @@ def test_criterion_11_monotonicity_scan_is_sensitive():
     assert fd < 0.0 and symbolic < 0.0
     assert abs(fd - symbolic) <= 0.1 * abs(symbolic)
     # and the grid scan that covers (1, 2) reports the violation
-    rep = laplace.cm_scan(laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5),
-                          order=2)
+    rep = laplace.cm_scan(order=2)
     assert rep.status == ClaimStatus.VIOLATED
 
 

@@ -407,6 +407,21 @@ def test_traces_rejects_the_strip_edges(re_s, capsys):
     assert "open strip (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--im", "1e200"], "overflows double precision"),
+    (["--l", "-1"], "--l must be >= 0"),
+    (["--n", "-2"], "--n must be >= 1"),
+    (["--n", "0"], "--n must be >= 1"),
+])
+def test_traces_rejects_out_of_range_arguments(argv, message, capsys):
+    # A DomainError message, not a traceback, and before any audit runs.
+    assert run(["traces", *argv]) == 64
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # -- start-up -----------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from zetacheck import laplace
-from zetacheck.errors import DomainError, StepSizeError
-from zetacheck.report import ClaimStatus
+from zetacheck.errors import DomainError
+from zetacheck.report import ClaimStatus, reports_to_json, strip_volatile
 
 import reference_routes as routes
 
@@ -235,14 +235,12 @@ def test_lhpd_search_runs_without_overflow_warnings():
 
 
 def test_alternating_sign_scan_order_one_holds():
-    grid = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
-    rep = laplace.cm_scan(grid, order=1)
+    rep = laplace.cm_scan(order=1)
     assert rep.status == ClaimStatus.CONFIRMED
 
 
 def test_alternating_sign_scan_order_two_fails():
-    grid = laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=5, ny=5)
-    rep = laplace.cm_scan(grid, order=2)
+    rep = laplace.cm_scan(order=2)
     assert rep.status == ClaimStatus.VIOLATED
     assert complex(rep.lhs).real < -1e-3
 
@@ -273,12 +271,18 @@ def test_signed_difference_validation():
         routes.green_signed_difference(0, 0, 1.0, 1.0)
     with pytest.raises(DomainError):
         routes.green_signed_difference(1, 0, -1.0, 1.0)
-    with pytest.raises(StepSizeError):
+    with pytest.raises(DomainError):
         routes.green_signed_difference(1, 0, 1.0, 1.0, h=0.5)
 
 
-def test_grid_rect_validation():
-    with pytest.raises(DomainError):
-        laplace.GridRect(-0.5, 2.5, 0.5, 2.5)
-    with pytest.raises(DomainError):
-        laplace.GridRect(0.5, 2.5, 0.5, 2.5, nx=1)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_cm_scan_matches_per_point_scan(order):
+    # Every field, witness and count included, bit for bit.
+    assert strip_volatile(reports_to_json([laplace.cm_scan(order)])) == \
+        strip_volatile(reports_to_json([routes.cm_scan_per_point(order)]))
+
+
+def test_cm_scan_order_validation():
+    for order in (0, 5):
+        with pytest.raises(DomainError):
+            laplace.cm_scan(order)

@@ -81,6 +81,18 @@ def test_partial_fraction_bridge(j, s):
     assert traces.bridge_residual(j, s) <= 1e-13
 
 
+@pytest.mark.parametrize("im_s", [1e80, 1e200])
+def test_trace_algebra_overflow_raises(im_s):
+    # |s|^4 leaves the double range: no value is built from an inf.
+    s = complex(0.75, im_s)
+    with pytest.raises(DomainError, match="overflows"):
+        traces.trace_t(0, s)
+    with pytest.raises(DomainError, match="overflows"):
+        traces.trace_decomposition_check(0, s)
+    with pytest.raises(DomainError, match="overflows"):
+        traces.bridge_residual(0, s)
+
+
 def test_trace_params_validation():
     with pytest.raises(DomainError):
         traces.TraceParams(1.5 + 1.0j)            # re(s) outside [0, 1]
@@ -390,6 +402,8 @@ def test_vanishing_audit_reports_violation():
 def test_vanishing_audit_requires_upper_half_plane():
     with pytest.raises(DomainError):
         traces.poisson_vanishing_audit(z=0.75 - 2.0j)
+    with pytest.raises(DomainError, match="l_max"):
+        traces.poisson_vanishing_audit(l_max=-1)
 
 
 def test_reduced_term_scale_guard():
