@@ -197,7 +197,8 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
                 "half-pi",
                 lambda nu: fresnel.fresnel_sin(AmplitudeSpec.reciprocal(), nu,
                                                _SPEC_FRESNEL),
-                lambda nu: math.pi / 2.0),
+                lambda nu: fresnel.closed_form_sin(
+                    AmplitudeSpec.reciprocal(), nu)),
             _closed_form(
                 "classic",
                 lambda nu: fresnel.fresnel_classic(nu, _SPEC_FRESNEL),
@@ -289,36 +290,23 @@ def run_traces(cfg: RunConfig) -> list[ClaimReport]:
         raise DomainError(f"traces needs re(s) in the open strip (0, 1), "
                           f"got {cfg.re}")
     s = complex(cfg.re, cfg.im)
-    n_top = max(3, cfg.n)
-    # The reports carry at least 40 digits and 17 beyond the series peak.
-    digits = traces._series_digits(n_top, max(cfg.digits, 40), spare=17)
-    # On re s = 1/2 tr_cg_total sums the next three n by the series too.
-    n_last = n_top + 3 if s.real == 0.5 else n_top
-    need = traces._series_digits(n_last, digits)
-    if need > 200:
-        raise DomainError(f"--n {cfg.n} needs {need} digits for the trace "
-                          f"series at re(s) = {cfg.re}; at most 200 are "
-                          f"supported")
-    p = traces.TraceParams(s, n_top, digits)
+    p = traces.TraceParams(s, max(3, cfg.n), cfg.digits)
     reports = [traces.trace_decomposition_check(cfg.n, s)]
     reports.append(traces.hausdorff_moment_audit(
         s, cfg.digits, allow_outside_region=True))
     reports.append(traces.tr_cg_total(p))
     reports.append(traces.poisson_vanishing_audit(
         cfg.n, complex(s.real, abs(s.imag)), cfg.big_l))
-    reports.append(rhfe.decomposition_audit(
-        cfg.n, s, cfg.big_l,
-        traces._series_digits(cfg.n, max(cfg.digits, 50), spare=17)))
+    reports.append(rhfe.decomposition_audit(cfg.n, s, cfg.big_l, cfg.digits))
     return reports
 
 
 def run_rhfe(cfg: RunConfig) -> list[ClaimReport]:
-    digits = traces._series_digits(3, max(cfg.digits, 40), spare=17)
     if cfg.grid:
-        return [rhfe.rhfe_residual(complex(u, v), digits)
+        return [rhfe.rhfe_residual(complex(u, v), cfg.digits)
                 for u in (0.55, 0.65, 0.75, 0.85, 0.95)
                 for v in (-2.0, -4.0, -6.0, -8.0, -10.0)]
-    return [rhfe.rhfe_residual(complex(cfg.re, cfg.im), digits,
+    return [rhfe.rhfe_residual(complex(cfg.re, cfg.im), cfg.digits,
                                allow_outside_region=True)]
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .amplitudes import AmplitudeSpec, Family
-from .errors import AmplitudeError
+from .errors import AmplitudeError, DomainError
 from .quad import (OscKind, QuadResult, QuadSpec, integrate_oscillatory,
                    oscillatory_raw, oscillatory_rows)
 from .report import ClaimReport, ClaimStatus, make_report
@@ -44,8 +44,18 @@ def fresnel_cos(amplitude: AmplitudeSpec, nu: float,
     return integrate_oscillatory(amplitude, nu, OscKind.COS, spec)
 
 
+def _check_frequency(amplitude: AmplitudeSpec, nu: float) -> None:
+    """DomainError unless nu is finite, and positive for x^{-1/2}, whose
+    transforms diverge as nu -> 0."""
+    if not math.isfinite(nu) or (amplitude.family == Family.INV_SQRT
+                                 and nu <= 0.0):
+        raise DomainError(f"no closed form for {amplitude.family.value} "
+                          f"at nu={nu}")
+
+
 def closed_form_sin(amplitude: AmplitudeSpec, nu: float) -> float | None:
     """Exact F_s where an elementary closed form exists, else None."""
+    _check_frequency(amplitude, nu)
     a = amplitude.parameter
     if amplitude.family == Family.EXP:
         return nu / (a * a + nu * nu)
@@ -58,6 +68,7 @@ def closed_form_sin(amplitude: AmplitudeSpec, nu: float) -> float | None:
 
 def closed_form_cos(amplitude: AmplitudeSpec, nu: float) -> float | None:
     """Exact F_c where an elementary closed form exists, else None."""
+    _check_frequency(amplitude, nu)
     a = amplitude.parameter
     if amplitude.family == Family.EXP:
         return a / (a * a + nu * nu)
@@ -72,7 +83,7 @@ def fresnel_classic_value(nu: float) -> float:
     """int_0^inf sin(nu t^2) dt = (1/2) sqrt(pi / (2 nu))."""
     if nu <= 0.0:
         raise AmplitudeError("parabolic-phase frequency must be positive")
-    return 0.5 * math.sqrt(math.pi / (2.0 * nu))
+    return 0.5 * closed_form_sin(AmplitudeSpec.inv_sqrt(), nu)
 
 
 def fresnel_classic(nu: float, spec: QuadSpec = QuadSpec()) -> QuadResult:

@@ -11,6 +11,7 @@ measure.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -42,6 +43,15 @@ def complex_form(z: complex, l: tuple) -> complex:
     return z * l[0] + z.conjugate() * l[1]
 
 
+def _check_right_half_plane(z: complex) -> None:
+    """DomainError unless z is finite with re(z) > 0, where the three
+    representations converge."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got {z}")
+    if z.real <= 0.0:
+        raise DomainError(f"need re(z) > 0, got {z}")
+
+
 # --------------------------------------------------------------------------
 # True representations (asserted).
 # --------------------------------------------------------------------------
@@ -49,8 +59,7 @@ def complex_form(z: complex, l: tuple) -> complex:
 
 def rep_inverse_z(z: complex) -> ClaimReport:
     """1/z as the transform of the unit exponential along a complex ray."""
-    if z.real <= 0.0:
-        raise DomainError(f"need re(z) > 0, got {z}")
+    _check_right_half_plane(z)
     t0 = time.perf_counter()
     res = integrate_semi_infinite(lambda l: np.exp(-z * l), 0.0)
     return make_report(
@@ -62,8 +71,7 @@ def rep_inverse_z(z: complex) -> ClaimReport:
 
 def rep_green_complex(z: complex) -> ClaimReport:
     """1/|z|^2 as a quadrant integral of exp(-<z, l>)."""
-    if z.real <= 0.0:
-        raise DomainError(f"need re(z) > 0, got {z}")
+    _check_right_half_plane(z)
     t0 = time.perf_counter()
 
     def f2(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -89,8 +97,7 @@ def rep_green_fresnel(z: complex) -> tuple[ClaimReport, ClaimReport]:
     exactly a factor two.  Both routes are compared against 1/|z|^2 and
     reported separately.
     """
-    if z.real <= 0.0:
-        raise DomainError(f"need re(z) > 0, got {z}")
+    _check_right_half_plane(z)
     x, y = z.real, abs(z.imag)
     target = 1.0 / abs(z) ** 2
 

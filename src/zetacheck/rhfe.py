@@ -22,7 +22,8 @@ from .errors import DomainError
 from .quad import QuadResult, QuadSpec, integrate_finite, integrate_semi_infinite
 from .report import ClaimReport, make_report
 from .specfun import theta, trivial_zeta, zeta_star
-from .traces import TraceParams, poisson_reduced, tr_cg_n_series, tr_cg_total_value
+from .traces import (TraceParams, _series_digits, poisson_reduced,
+                     tr_cg_n_series, tr_cg_total_value)
 
 __all__ = [
     "RaceResult",
@@ -130,6 +131,7 @@ def decomposition_audit(n: int, s: complex, L: int,
     """
     if L < 0:
         raise DomainError("L must be nonnegative")
+    digits = _series_digits(n, max(digits, 50), spare=17)
     p = TraceParams(s, digits=digits)
     t0 = time.perf_counter()
     v = s.imag
@@ -177,7 +179,7 @@ def rhfe_residual(s: complex, digits: int = 60,
         raise DomainError(
             f"s={s} outside the claimed region; pass allow_outside_region"
         )
-    p = TraceParams(s, digits=digits)
+    p = TraceParams(s, digits=_series_digits(3, max(digits, 40), spare=17))
     t0 = time.perf_counter()
     lhs = zeta_star(s).imag
     total, budget_total, terms = tr_cg_total_value(p)

@@ -80,13 +80,21 @@ def _abs2(z: complex) -> float:
     return a2
 
 
-def trace_t(j: int, s: complex) -> float:
-    """t_j(s) = (4j+1) / |(s+2j)(2j+1-s)|^2."""
+def _factors(j: int, s: complex) -> tuple[complex, complex]:
+    """s + 2j and 2j + 1 - s, the factors whose zeros are the poles of t_j."""
     if j < 0:
         raise DomainError("j must be nonnegative")
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     p, q = s + 2 * j, (2 * j + 1) - s
     if abs(p) < 1e-12 or abs(q) < 1e-12:
         raise PoleError(f"t_{j} has a pole at s={s}")
+    return p, q
+
+
+def trace_t(j: int, s: complex) -> float:
+    """t_j(s) = (4j+1) / |(s+2j)(2j+1-s)|^2."""
+    p, q = _factors(j, s)
     return (4 * j + 1) / _abs2(p * q)
 
 
@@ -109,8 +117,9 @@ def bridge_residual(j: int, s: complex) -> float:
     holds exactly; the residual measures double-precision noise only.
     """
     u, v = s.real, s.imag
-    a2 = _abs2(s + 2 * j)
-    b2 = _abs2(2 * j + 1 - s)
+    p, q = _factors(j, s)
+    a2 = _abs2(p)
+    b2 = _abs2(q)
     if math.isinf(a2 * b2):
         raise DomainError(f"|s+2j|^2 |2j+1-s|^2 overflows double precision "
                           f"at s={s}")
@@ -223,15 +232,21 @@ def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
 
     re s = u and im s = v enter exactly as U/D and V/D, D a power of two,
     so each t_j = (4j+1) D^4 / (((U+2jD)^2 + V^2)(((2j+1)D - U)^2 + V^2))
-    is one floor division.
+    is one floor division.  A non-finite s raises DomainError when t_0 is
+    drawn, and a pole of t_j raises PoleError when t_j is.
     """
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     (a, da), (b, db) = s.real.as_integer_ratio(), s.imag.as_integer_ratio()
     d = max(da, db)
     u, v2 = a * (d // da), (b * (d // db)) ** 2
     d4 = d ** 4 << prec
     for j in itertools.count():
         p, q = u + 2 * j * d, (2 * j + 1) * d - u
-        yield (4 * j + 1) * d4 // ((p * p + v2) * (q * q + v2))
+        den = (p * p + v2) * (q * q + v2)
+        if den == 0:
+            raise PoleError(f"t_{j} has a pole at s={s}")
+        yield (4 * j + 1) * d4 // den
 
 
 def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
@@ -360,9 +375,19 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
     and 1-s; the next few actual terms are then computed through the
     sigma route and compared against it.  Positivity of the partial sum
     is reported, but the status stays inconclusive whenever the claimed
-    tail control fails to dominate the measured terms.
+    tail control fails to dominate the measured terms.  p.digits is raised
+    to 40 and 17 beyond the series peak; past 200 it raises before any term.
     """
     t0 = time.perf_counter()
+    digits = _series_digits(p.n_max, max(p.digits, 40), spare=17)
+    # On re s = 1/2 the next three n are measured by the series too.
+    n_last = p.n_max + 3 if p.s.real == 0.5 else p.n_max
+    need = _series_digits(n_last, digits)
+    if need > 200:
+        raise InsufficientPrecisionError(
+            f"the trace series for n={n_last} needs {need} digits at "
+            f"s={p.s}; at most 200 are supported")
+    p = replace(p, digits=digits)
     s = p.s
     v = s.imag
     value, series_budget, terms = tr_cg_total_value(p)
@@ -432,6 +457,8 @@ def _poisson_constants(n: int, L: int, u: float,
         raise DomainError("n must be >= 1")
     if L < 0:
         raise DomainError("L must be nonnegative")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise DomainError("re(z) and the frequency must be finite")
     if v == 0.0:
         raise DomainError("frequency must be nonzero")
     if u <= 0.0:

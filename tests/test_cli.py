@@ -382,7 +382,7 @@ def test_traces_names_the_n_whose_series_outgrows_200_digits(argv, need,
                                                                capsys):
     assert run(["traces", *argv]) == 64
     err = capsys.readouterr().err
-    assert f"--n {argv[-1]} needs {need} digits" in err
+    assert f"series for n=12 needs {need} digits" in err
     assert "digits must lie in" not in err
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from zetacheck import fresnel, quad
 from zetacheck.amplitudes import AmplitudeSpec, Family
-from zetacheck.errors import AmplitudeError
+from zetacheck.errors import AmplitudeError, DomainError
 from zetacheck.quad import OscKind, QuadSpec
 from zetacheck.report import ClaimStatus
 
@@ -42,6 +42,20 @@ def test_closed_form_helpers_match_quadrature():
     assert fresnel.closed_form_sin(AmplitudeSpec.gaussian(1.0), 1.0) is None
 
 
+@pytest.mark.parametrize("closed", [fresnel.closed_form_sin,
+                                    fresnel.closed_form_cos])
+@pytest.mark.parametrize("amp, nu", [
+    (AmplitudeSpec.inv_sqrt(), 0.0),         # both transforms diverge
+    (AmplitudeSpec.inv_sqrt(), -1.0),
+    (AmplitudeSpec.exponential(1.0), math.inf),
+    (AmplitudeSpec.exponential(1.0), math.nan),
+])
+def test_closed_forms_reject_a_frequency_outside_their_domain(closed, amp,
+                                                              nu):
+    with pytest.raises(DomainError):
+        closed(amp, nu)
+
+
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
 def test_reciprocal_amplitude_gives_half_pi(nu):
     got = fresnel.fresnel_sin(AmplitudeSpec.reciprocal(), nu, TIGHT)
@@ -52,8 +66,7 @@ def test_reciprocal_amplitude_gives_half_pi(nu):
 def test_classic_quadratic_phase_value(nu):
     got = fresnel.fresnel_classic(nu)
     want = fresnel.fresnel_classic_value(nu)
-    assert want == pytest.approx(0.5 * math.sqrt(math.pi / (2.0 * nu)),
-                                 rel=1e-15)
+    assert want == 0.5 * math.sqrt(math.pi / (2.0 * nu))
     assert abs(got.value - want) <= 1e-7
 
 

@@ -46,6 +46,21 @@ def test_representations_need_open_half_plane():
         laplace.rep_green_complex(0.0 + 1.0j)
 
 
+@pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(math.nan, 1.0),
+                               complex(1.0, -math.inf)])
+@pytest.mark.parametrize("rep", [laplace.rep_inverse_z,
+                                 laplace.rep_green_complex,
+                                 laplace.rep_green_fresnel])
+def test_representations_reject_a_non_finite_argument(rep, z, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a quadrature ran on a non-finite argument")
+
+    monkeypatch.setattr(laplace, "integrate_semi_infinite", never)
+    monkeypatch.setattr(laplace, "integrate_quadrant", never)
+    with pytest.raises(DomainError, match="z must be finite"):
+        rep(z)
+
+
 def test_fresnel_route_direct_and_factored():
     direct, factored = laplace.rep_green_fresnel(1.0 + 0.0j)
     assert direct.status == ClaimStatus.CONFIRMED

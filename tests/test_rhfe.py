@@ -168,6 +168,18 @@ def test_final_identity_fails_off_critical_line():
                                                   abs=1e-9)
 
 
+def test_final_audit_sizes_its_own_series():
+    # At least 40 digits: n = 3 alone needs 28 at 15 beyond its peak.
+    assert rhfe.rhfe_residual(S_AUDIT, 15).inputs["digits"] == 40
+    assert rhfe.rhfe_residual(S_AUDIT, 120).inputs["digits"] == 120
+
+
+def test_decomposition_audit_sizes_its_own_series():
+    assert rhfe.decomposition_audit(1, S_AUDIT, 5, 15).inputs["digits"] == 50
+    # n = 6 peaks near 10^49, so 17 spare digits make 67.
+    assert rhfe.decomposition_audit(6, S_AUDIT, 0, 15).inputs["digits"] == 67
+
+
 def test_final_audit_region_guard():
     with pytest.raises(DomainError):
         rhfe.rhfe_residual(0.3 - 1.0j)

@@ -81,6 +81,19 @@ def test_partial_fraction_bridge(j, s):
     assert traces.bridge_residual(j, s) <= 1e-13
 
 
+@pytest.mark.parametrize("j, s", [(0, 0j), (0, 1 + 0j), (2, -4 + 0j)])
+def test_bridge_raises_at_the_poles_of_t_j(j, s):
+    with pytest.raises(PoleError):
+        traces.bridge_residual(j, s)
+
+
+@pytest.mark.parametrize("s", [complex(0.75, math.inf),
+                               complex(math.nan, 1.0)])
+def test_bridge_rejects_a_non_finite_argument(s):
+    with pytest.raises(DomainError, match="s must be finite"):
+        traces.bridge_residual(0, s)
+
+
 @pytest.mark.parametrize("im_s", [1e80, 1e200])
 def test_trace_algebra_overflow_raises(im_s):
     # |s|^4 leaves the double range: no value is built from an inf.
@@ -122,6 +135,20 @@ def test_moment_audit_fails_deeper_in_the_region():
     assert rep.status == ClaimStatus.VIOLATED
     assert complex(rep.lhs).real == pytest.approx(-0.1134168, rel=1e-5)
     assert rep.extra["worstAt"] == {"j": 0, "k": 14}
+
+
+@pytest.mark.parametrize("s", [complex(0.75, math.inf),
+                               complex(0.75, -math.inf),
+                               complex(0.75, math.nan)])
+def test_moment_audit_rejects_a_non_finite_argument(s):
+    with pytest.raises(DomainError, match="s must be finite"):
+        traces.hausdorff_moment_audit(s, 60, allow_outside_region=True)
+
+
+@pytest.mark.parametrize("s", [0j, 1 + 0j, 3 + 0j])   # poles of t_0 and t_1
+def test_moment_audit_raises_at_a_pole(s):
+    with pytest.raises(PoleError):
+        traces.hausdorff_moment_audit(s, 60, allow_outside_region=True)
 
 
 def test_moment_audit_region_guard():
@@ -324,6 +351,29 @@ def test_total_trace_partial_sum_is_negative_at_audit_point():
     assert max(abs(m) for m in rep.extra["measuredNextTerms"]) > 1e-3
 
 
+@pytest.mark.parametrize("n_max, digits, want", [(3, 15, 40), (6, 60, 67)])
+def test_total_trace_sizes_its_own_series(n_max, digits, want):
+    # At least 40 digits, and 17 beyond the peak e^{pi n_max^2}.
+    rep = traces.tr_cg_total(traces.TraceParams(S_AUDIT, n_max, digits))
+    assert rep.inputs["digits"] == want
+    assert len(rep.extra["seriesTerms"]) == n_max
+
+
+@pytest.mark.parametrize("s, n_max, need", [
+    (0.75 - 2.0j, 12, 214),
+    (0.5 - 3.0j, 9, 212),     # on re s = 1/2 the series reaches n = 12
+])
+def test_total_trace_refuses_a_series_past_200_digits(s, n_max, need,
+                                                      monkeypatch):
+    def never(n, p):
+        raise AssertionError("a series term was summed")
+
+    monkeypatch.setattr(traces, "tr_cg_n_series", never)
+    with pytest.raises(InsufficientPrecisionError,
+                       match=f"n=12 needs {need} digits"):
+        traces.tr_cg_total(traces.TraceParams(s, n_max, 60))
+
+
 def test_claimed_envelope_formula_sanity():
     env = traces.claimed_tail_envelope(S_AUDIT, d=12, n_start=4)
     assert 0.0 < env < 1e-10
@@ -404,6 +454,9 @@ def test_vanishing_audit_requires_upper_half_plane():
         traces.poisson_vanishing_audit(z=0.75 - 2.0j)
     with pytest.raises(DomainError, match="l_max"):
         traces.poisson_vanishing_audit(l_max=-1)
+    for z in (complex(math.nan, 2.0), complex(0.75, math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            traces.poisson_vanishing_audit(1, z)
 
 
 def test_reduced_term_scale_guard():
@@ -418,6 +471,9 @@ def test_reduced_term_scale_guard():
     (1, 1, 0.75 + 0.0j),          # zero frequency
     (1, 1, 0.0 + 2.0j),           # re(z) = 0
     (1, 2000, 0.99 + 0.01j),      # e^{aL} overflows
+    (1, 0, complex(math.nan, 2.0)),
+    (1, 0, complex(math.inf, 2.0)),
+    (1, 0, complex(0.75, math.inf)),
 ])
 def test_both_routes_reject_the_same_arguments(n, L, z):
     with pytest.raises(DomainError):
