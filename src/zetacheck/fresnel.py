@@ -96,8 +96,10 @@ def fresnel_classic(nu: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
 
 
 def derivative_identity(amplitude: AmplitudeSpec, nu: float,
-                        spec: QuadSpec = QuadSpec()) -> tuple[float, float]:
-    """Residual of F_c(A, nu) = -(1/nu) F_s(A', nu), with its error budget.
+                        spec: QuadSpec = QuadSpec()
+                        ) -> tuple[float, float, bool]:
+    """Residual of F_c(A, nu) = -(1/nu) F_s(A', nu), with its error budget
+    and whether both sides' quadratures converged.
 
     Integration by parts moves the derivative onto the amplitude; the
     boundary terms vanish for any proper decaying amplitude.  The right
@@ -112,7 +114,7 @@ def derivative_identity(amplitude: AmplitudeSpec, nu: float,
     rhs = oscillatory_raw(amplitude.derivative, nu, OscKind.SIN, spec)
     residual = abs(lhs.value - (-(1.0 / nu) * rhs.value))
     budget = lhs.error_estimate + rhs.error_estimate / nu
-    return residual, budget
+    return residual, budget, lhs.converged and rhs.converged
 
 
 # The positivity audit's amplitude set, frequency count and range, and
@@ -159,24 +161,20 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
                 min_err = res.error_estimate
                 min_at = {"family": amp.family.value,
                           "parameter": amp.parameter, "nu": float(nu)}
-    if unconverged:
-        status = ClaimStatus.INCONCLUSIVE
-        notes = (f"{unconverged} of {_N_SAMPLES} sampled transforms did not "
-                 "converge")
-    elif lcb > 0.0:
-        status = ClaimStatus.CONFIRMED
-        notes = "every sampled transform is positive beyond its error budget"
-    elif min_val < -10.0 * max(min_err, 1e-13):
-        status = ClaimStatus.VIOLATED
-        notes = "a sampled transform is negative beyond ten error budgets"
-    else:
-        status = ClaimStatus.INCONCLUSIVE
-        notes = "minimum sampled value is within its error budget of zero"
     return make_report(
         "fresnel-positivity",
         {"nSamples": _N_SAMPLES, "nuMax": _NU_MAX, "seed": seed,
          "families": [a.family.value for a in _DEFAULT_FAMILIES],
          "minAt": min_at},
         lhs=float(min_val), rhs=0.0, error_estimate=min_err, started=t0,
-        status=status, notes=notes,
+        bounds=(lcb, min_val + 10.0 * max(min_err, 1e-13)),
+        converged=not unconverged,
+        notes={ClaimStatus.CONFIRMED: "every sampled transform is positive "
+                                      "beyond its error budget",
+               ClaimStatus.VIOLATED: "a sampled transform is negative "
+                                     "beyond ten error budgets",
+               ClaimStatus.INCONCLUSIVE: (
+                   f"{unconverged} of {_N_SAMPLES} sampled transforms did "
+                   "not converge" if unconverged else "minimum sampled "
+                   "value is within its error budget of zero")},
     )

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .fresnel import fresnel_cos
 from .amplitudes import AmplitudeSpec
-from .quad import integrate_quadrant, integrate_semi_infinite
+from .quad import QuadResult, integrate_quadrant, integrate_semi_infinite
 from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
@@ -64,7 +64,7 @@ def rep_inverse_z(z: complex) -> ClaimReport:
     res = integrate_semi_infinite(lambda l: np.exp(-z * l), 0.0)
     return make_report(
         "laplace-inverse", {"z": z}, lhs=complex(res.value), rhs=1.0 / z,
-        error_estimate=res.error_estimate, started=t0,
+        error_estimate=res.error_estimate, started=t0, converged=res.converged,
         extra={"evaluations": res.evaluations, "converged": res.converged},
     )
 
@@ -81,6 +81,7 @@ def rep_green_complex(z: complex) -> ClaimReport:
     return make_report(
         "laplace-quadrant", {"z": z}, lhs=complex(res.value),
         rhs=1.0 / abs(z) ** 2, error_estimate=res.error_estimate, started=t0,
+        converged=res.converged,
         extra={"evaluations": res.evaluations, "converged": res.converged,
                "innerFailures": res.inner_failures},
     )
@@ -111,6 +112,7 @@ def rep_green_fresnel(z: complex) -> tuple[ClaimReport, ClaimReport]:
         "green-fresnel-direct", {"z": z, "route": "direct"},
         lhs=complex(direct.value).real, rhs=target,
         error_estimate=direct.error_estimate, started=t0,
+        converged=direct.converged,
         notes="full quadrant quadrature of the cosine-weighted integrand",
         extra={"evaluations": direct.evaluations},
     )
@@ -118,20 +120,20 @@ def rep_green_fresnel(z: complex) -> tuple[ClaimReport, ClaimReport]:
     t0 = time.perf_counter()
     # First factor: nu = 0 degenerates to the plain integral of e^{-2xu}.
     f_half = AmplitudeSpec.exponential(2.0 * x).total_integral()
-    if y == 0.0:
-        f_cos, f_cos_err, ev = AmplitudeSpec.exponential(x).total_integral(), 0.0, 0
-    else:
-        r = fresnel_cos(AmplitudeSpec.exponential(x), y)
-        f_cos, f_cos_err, ev = float(np.real(r.value)), r.error_estimate, r.evaluations
+    amp = AmplitudeSpec.exponential(x)
+    r = (QuadResult(amp.total_integral(), 0.0, 0, True) if y == 0.0
+         else fresnel_cos(amp, y))
+    f_cos = float(np.real(r.value))
     factored = f_half * f_cos
     factored_rep = make_report(
         "green-fresnel-factored", {"z": z, "route": "factored"},
         lhs=factored, rhs=target,
-        error_estimate=f_half * f_cos_err + 1e-15 * abs(factored), started=t0,
+        error_estimate=f_half * r.error_estimate + 1e-15 * abs(factored),
+        started=t0, converged=r.converged,
         notes=("product of half-line cosine transforms; the change of "
                "variables loses half of the quadrant, giving half the "
                "true value"),
-        extra={"evaluations": ev, "halfLineFactor": f_half,
+        extra={"evaluations": r.evaluations, "halfLineFactor": f_half,
                "cosineFactor": f_cos},
     )
     return direct_rep, factored_rep
@@ -182,12 +184,6 @@ def gram_psd_check(sample: GramSample) -> ClaimReport:
     lam = np.linalg.eigvalsh(m)
     lam_min = float(lam[0])
     tol = n * 1e-10 * float(np.max(np.abs(m)))
-    if lam_min >= -tol:
-        status = ClaimStatus.CONFIRMED
-    elif lam_min < -10.0 * tol:
-        status = ClaimStatus.VIOLATED
-    else:
-        status = ClaimStatus.INCONCLUSIVE
     extra: dict = {"eigenvalues": [float(v) for v in lam], "tolerance": tol}
     if sample.weights:
         r = np.asarray(sample.weights, dtype=float)
@@ -196,7 +192,8 @@ def gram_psd_check(sample: GramSample) -> ClaimReport:
         "gram-psd",
         {"nPoints": n, "points": [list(p) for p in sample.points],
          "weights": list(sample.weights)},
-        lhs=lam_min, rhs=0.0, error_estimate=tol, started=t0, status=status,
+        lhs=lam_min, rhs=0.0, error_estimate=tol, started=t0,
+        bounds=(lam_min + tol, lam_min + 10.0 * tol),
         notes="lhs is the minimum eigenvalue; nonnegative confirms",
         extra=extra,
     )
@@ -338,16 +335,14 @@ def lhpd_falsify(seed: int = 20260815) -> ClaimReport:
     pts = _log_points(best_logs)
     m = _gram_matrix(pts)
     tol = n_points * 1e-10 * float(np.max(np.abs(m)))
-    if best_val < -10.0 * tol:
-        status = ClaimStatus.VIOLATED
-        notes = "witness sample with materially negative minimum eigenvalue"
-    else:
-        status = ClaimStatus.INCONCLUSIVE
-        notes = "no indefinite sample found within budget"
     return make_report(
         "lhpd-search", {"budget": budget, "nPoints": n_points, "seed": seed},
-        lhs=best_val, rhs=0.0, error_estimate=tol, started=t0, status=status,
-        notes=notes,
+        lhs=best_val, rhs=0.0, error_estimate=tol, started=t0,
+        bounds=(-math.inf, best_val + 10.0 * tol),
+        notes={ClaimStatus.VIOLATED: "witness sample with materially "
+                                     "negative minimum eigenvalue",
+               ClaimStatus.INCONCLUSIVE: "no indefinite sample found "
+                                         "within budget"},
         extra={"witness": [[float(a), float(b)] for a, b in pts],
                "functionEvaluations": evals},
     )
@@ -404,12 +399,12 @@ def cm_scan(order: int = 2) -> ClaimReport:
                 worst = float(vals[k])
                 witness = {"alpha": [ax, ay], "x": float(xs[k]),
                            "y": float(ys[k]), "value": worst}
-    status = ClaimStatus.CONFIRMED if worst >= -1e-8 else ClaimStatus.VIOLATED
     return make_report(
         "cm-scan",
         {"grid": [0.5, 2.5, 0.5, 2.5], "nx": _CM_AXIS.size,
          "ny": _CM_AXIS.size, "order": order, "h": h},
-        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0, status=status,
+        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0,
+        bounds=(worst + 1e-8, worst + 1e-8),
         notes="lhs is the most negative alternating difference, scaled by h^|a|",
         extra={"witness": witness, "differencesChecked": checked},
     )

@@ -23,10 +23,12 @@ __all__ = [
     "ClaimStatus",
     "ClaimReport",
     "classify",
+    "make_report",
     "CLAIM_IDS",
     "IDENTITY_LABELS",
     "reports_to_json",
     "reports_to_csv",
+    "strip_volatile",
 ]
 
 SCHEMA_VERSION = 1
@@ -42,20 +44,17 @@ class ClaimStatus(Enum):
     VIOLATED = "VIOLATED"
 
 
-def classify(abs_residual: float, error_estimate: float) -> ClaimStatus:
-    """Three-way verdict from a residual and an honest error budget.
+def classify(lower: float, upper: float,
+             converged: bool = True) -> ClaimStatus:
+    """Three-way verdict from bounds on the quantity claimed positive.
 
-    CONFIRMED   residual within 3x the error budget (never below the
-                double-precision floor),
-    VIOLATED    residual more than 10x the budget,
-    INCONCLUSIVE anything in between: the evaluation cannot tell.
+    CONFIRMED    the route converged and lower > 0,
+    VIOLATED     the route converged and upper < 0,
+    INCONCLUSIVE anything else: the evaluation cannot tell, or a NaN bound.
     """
-    if math.isnan(abs_residual):
-        return ClaimStatus.VIOLATED
-    budget = max(error_estimate, RESIDUAL_FLOOR)
-    if abs_residual <= CONFIRM_FACTOR * budget:
+    if converged and lower > 0.0:
         return ClaimStatus.CONFIRMED
-    if abs_residual > VIOLATE_FACTOR * budget:
+    if converged and upper < 0.0:
         return ClaimStatus.VIOLATED
     return ClaimStatus.INCONCLUSIVE
 
@@ -158,26 +157,37 @@ class ClaimReport:
 def make_report(claim_id: str, inputs: dict[str, Any],
                 lhs: complex | float, rhs: complex | float,
                 error_estimate: float, *, started: float,
-                status: ClaimStatus | None = None,
-                notes: str = "",
+                bounds: tuple[float, float] | None = None,
+                converged: bool = True,
+                notes: str | dict[ClaimStatus, str] = "",
                 extra: dict[str, Any] | None = None) -> ClaimReport:
     """Assemble the report of one evaluation; the only ClaimReport builder.
 
     paperEq comes from the manifest entry of `claim_id`.  `started` is the
     audit's `time.perf_counter()` at its start, and the wall time runs from
-    it to this call.  Without `status` the verdict is `classify` of
-    |lhs - rhs|.  A sign audit (lhs is the quantity claimed nonnegative,
-    rhs 0) passes its own verdict as `status`; its residual is then the
-    amount by which lhs falls below zero, max(0, -lhs).
+    it to this call.  The verdict is `classify(*bounds, converged)`, where
+    `converged` is the evaluation route's own flag.  An identity claim
+    passes no `bounds`; they are then (3b - r, 10b - r) for r = |lhs - rhs|
+    and budget b = max(error_estimate, RESIDUAL_FLOOR), and a NaN r
+    violates.  A sign audit (lhs is the quantity claimed positive, rhs 0)
+    passes its own (lower, upper) bounds on lhs; its residual is then
+    max(0, -lhs), the amount by which lhs falls below zero.  `notes` keyed
+    by status gives the note of the verdict reached.
     """
     paper_eq = CLAIM_IDS.get(claim_id) or IDENTITY_LABELS.get(claim_id)
     if paper_eq is None:
         raise ValueError(f"unknown claim id {claim_id!r}")
-    if status is None:
+    if bounds is None:
         resid = abs(complex(lhs) - complex(rhs))
-        status = classify(resid, error_estimate)
+        budget = max(error_estimate, RESIDUAL_FLOOR)
+        bounds = ((-math.inf, -math.inf) if math.isnan(resid) else
+                  (CONFIRM_FACTOR * budget - resid,
+                   VIOLATE_FACTOR * budget - resid))
     else:
         resid = max(0.0, -lhs)
+    status = classify(*bounds, converged)
+    if isinstance(notes, dict):
+        notes = notes.get(status, "")
     return ClaimReport(claim_id, paper_eq, inputs, lhs, rhs, resid,
                        error_estimate, status,
                        1e3 * (time.perf_counter() - started), notes,

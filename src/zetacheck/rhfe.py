@@ -47,6 +47,7 @@ class RaceResult:
     j_integral: complex
     residual: float
     error_budget: float
+    converged: bool
 
 
 def _j_integrand(s: complex):
@@ -67,7 +68,7 @@ def race_check(s: complex, spec: QuadSpec = QuadSpec()) -> RaceResult:
     j_val = complex(jq.value)
     residual = abs(direct - (polar + j_val))
     budget = jq.error_estimate + 1e-13 * (1.0 + abs(direct))
-    return RaceResult(s, direct, polar, j_val, residual, budget)
+    return RaceResult(s, direct, polar, j_val, residual, budget, jq.converged)
 
 
 def race_report(s: complex) -> ClaimReport:
@@ -76,7 +77,7 @@ def race_report(s: complex) -> ClaimReport:
     return make_report(
         "race", {"s": s}, lhs=r.zeta_star_direct,
         rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
-        started=t0,
+        started=t0, converged=r.converged,
     )
 
 
@@ -151,6 +152,7 @@ def decomposition_audit(n: int, s: complex, L: int,
     return make_report(
         "j-decomposition", {"n": n, "s": s, "L": L, "digits": digits},
         lhs=lhs, rhs=rhs_as_stated, error_estimate=budget, started=t0,
+        converged=lhs_q.converged and p_s.converged and p_r.converged,
         notes=("rhs groups the Poissonian terms and the trace product as "
                "stated; the grouping that closes to quadrature accuracy "
                "weights the reversed Poissonian difference by im(s) and "

@@ -172,23 +172,19 @@ def hausdorff_moment_audit(s: complex, digits: int = 60,
     # The floor C(k*, k*/2) t_peak 10^-digits at the worst difference's k*.
     k = worst_at["k"]
     noise_f = math.comb(k, k // 2) * max(seq) / (10 ** digits << prec)
-    if worst >= 0:
-        status = ClaimStatus.CONFIRMED
-        notes = "all alternating differences nonnegative on the window"
-    elif worst_f < -100.0 * noise_f:
-        status = ClaimStatus.VIOLATED
-        notes = "materially negative alternating difference found"
-    else:
-        status = ClaimStatus.INCONCLUSIVE
-        notes = "negative difference within the cancellation noise floor"
-    if not inside:
-        notes += "; WARN: argument outside the claimed region"
+    warn = "" if inside else "; WARN: argument outside the claimed region"
     return make_report(
         "hausdorff-moments",
         {"s": s, "jMax": j_max, "kMax": k_max, "digits": digits,
          "insideRegion": inside},
         lhs=worst_f, rhs=0.0, error_estimate=noise_f, started=t0,
-        status=status, notes=notes,
+        bounds=(worst_f, worst_f + 100.0 * noise_f),
+        notes={ClaimStatus.CONFIRMED: "all alternating differences "
+                                      "nonnegative on the window" + warn,
+               ClaimStatus.VIOLATED: "materially negative alternating "
+                                     "difference found" + warn,
+               ClaimStatus.INCONCLUSIVE: "negative difference within the "
+                                         "cancellation noise floor" + warn},
         extra={"worstAt": worst_at, "firstViolation": first_violation or None,
                "differencesChecked": (j_max + 1) * (k_max + 1)},
     )
@@ -416,27 +412,24 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
         measured.append(tr_n)
     envelope_honest = all(abs(m) <= best_env for m in measured)
 
-    positive = value > 3.0 * series_budget
-    if positive and envelope_honest and value > 10.0 * best_env:
-        status = ClaimStatus.CONFIRMED
-        notes = "partial sum positive with the claimed tail dominated"
-    elif value < -3.0 * max(series_budget, best_env):
-        status = ClaimStatus.VIOLATED
-        notes = ("partial sum materially negative; under the claimed tail "
-                 "control the total would stay negative")
-        if not envelope_honest:
-            notes += ("; the claimed envelope also fails to dominate the "
-                      "measured next terms")
-    else:
-        status = ClaimStatus.INCONCLUSIVE
-        notes = ("partial sum computed; claimed tail envelope does not "
-                 "dominate the measured next terms"
-                 if not envelope_honest else "tail not separated from zero")
     return make_report(
         "trace-total-positivity",
         {"s": s, "nMax": p.n_max, "digits": p.digits},
         lhs=value, rhs=0.0, error_estimate=series_budget, started=t0,
-        status=status, notes=notes,
+        bounds=(min(value - 3.0 * series_budget, value - 10.0 * best_env)
+                if envelope_honest else -math.inf,
+                value + 3.0 * max(series_budget, best_env)),
+        notes={ClaimStatus.CONFIRMED: "partial sum positive with the "
+                                      "claimed tail dominated",
+               ClaimStatus.VIOLATED: (
+                   "partial sum materially negative; under the claimed "
+                   "tail control the total would stay negative" + (
+                       "" if envelope_honest else "; the claimed envelope "
+                       "also fails to dominate the measured next terms")),
+               ClaimStatus.INCONCLUSIVE: (
+                   "tail not separated from zero" if envelope_honest else
+                   "partial sum computed; claimed tail envelope does not "
+                   "dominate the measured next terms")},
         extra={"polarTerm": polar, "seriesTerms": terms,
                "claimedTailEnvelope": best_env, "envelopeD": best_d,
                "measuredNextTerms": measured,
@@ -565,12 +558,9 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
     t0 = time.perf_counter()
-    values = []
-    errs = []
-    for L in range(l_max + 1):
-        res = poisson_reduced(n, L, z, z.imag)
-        values.append(res.value)
-        errs.append(res.error_estimate)
+    results = [poisson_reduced(n, L, z, z.imag) for L in range(l_max + 1)]
+    values = [res.value for res in results]
+    errs = [res.error_estimate for res in results]
     mirrored = [poisson_reduced(n, L, z.conjugate(), -z.imag).value
                 for L in range(l_max + 1)]
     limit = poisson_gamma_limit(n, z)
@@ -580,6 +570,7 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     return make_report(
         "poisson-vanishing", {"n": n, "z": z, "lMax": l_max},
         lhs=lhs, rhs=0.0, error_estimate=err, started=t0,
+        converged=all(res.converged for res in results),
         notes=("lhs is the term at the largest L; the claim needs it to "
                "approach zero, the closed-form limit says it approaches "
                "a nonzero constant"),

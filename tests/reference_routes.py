@@ -13,7 +13,7 @@ import numpy as np
 from zetacheck import laplace, quad
 from zetacheck.errors import DomainError
 from zetacheck.quad import QuadResult, QuadSpec, integrate_semi_infinite
-from zetacheck.report import ClaimReport, ClaimStatus, make_report
+from zetacheck.report import ClaimReport, classify, make_report
 from zetacheck.specfun import theta
 from zetacheck.traces import tr_cg_sigma_result
 
@@ -130,12 +130,12 @@ def cm_scan_per_point(order: int) -> ClaimReport:
                         worst = val
                         witness = {"alpha": [ax, ay], "x": float(x),
                                    "y": float(y), "value": val}
-    status = ClaimStatus.CONFIRMED if worst >= -1e-8 else ClaimStatus.VIOLATED
     return make_report(
         "cm-scan",
         {"grid": [0.5, 2.5, 0.5, 2.5], "nx": 5, "ny": 5, "order": order,
          "h": h},
-        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0, status=status,
+        lhs=worst, rhs=0.0, error_estimate=1e-8, started=t0,
+        bounds=(worst + 1e-8, worst + 1e-8),
         notes="lhs is the most negative alternating difference, scaled by h^|a|",
         extra={"witness": witness, "differencesChecked": checked},
     )
@@ -177,11 +177,6 @@ def hausdorff_moment_scan_mpf(s: complex, digits: int) -> dict:
                     noise_at_worst = noise
         worst_f = float(worst)
         noise_f = float(noise_at_worst)
-    if worst >= 0:
-        status = ClaimStatus.CONFIRMED
-    elif worst_f < -100.0 * noise_f:
-        status = ClaimStatus.VIOLATED
-    else:
-        status = ClaimStatus.INCONCLUSIVE
     return {"lhs": worst_f, "errorEstimate": noise_f, "worstAt": worst_at,
-            "firstViolation": first_violation or None, "status": status}
+            "firstViolation": first_violation or None,
+            "status": classify(worst_f, worst_f + 100.0 * noise_f)}

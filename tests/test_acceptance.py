@@ -70,7 +70,7 @@ def test_criterion_04_oscillatory_transform_suite():
         assert abs(classic.value - fresnel.fresnel_classic_value(nu)) <= 1e-6
     for amp in (AmplitudeSpec.exponential(1.0), AmplitudeSpec.gaussian(1.0),
                 AmplitudeSpec.rational(2.0)):
-        resid, _ = fresnel.derivative_identity(amp, 1.5, spec)
+        resid, _, _ = fresnel.derivative_identity(amp, 1.5, spec)
         assert resid <= 1e-7
     audit = fresnel.positivity_audit(seed=20260815)
     assert audit.inputs["nSamples"] >= 200

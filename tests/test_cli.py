@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zetacheck
-from zetacheck import cli
+from zetacheck import cli, traces
 from zetacheck.report import CLAIM_IDS, strip_volatile
 
 try:
@@ -68,6 +69,25 @@ def test_each_cheap_suite(suite, n_reports, claim_ids, tmp_path):
             ["reflection", "critical-line-real"] * 4
     assert run(["verify", "--suite", suite, "--tol", "1e-30",
                 "--out", str(out)]) == 2
+
+
+def test_nan_sample_residual_is_not_dropped(monkeypatch, tmp_path):
+    # One NaN among the 200 bridge samples must fail the check: a max that
+    # drops NaN would report the other samples' worst and exit 0.
+    real = traces.bridge_residual
+    calls = []
+
+    def one_nan(j, s):
+        calls.append(1)
+        return math.nan if len(calls) == 100 else real(j, s)
+
+    monkeypatch.setattr(traces, "bridge_residual", one_nan)
+    out = tmp_path / "algebra.json"
+    assert run(["verify", "--suite", "trace-algebra", "--out", str(out)]) == 2
+    bridge = json.loads(out.read_text())[1]
+    assert bridge["claimId"] == "bridge"
+    assert bridge["status"] == "VIOLATED"
+    assert bridge["absResidual"] == "nan"
 
 
 def test_strict_claims_exits_three(tmp_path):

@@ -77,7 +77,8 @@ def test_classic_quadratic_phase_value(nu):
     AmplitudeSpec.rational(3.5),
 ])
 def test_derivative_identity(amp):
-    resid, budget = fresnel.derivative_identity(amp, 1.5, TIGHT)
+    resid, budget, converged = fresnel.derivative_identity(amp, 1.5, TIGHT)
+    assert converged
     assert resid <= max(5.0 * budget, 1e-8)
     assert resid <= 1e-7
 

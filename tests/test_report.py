@@ -1,11 +1,14 @@
-"""The report builder: manifest labels, sign verdicts and wall time."""
+"""The report builder: manifest labels, the verdict rule and wall time."""
 
+import math
 import time
+from dataclasses import replace
 
 import pytest
 
+from zetacheck import laplace
 from zetacheck.report import (CLAIM_IDS, IDENTITY_LABELS, ClaimStatus,
-                              make_report)
+                              classify, make_report)
 
 
 @pytest.mark.parametrize("claim_id, labels", [
@@ -30,11 +33,70 @@ def test_unknown_claim_id_raises():
     (0.5, ClaimStatus.CONFIRMED, 0.0),
 ])
 def test_sign_claim_keeps_its_status(lhs, status, residual):
-    # classify(|lhs|, 1e-8) would call both of these VIOLATED.
+    # The identity rule on |lhs| with budget 1e-8 would call both VIOLATED.
     rep = make_report("gram-psd", {}, lhs=lhs, rhs=0.0, error_estimate=1e-8,
-                      started=time.perf_counter(), status=status)
+                      started=time.perf_counter(), bounds=(lhs, lhs))
     assert rep.status == status
     assert rep.abs_residual == residual == max(0.0, -lhs)
+
+
+def _identity(lhs, **kwargs):
+    return make_report("race", {}, lhs=lhs, rhs=0.0, error_estimate=1e-8,
+                       started=time.perf_counter(), **kwargs)
+
+
+def test_bounds_tied_at_zero_are_inconclusive():
+    assert classify(0.0, 0.0) == ClaimStatus.INCONCLUSIVE
+    rep = make_report("cm-scan", {}, lhs=0.0, rhs=0.0, error_estimate=0.0,
+                      started=time.perf_counter(), bounds=(0.0, 0.0))
+    assert rep.status == ClaimStatus.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("residual, status", [
+    (0.5 * 3.0 * 1e-8, ClaimStatus.CONFIRMED),
+    (3.0 * 1e-8, ClaimStatus.INCONCLUSIVE),
+    (10.0 * 1e-8, ClaimStatus.INCONCLUSIVE),
+    (10.0 * 1e-8 * (1.0 + 2.0 ** -52), ClaimStatus.VIOLATED),
+])
+def test_identity_thresholds(residual, status):
+    # A residual of exactly 3 or 10 budgets is not separated from either
+    # side; one ulp past 10 budgets violates.
+    assert _identity(residual).status == status
+
+
+def test_nan_residual_violates():
+    assert _identity(math.nan).status == ClaimStatus.VIOLATED
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 1.0), (-1.0, -1.0)])
+def test_unconverged_route_caps_at_inconclusive(bounds):
+    assert classify(*bounds, converged=False) == ClaimStatus.INCONCLUSIVE
+    rep = make_report("gram-psd", {}, lhs=bounds[0], rhs=0.0,
+                      error_estimate=0.0, started=time.perf_counter(),
+                      bounds=bounds, converged=False)
+    assert rep.status == ClaimStatus.INCONCLUSIVE
+    assert _identity(0.0, converged=False).status == ClaimStatus.INCONCLUSIVE
+    assert _identity(1.0, converged=False).status == ClaimStatus.INCONCLUSIVE
+
+
+def test_notes_keyed_by_status_give_the_verdicts_note():
+    notes = {ClaimStatus.CONFIRMED: "yes", ClaimStatus.VIOLATED: "no"}
+    assert _identity(0.0, notes=notes).notes == "yes"
+    assert _identity(1.0, notes=notes).notes == "no"
+    assert _identity(5.0 * 1e-8, notes=notes).notes == ""
+
+
+def test_unconverged_laplace_route_is_inconclusive(monkeypatch):
+    real = laplace.integrate_semi_infinite
+
+    def unconverged(*args, **kwargs):
+        return replace(real(*args, **kwargs), converged=False)
+
+    assert laplace.rep_inverse_z(1.0 + 1.0j).status == ClaimStatus.CONFIRMED
+    monkeypatch.setattr(laplace, "integrate_semi_infinite", unconverged)
+    rep = laplace.rep_inverse_z(1.0 + 1.0j)
+    assert rep.extra["converged"] is False
+    assert rep.status == ClaimStatus.INCONCLUSIVE
 
 
 def test_wall_time_runs_from_started():
