@@ -138,18 +138,32 @@ def _trace_samples(seed: int) -> list[tuple[int, complex]]:
 
 
 def _worst_residual(claim_id: str, samples: Callable[[int], list[tuple]],
-                    residual: Callable[..., float], error_estimate: float,
+                    residual: Callable[..., tuple[float, bool]],
+                    error_estimate: float,
                     notes: str) -> Callable[[int], list[ClaimReport]]:
-    """Evaluator reporting the worst residual(*sample) over samples(seed)."""
+    """Evaluator reporting the worst residual over samples(seed), where
+    residual(*sample) gives a sample's residual and whether it converged;
+    the report converged when every sample did."""
     def evaluate(seed: int) -> list[ClaimReport]:
         t0 = time.perf_counter()
         drawn = samples(seed)
+        resid, converged = zip(*(residual(*x) for x in drawn))
         # np.max propagates NaN, so one NaN sample makes the report VIOLATED.
-        worst = float(np.max([residual(*x) for x in drawn], initial=0.0))
+        worst = float(np.max(resid, initial=0.0))
         return [make_report(claim_id, {"samples": len(drawn), "seed": seed},
                             lhs=worst, rhs=0.0, error_estimate=error_estimate,
-                            started=t0, notes=notes)]
+                            started=t0, converged=all(converged),
+                            notes=notes)]
     return evaluate
+
+
+def _newton_leibnitz_residual(w: float, v: float,
+                              big_n: float) -> tuple[float, bool]:
+    """|closed form - quadrature| of one newton-leibnitz sample, and
+    whether the quadrature converged."""
+    q = rhfe.newton_leibnitz_quadrature(w, v, big_n)
+    return (abs(rhfe.newton_leibnitz(w, v, big_n) - float(np.real(q.value))),
+            q.converged)
 
 
 _NUS = (0.5, 1.0, 2.0)
@@ -216,20 +230,18 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
     "newton-leibnitz": (
         _Check(1e-9, _worst_residual(
             "newton-leibnitz", _newton_leibnitz_samples,
-            lambda w, v, big_n: abs(
-                rhfe.newton_leibnitz(w, v, big_n) - float(np.real(
-                    rhfe.newton_leibnitz_quadrature(w, v, big_n).value))),
-            1e-11,
+            _newton_leibnitz_residual, 1e-11,
             "lhs is the worst |closed form - quadrature| over the samples")),
     ),
     "trace-algebra": (
         _Check(1e-11, _worst_residual(
             "trace-decomposition", _trace_samples,
-            lambda j, s: traces.trace_decomposition_check(j, s).abs_residual,
+            lambda j, s: (traces.trace_decomposition_check(j, s).abs_residual,
+                          True),
             1e-13, "lhs is the worst residual over the samples")),
         _Check(1e-12, _worst_residual(
             "bridge", _trace_samples,
-            lambda j, s: traces.bridge_residual(j, s), 1e-14,
+            lambda j, s: (traces.bridge_residual(j, s), True), 1e-14,
             "lhs is the worst termwise bridge residual over the samples")),
     ),
 }

@@ -138,36 +138,36 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     compares the worst sampled value against its own error budget:
     confidently positive everywhere confirms; a value negative beyond ten
     budgets would refute; anything pinned to zero within noise, or any
-    sampled transform that did not converge, is inconclusive.
+    sampled transform that did not converge or is not finite, is
+    inconclusive.  The folds propagate NaN, so a NaN row cannot hide.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     per = _N_SAMPLES // len(_DEFAULT_FAMILIES)
-    min_val = math.inf
-    min_err = 0.0
-    min_at: dict[str, float | str] = {}
-    lcb = math.inf  # worst lower confidence bound
-    unconverged = 0
+    rows: list[QuadResult] = []
+    at: list[dict[str, float | str]] = []
     for amp in _DEFAULT_FAMILIES:
         nus = _NU_MAX * (1.0 - rng.random(per))  # uniform in (0, _NU_MAX]
         amp.validate_pcid()
-        rows = oscillatory_rows(amp.value, nus, OscKind.SIN,
-                                _SPEC_POSITIVITY, max_lobes=768)
-        for nu, res in zip(nus, rows):
-            unconverged += not res.converged
-            lcb = min(lcb, res.value - 3.0 * res.error_estimate)
-            if res.value < min_val:
-                min_val = res.value
-                min_err = res.error_estimate
-                min_at = {"family": amp.family.value,
-                          "parameter": amp.parameter, "nu": float(nu)}
+        rows += oscillatory_rows(amp.value, nus, OscKind.SIN,
+                                 _SPEC_POSITIVITY, max_lobes=768)
+        at += [{"family": amp.family.value, "parameter": amp.parameter,
+                "nu": float(nu)} for nu in nus]
+    value = np.array([r.value for r in rows], dtype=float)
+    error = np.array([r.error_estimate for r in rows])
+    ok = (np.array([r.converged for r in rows]) & np.isfinite(value)
+          & np.isfinite(error))
+    unconverged = int(np.count_nonzero(~ok))
+    worst = int(np.argmin(value))  # the first minimum, or the first NaN
+    min_val, min_err = float(value[worst]), float(error[worst])
     return make_report(
         "fresnel-positivity",
         {"nSamples": _N_SAMPLES, "nuMax": _NU_MAX, "seed": seed,
          "families": [a.family.value for a in _DEFAULT_FAMILIES],
-         "minAt": min_at},
-        lhs=float(min_val), rhs=0.0, error_estimate=min_err, started=t0,
-        bounds=(lcb, min_val + 10.0 * max(min_err, 1e-13)),
+         "minAt": at[worst]},
+        lhs=min_val, rhs=0.0, error_estimate=min_err, started=t0,
+        bounds=(float(np.min(value - 3.0 * error)),
+                min_val + 10.0 * max(min_err, 1e-13)),
         converged=not unconverged,
         notes={ClaimStatus.CONFIRMED: "every sampled transform is positive "
                                       "beyond its error budget",
@@ -175,6 +175,8 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
                                      "beyond ten error budgets",
                ClaimStatus.INCONCLUSIVE: (
                    f"{unconverged} of {_N_SAMPLES} sampled transforms did "
-                   "not converge" if unconverged else "minimum sampled "
-                   "value is within its error budget of zero")},
+                   "not converge or are not finite" if unconverged else
+                   "minimum sampled value is within its error budget of "
+                   "zero")},
+        extra={"evaluations": sum(r.evaluations for r in rows)},
     )

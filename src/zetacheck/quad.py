@@ -6,10 +6,11 @@ sequence of intervals with its own stopping rule: the windows of the map
 t = exp(a - x) for semi-infinite integrals, so the engine never has to chase
 an endpoint singularity of the map itself, or the sign lobes of sin(nu x) or
 cos(nu x) for oscillatory integrals over [0, inf), stopped by an
-alternating-series tail bound (or iterated averaging once plain summation
-would need absurdly many lobes).  A block integrates the next intervals of
-every unfinished row in one engine call, and the ones computed past a row's
-stop count as its evaluations too.
+alternating-series tail bound or, at a block edge, by Wynn's epsilon
+algorithm on the partial sums once its estimate meets tolerance and its
+result agrees with the previous edge's.  A block integrates the next
+intervals of every unfinished row in one engine call, and the ones computed
+past a row's stop count as its evaluations too.
 
 The engine returns per-interval arrays.  It takes every interval's first
 panel and, for those that one leaves unsettled, its first bisection on
@@ -343,6 +344,11 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
+def _abs(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z|, rounded as the builtin abs rounds it."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
 def _first(mask: np.ndarray) -> np.ndarray:
     """Column of each row's first True in a (rows, k) mask; k where none."""
     return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
@@ -546,25 +552,87 @@ def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[np.ndarray, np.ndarray]:
             ((k + 1 - shift) * math.pi / nu).ravel())
 
 
-def _iterated_average(partials: np.ndarray) -> np.ndarray:
-    """Euler-style acceleration of alternating-lobe partial-sum sequences.
+def _epsilon(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wynn's epsilon algorithm on each row of the (rows, m) partial sums,
+    m >= 4, with the guards and error estimate of QUADPACK's qelg.
 
-    partials is an (..., m) array, one sequence along its last axis; the
-    last 64 terms of each are averaged.
+    Returns each row's (value, error).  The even columns of the table come
+    from the cross rule: the element E below C in column 2j + 2 is
+    C + 1 / (1/(C - W) + 1/(S - C) - 1/(C - N)), where N, C and S are
+    consecutive elements of column 2j and W is the element of column 2j - 2
+    beside S (none for j = 0).  Where N, C and S agree to rounding, the
+    sequence has converged: the result of S's diagonal is S, with error
+    |S - C| + |C - N|.  Where two of N, C, S and W agree to rounding, or
+    C / (E - C) is at most 1e-4 in modulus (the table turns irregular), E
+    is not formed: it is NaN, and so is every element that needs it.  The
+    result of the diagonal through the last of k sums is its element E of
+    least |S - C| + |E - S| + |C - N|, ties to the higher column, or that
+    sum where it has none.  A row's value is the result through all m sums;
+    its error is the distance from that to the results through m - 1, m - 2
+    and m - 3, and at least 5 ulp of the value.  Rows never mix, so a row's
+    result does not depend on the rows beside it.
     """
-    row = np.asarray(partials, dtype=complex)[..., -64:]
-    while row.shape[-1] > 1:
-        row = 0.5 * (row[..., 1:] + row[..., :-1])
-    return row[..., 0]
+    eps = np.finfo(float).eps
+    # The results of the diagonals through the last four sums.
+    res = sums[:, -4:].copy()
+    res_err = np.full(res.shape, np.inf)
+    exact = np.zeros(res.shape, dtype=bool)
+    col, mag, west = sums, _abs(sums), None
+    with np.errstate(all="ignore"):  # unformed elements are inf or NaN
+        while col.shape[1] >= 3:
+            n, c, s = col[:, :-2], col[:, 1:-1], col[:, 2:]
+            an, ac, as_ = mag[:, :-2], mag[:, 1:-1], mag[:, 2:]
+            d2, d3 = s - c, c - n
+            e2, e3 = _abs(d2), _abs(d3)
+            near2 = e2 <= np.maximum(as_, ac) * eps
+            near3 = e3 <= np.maximum(ac, an) * eps
+            skip = near2 | near3
+            ss = 1.0 / d2 - 1.0 / d3
+            if west is not None:
+                w, aw = west[0][:, 2:-2], west[1][:, 2:-2]
+                d1 = c - w
+                skip |= _abs(d1) <= np.maximum(ac, aw) * eps
+                ss = 1.0 / d1 + ss
+            # A NaN element makes ss NaN, so nothing that needs it forms.
+            skip |= ~(_abs(ss * c) > 1e-4)
+            new = np.where(skip, np.nan, c + 1.0 / ss)
+            err = np.where(skip, np.nan, e2 + _abs(new - s) + e3)
+            # Column j's last t elements lie on the last t diagonals.
+            t = min(4, new.shape[1])
+            r, r_err, r_exact = (x[:, 4 - t:] for x in (res, res_err, exact))
+            better = err[:, -t:] <= r_err
+            np.copyto(r, new[:, -t:], where=better)
+            np.copyto(r_err, err[:, -t:], where=better)
+            hit = (near2 & near3)[:, -t:]
+            np.copyto(r, s[:, -t:], where=hit)
+            np.copyto(r_err, (e2 + e3)[:, -t:], where=hit)
+            r_exact |= hit
+            if skip.all():
+                break
+            west, col, mag = (col, mag), new, _abs(new)
+    value = res[:, 3]
+    error = np.where(exact[:, 3], res_err[:, 3], _abs(value - res[:, 2])
+                     + _abs(value - res[:, 1]) + _abs(value - res[:, 0]))
+    return value, _max(error, 5.0 * eps * _abs(value))
 
 
 def _lobe_sum(spec: QuadSpec, max_lobes: int):
-    """Stopping rules of one lobe walk: a coroutine sent and yielding as _walk."""
-    # The averages read only the last 66 partial sums; a bounded history
-    # keeps the walk's memory independent of max_lobes.
-    partials: deque[complex] = deque(maxlen=66)
+    """Stopping rules of one lobe walk: a coroutine sent and yielding as _walk.
+
+    A tail stop comes first: a lobe past the first below abs_tol / 10 ends
+    the walk on the next lobe, which bounds the alternating tail.  Failing
+    that, at the last lobe of each block and at lobe max_lobes - 1 the walk
+    extrapolates its last _LOBE_BLOCK partial sums with _epsilon.  Its drift
+    is the distance from the result to the one before (NaN at the first).
+    The walk ends on the result once its error and its drift both meet
+    tolerance, and at lobe max_lobes - 1 in any case, unconverged unless
+    both meet tolerance; the larger of the two is the result's error.  So
+    no walk ends on its first result, and one whose amplitude changes
+    course after a window walks on into the change.
+    """
+    partials: deque[complex] = deque(maxlen=_LOBE_BLOCK)
     total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
-    lobes_converged, diverged = True, False
+    lobes_converged, diverged, last = True, False, math.nan
     for k in range(max_lobes):
         val, err, conv, div, _ = yield
         total += val
@@ -580,14 +648,15 @@ def _lobe_sum(spec: QuadSpec, max_lobes: int):
             lobes_converged, diverged = lobes_converged and conv, diverged or div
             converged = True
             break
-    else:
-        # Plain summation would need too many lobes; accelerate.
-        last = np.array(partials)
-        accel = complex(_iterated_average(last))
-        short = complex(_iterated_average(last[:-2]))
-        tail = 3.0 * abs(accel - short)
-        total = accel
-        converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
+        if (k + 1) % _LOBE_BLOCK == 0 or k + 1 == max_lobes:
+            value, error = (x.item() for x in _epsilon(np.array([partials])))
+            drift = abs(value - last)
+            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            converged = error <= tol and drift <= tol
+            if converged or k + 1 == max_lobes:
+                total, tail = value, max(error, drift)  # a NaN drift loses
+                break
+            last = value
     yield total, total_err + tail, converged and lobes_converged, diverged
 
 
@@ -600,9 +669,12 @@ class _LobeRows:
     running total through lobe e - 1, and lobe e bounds the alternating
     tail.  Each row carries whether its last lobe was small, so e may be a
     block's first lobe.  A row whose running total or error turns NaN at an
-    earlier lobe below max_lobes ends there, on its running sums.  Rows
-    still walking at lobe max_lobes - 1 that is not small accelerate from
-    their last 66 partial sums, kept in a (rows, 66) array.
+    earlier lobe below max_lobes ends there, on its running sums.  At the
+    block's last lobe, or at lobe max_lobes - 1 if the block holds it, the
+    rows still walking whose lobe there is not small extrapolate their last
+    _LOBE_BLOCK partial sums in one _epsilon call, and end as _lobe_sum
+    does; each row carries the partial sums of its last block and its last
+    epsilon result for that.
     """
 
     def __init__(self, n: int, spec: QuadSpec, max_lobes: int) -> None:
@@ -610,12 +682,13 @@ class _LobeRows:
         self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         self.small = np.zeros(n, dtype=bool)
-        self.partials = np.zeros((n, 66), dtype=complex)
+        self.partials = np.zeros((n, _LOBE_BLOCK), dtype=complex)
+        self.last = np.full(n, math.nan, dtype=complex)
         self.ends = [None] * n
 
     def step(self, rows, k0, val, err, conv, div, _mass) -> np.ndarray:
         spec, max_lobes, k = self.spec, self.max_lobes, val.shape[1]
-        mag = np.hypot(val.real, val.imag)
+        mag = _abs(val)
         total = _running(self.total[rows], val)
         error = _running(self.error[rows], err)
         conv = np.logical_and.accumulate(conv, axis=1) & self.conv[rows, None]
@@ -633,7 +706,6 @@ class _LobeRows:
         n = at_nan[i]
         _settle(self.ends, rows[i], total[i, n], error[i, n], conv[i, n],
                 div[i, n])
-        ended = np.minimum(stop, at_nan) < k
         i = np.flatnonzero((stop < k) & (stop <= at_nan))
         s = stop[i]
         # Alternating-series tail: the first omitted lobe bounds the rest.
@@ -641,35 +713,31 @@ class _LobeRows:
                 np.concatenate([self.total[rows, None], total], axis=1)[i, s],
                 np.concatenate([self.error[rows, None], error], axis=1)[i, s]
                 + (mag[i, s] + err[i, s]), conv[i, s], div[i, s])
-
-        cap = max_lobes - 1 - k0
-        if 0 <= cap < k:
-            # Rows that reach max_lobes without a tail stop end here.
-            j = np.flatnonzero(~ended & ~small[:, cap])
-            ended[j] = True
-            self._accelerate(rows[j], total[j, :cap + 1], error[j, cap],
-                             conv[j, cap], div[j, cap])
+        end_at = np.minimum(stop, at_nan)
+        ended = end_at < k
+        c = min(max_lobes - 1 - k0, k - 1)
+        if c >= 0:
+            # Epsilon at lobe c, for the rows walking on without a tail stop.
+            i = np.flatnonzero((end_at > c) & ~small[:, c])
+            value, tail = _epsilon(np.concatenate(
+                [self.partials[rows[i]], total[i, :c + 1]],
+                axis=1)[:, -min(max_lobes, _LOBE_BLOCK):])
+            drift = _abs(value - self.last[rows[i]])
+            tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
+            ok = (tail <= tol) & (drift <= tol)
+            end = ok | (k0 + c == max_lobes - 1)
+            self.last[rows[i]] = value
+            tail = _max(tail, drift)  # a NaN drift loses
+            i, value, tail, ok = i[end], value[end], tail[end], ok[end]
+            _settle(self.ends, rows[i], value, error[i, c] + tail,
+                    conv[i, c] & ok, div[i, c])
+            ended[i] = True
         j = np.flatnonzero(~ended)
         g = rows[j]
         self.total[g], self.error[g] = total[j, -1], error[j, -1]
         self.conv[g], self.div[g] = conv[j, -1], div[j, -1]
-        self.small[g] = small[j, -1]
-        self.partials[g] = np.concatenate([self.partials[g], total[j]],
-                                          axis=1)[:, -66:]
+        self.small[g], self.partials[g] = small[j, -1], total[j]
         return ended
-
-    def _accelerate(self, rows, partials, error, conv, div) -> None:
-        """End rows whose lobe sums stop at max_lobes; partials holds the
-        block's partial sums of each up to lobe max_lobes - 1."""
-        # Plain summation would need too many lobes; accelerate.
-        last = np.concatenate([self.partials[rows], partials],
-                              axis=1)[:, -min(self.max_lobes, 66):]
-        value = _iterated_average(last)
-        miss = value - _iterated_average(last[:, :-2])
-        tail = 3.0 * np.hypot(miss.real, miss.imag)
-        conv = conv & (tail < 10.0 * _max(self.spec.abs_tol, self.spec.rel_tol
-                                          * np.hypot(value.real, value.imag)))
-        _settle(self.ends, rows, value, error + tail, conv, div)
 
 
 def _walk_lobes(f, nus: np.ndarray, kind: OscKind, spec: QuadSpec,

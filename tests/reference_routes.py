@@ -180,3 +180,18 @@ def hausdorff_moment_scan_mpf(s: complex, digits: int) -> dict:
     return {"lhs": worst_f, "errorEstimate": noise_f, "worstAt": worst_at,
             "firstViolation": first_violation or None,
             "status": classify(worst_f, worst_f + 100.0 * noise_f)}
+
+
+def rational_transform(p: float, nu: float, sine: bool) -> float:
+    """int_0^inf (1 + x)^-p sin(nu x) dx (cos if not sine), to 30 digits.
+
+    With u = 1 + x the complex transform is
+    e^(-i nu) (-i nu)^(p - 1) Gamma(1 - p, -i nu), an upper incomplete
+    gamma function; its imaginary part is the sine transform and its real
+    part the cosine transform.
+    """
+    with mp.workdps(30):
+        z = -1j * mp.mpf(nu)
+        v = (mp.exp(z) * z ** (mp.mpf(p) - 1)
+             * mp.gammainc(1 - mp.mpf(p), z))
+        return float(mp.im(v) if sine else mp.re(v))

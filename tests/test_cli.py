@@ -8,12 +8,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import zetacheck
-from zetacheck import cli, traces
+from zetacheck import cli, rhfe, traces
 from zetacheck.report import CLAIM_IDS, strip_volatile
 
 try:
@@ -88,6 +89,28 @@ def test_nan_sample_residual_is_not_dropped(monkeypatch, tmp_path):
     assert bridge["claimId"] == "bridge"
     assert bridge["status"] == "VIOLATED"
     assert bridge["absResidual"] == "nan"
+
+
+def test_unconverged_newton_leibnitz_sample_is_inconclusive(monkeypatch,
+                                                            tmp_path):
+    # One sample's quadrature reports converged=False: the worst residual is
+    # still tiny, but the check must not confirm what did not converge.
+    real = rhfe.newton_leibnitz_quadrature
+    calls = []
+
+    def one_unconverged(w, v, big_n):
+        calls.append(1)
+        res = real(w, v, big_n)
+        return replace(res, converged=False) if len(calls) == 50 else res
+
+    monkeypatch.setattr(rhfe, "newton_leibnitz_quadrature", one_unconverged)
+    out = tmp_path / "nl.json"
+    run(["verify", "--suite", "newton-leibnitz", "--out", str(out)])
+    report, = json.loads(out.read_text())
+    assert len(calls) == 100
+    assert report["claimId"] == "newton-leibnitz"
+    assert report["status"] == "INCONCLUSIVE"
+    assert report["absResidual"] < 1e-9
 
 
 def test_strict_claims_exits_three(tmp_path):

@@ -177,4 +177,53 @@ def test_positivity_audit_is_inconclusive_when_a_row_does_not_converge(
     rep = fresnel.positivity_audit(seed=20260815)
     assert calls == [60] * 4
     assert rep.status == ClaimStatus.INCONCLUSIVE
-    assert rep.notes == "1 of 240 sampled transforms did not converge"
+    assert rep.notes == ("1 of 240 sampled transforms did not converge "
+                         "or are not finite")
+
+
+def test_positivity_audit_is_inconclusive_when_a_row_is_nan(monkeypatch):
+    # Row 3 of each family reads NaN with its converged flag left set.
+    # Folds that drop NaN would still confirm on the other 236 rows.
+    real = fresnel.oscillatory_rows
+
+    def nan_row(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        rows[3] = replace(rows[3], value=math.nan)
+        return rows
+
+    monkeypatch.setattr(fresnel, "oscillatory_rows", nan_row)
+    rep = fresnel.positivity_audit(seed=20260815)
+    assert rep.status == ClaimStatus.INCONCLUSIVE
+    assert rep.notes == ("4 of 240 sampled transforms did not converge "
+                         "or are not finite")
+    assert math.isnan(rep.lhs)
+
+
+def test_positivity_audit_reports_its_evaluations():
+    # The sum of the 240 rows' evaluations, deterministic per seed.  Epsilon
+    # ends the rows with no tail stop at their second block edge, where its
+    # result first agrees with the one before; walking them to the 768-lobe
+    # cap took 1,147,410 evaluations at this seed.
+    rows = []
+    rng = np.random.default_rng(20260815)
+    per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
+    for amp in fresnel._DEFAULT_FAMILIES:
+        rows += quad.oscillatory_rows(
+            amp.value, fresnel._NU_MAX * (1.0 - rng.random(per)),
+            OscKind.SIN, fresnel._SPEC_POSITIVITY, max_lobes=768)
+    rep = fresnel.positivity_audit(seed=20260815)
+    assert rep.extra == {"evaluations": sum(r.evaluations for r in rows)}
+    assert rep.extra["evaluations"] <= 250_000
+
+
+def test_rational_derivative_check_stops_early():
+    # (1 + x)^-2 and its derivative have no tail stop; epsilon ends both
+    # sides at a block edge instead of walking 4096 lobes (61,500
+    # evaluations a side).
+    amp, spec = AmplitudeSpec.rational(2.0), QuadSpec(1e-10, 1e-10)
+    lhs = fresnel.fresnel_cos(amp, 1.5, spec)
+    rhs = quad.oscillatory_raw(amp.derivative, 1.5, OscKind.SIN, spec)
+    assert lhs.converged and rhs.converged
+    assert lhs.evaluations <= 5_000 and rhs.evaluations <= 5_000
+    resid, budget, ok = fresnel.derivative_identity(amp, 1.5, spec)
+    assert ok and resid <= budget

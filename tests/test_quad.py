@@ -6,13 +6,15 @@ the reported estimate must dominate the actual miss).
 """
 
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from zetacheck import quad
-from zetacheck.amplitudes import AmplitudeSpec
+from zetacheck.amplitudes import AmplitudeSpec, Family
 from zetacheck.errors import DomainError
 from zetacheck.laplace import complex_form
 from zetacheck.quad import (OscKind, QuadResult, QuadSpec, integrate_finite,
@@ -304,7 +306,7 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
             evals += sum(r[2] for r in block)
             yield from block
 
-    walk, partials, used = lobes(), [], 0
+    walk, partials, used, last = lobes(), [], 0, math.nan
     total, total_err, tail, converged = 0j, 0.0, 0.0, False
     lobes_converged = True
     for k in range(max_lobes):
@@ -317,14 +319,103 @@ def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
             tail, converged, used = abs(nval) + nerr, True, used + 1
             lobes_converged = lobes_converged and conv
             break
-    if not converged and len(partials) >= 16:
-        accel = complex(quad._iterated_average(np.array(partials)))
-        tail = 3.0 * abs(accel - complex(
-            quad._iterated_average(np.array(partials[:-2]))))
-        total = accel
-        converged = tail < 10.0 * max(spec.abs_tol, spec.rel_tol * abs(total))
+        if (k + 1) % quad._LOBE_BLOCK == 0 or k + 1 == max_lobes:
+            value, error = (x.item() for x in quad._epsilon(
+                np.array([partials[-quad._LOBE_BLOCK:]])))
+            drift = abs(value - last)
+            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            converged = error <= tol and drift <= tol
+            if converged or k + 1 == max_lobes:
+                total = value
+                tail = error if math.isnan(drift) else max(error, drift)
+                break
+            last = value
     return (total, total_err + tail, evals, converged and lobes_converged,
             used)
+
+
+@pytest.mark.parametrize("p, kind, nu", [(2.0, OscKind.COS, 0.05),
+                                         (2.5, OscKind.SIN, 50.0)])
+def test_rational_transform_matches_quadosc(p, kind, nu):
+    # The incomplete-gamma oracle below, against mpmath's own oscillatory
+    # quadrature at 30 digits.
+    osc = mp.sin if kind == OscKind.SIN else mp.cos
+    with mp.workdps(30):
+        truth = mp.quadosc(lambda x: (1 + x) ** -mp.mpf(p) * osc(nu * x),
+                           [0, mp.inf], omega=nu)
+    assert abs(routes.rational_transform(p, nu, kind == OscKind.SIN)
+               - float(truth)) <= 1e-16 * abs(float(truth))
+
+
+# From 0.05 to 50: one lobe spans 63 down to 0.063.
+ORACLE_NUS = [0.05, 0.13, 0.7, 2.2, 6.0, 17.0, 31.0, 50.0]
+
+
+@pytest.mark.parametrize("kind", [OscKind.SIN, OscKind.COS])
+@pytest.mark.parametrize("amp", [
+    AmplitudeSpec.rational(1.5), AmplitudeSpec.rational(2.0),
+    AmplitudeSpec.rational(2.5), AmplitudeSpec.exponential(0.5),
+    AmplitudeSpec.exponential(2.0)],
+    ids=lambda a: f"{a.family.value}({a.parameter})")
+def test_lobe_rows_are_honest_against_an_oracle(amp, kind):
+    # No rational row has a lobe below abs_tol / 10 within thousands of
+    # lobes, so epsilon ends each at a block edge; exp rows end on epsilon
+    # or on a tail stop.  Every row must converge and cover its miss.
+    sine = kind == OscKind.SIN
+    for nu, row in zip(ORACLE_NUS, oscillatory_rows(amp.value, ORACLE_NUS,
+                                                    kind)):
+        a = amp.parameter
+        if amp.family == Family.RATIONAL:
+            truth = routes.rational_transform(a, nu, sine)
+            assert row.evaluations <= 2 * quad._LOBE_BLOCK * 45
+        else:
+            truth = (nu if sine else a) / (a * a + nu * nu)
+        assert row.converged, nu
+        assert abs(row.value - truth) <= row.error_estimate, nu
+
+
+@pytest.mark.parametrize("sums", [
+    [0.5, 0.75, 0.875] + [1.0] * 29,        # converges exactly
+    [2.0] * 32,                             # all equal
+    [0.0] * 16,                             # all zero
+    [1.0, 1.0, 0.5, 0.5] * 4,               # equal neighbours throughout
+    [1.0, 0.0] * 16,                        # oscillates, never settles
+    [0.0, 1.0, 1.0, 2.0] + [3.0] * 12,
+    [1e-300 * k for k in range(16)],        # differences near underflow
+], ids=["exact", "equal", "zero", "pairs", "oscillating", "steps", "tiny"])
+def test_epsilon_guards_keep_the_table_finite(sums):
+    # qelg's guards: entries that agree to rounding end or cut the table
+    # rather than divide by zero, so no value or estimate is ever NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, error = quad._epsilon(np.array([sums], dtype=complex))
+    assert np.isfinite(value).all() and np.isfinite(error).all()
+    assert error[0] >= 0.0
+    if len(set(sums[-3:])) == 1:
+        # The last three agree: the table has converged on them.
+        assert value[0] == sums[-1]
+        assert error[0] <= 5.0 * np.finfo(float).eps * abs(sums[-1])
+
+
+def test_epsilon_rows_do_not_mix():
+    # One call on many rows gives each row what a call on it alone gives,
+    # bit for bit.
+    k = np.arange(32)
+    rows = np.array([np.cumsum((-1.0) ** k / (k + 1.0) ** p)
+                     for p in (0.5, 1.0, 2.5)]
+                    + [np.cumsum(0.9 ** k), np.ones(32), (-1.0) ** k],
+                    dtype=complex)
+    for together in (rows, rows + 1j * rows[::-1]):
+        value, error = quad._epsilon(together)
+        for i, row in enumerate(together):
+            v, e = quad._epsilon(row[None])
+            assert (complex(value[i]), error[i]) == (complex(v[0]), e[0])
+    # Alternating and geometric sums are what epsilon extrapolates best.
+    value, error = quad._epsilon(rows[:4])
+    truth = [(1.0 - math.sqrt(2.0)) * -1.4603545088095868, math.log(2.0),
+             0.8671998890121841, 10.0]
+    assert np.all(np.abs(value - truth) <= 1e-14 * np.abs(truth))
+    assert np.all(error <= 1e-14 * np.abs(truth))
 
 
 # More frequencies, so that each rows walk below spans many rows.
@@ -339,10 +430,14 @@ MORE_NUS = [1.3, 2.2, 4.4, 5.9, 9.5, 11.0, 13.3, 21.0, 24.4, 33.0, 38.5, 44.0,
      [0.7, 8.12, 17.15, 30.0] + MORE_NUS, QuadSpec(), 4096),
     (AmplitudeSpec.exponential(2.0), OscKind.COS,
      [0.7, 7.87, 16.9, 30.0] + MORE_NUS, QuadSpec(), 4096),
-    # rational(2.5) rows reach max_lobes and take iterated averaging.
+    # rational(2.5) rows have no tail stop: epsilon ends them at the second
+    # block edge, where its result first agrees with the one before, or at
+    # max_lobes = 20 before either edge.
     (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0] + MORE_NUS,
      QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 768),
-], ids=["exp-sin", "exp-cos", "rational-sin-capped"])
+    (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0] + MORE_NUS,
+     QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 20),
+], ids=["exp-sin", "exp-cos", "rational-sin", "rational-sin-capped"])
 def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
     # The rows walk takes the array path; each one-row walk, the coroutine.
     assert len(nus) > 1
@@ -356,8 +451,8 @@ def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
             assert (complex(res.value), res.error_estimate, res.evaluations,
                     res.converged) == (complex(ref[0]), *ref[1:])
         assert _key(row) == _key(one)
-    if max_lobes == 768:
-        assert used == [768] * len(nus)
+    if amp.family == Family.RATIONAL:
+        assert used == [min(max_lobes, 2 * quad._LOBE_BLOCK)] * len(nus)
     else:
         # Rows stop in different blocks, one just past a block edge.
         assert len({-(-n // quad._LOBE_BLOCK) for n in used}) > 1
@@ -428,11 +523,16 @@ def test_lobe_walk_reports_lobe_convergence():
 
 
 def test_lobe_rows_report_an_unconverged_lookahead():
-    # A step to 1 at x = 12.5 lies in each row's lookahead lobe: the first of
-    # the next block at nu = 8.12, whose tail stop is lobe 31; inside the
-    # block at the others.  The tail stop fires, but no row may converge.
+    # A step to 1 at x = 12.5 lies in the lookahead lobe of each row from
+    # nu = 6.3 on: the first of the next block at nu = 8.12, whose tail stop
+    # is lobe 31; inside the block at the others.  The tail stop fires, but
+    # no row may converge.  At nu = 9.5 epsilon meets tolerance at lobe 31,
+    # before the step, but has no earlier result to agree with, so the row
+    # walks on into the step.  At nu = 5 the step comes before any small
+    # lobe, and epsilon cannot settle the lobes of the constant past it, so
+    # the row walks to max_lobes and ends there unconverged.
     f = lambda x: np.where(x < 12.5, np.exp(-2.0 * x), 1.0)
-    spec, nus = QuadSpec(), np.array([6.9, 7.42, 8.12, 9.5])
+    spec, nus = QuadSpec(), np.array([5.0, 6.3, 6.9, 7.42, 8.12, 9.5])
     rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,
                             quad._LobeRows(nus.size, spec, 64))
     used = []
@@ -444,7 +544,7 @@ def test_lobe_rows_report_an_unconverged_lookahead():
         assert _key(row) == _key(one)
         assert not row.converged
         used.append(len(sent))
-    assert used == [28, 30, 33, 38]
+    assert used == [64, 26, 28, 30, 33, 38]
 
 
 @pytest.mark.parametrize("nus", [[1.0] * 16, [1.0] * 14 + [2.0, 0.5], [1.0]],

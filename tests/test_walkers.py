@@ -1,6 +1,6 @@
 """Property: the array walkers end every row bit for bit where that row's
 own one-row coroutine walk does, for windows and for lobes, at any row
-count and lobe cap, NaN integrands included."""
+count and lobe cap, NaN integrands and epsilon-ended lobe rows included."""
 
 import math
 
@@ -28,6 +28,9 @@ STEP = st.sampled_from([None, 31, 32, -1])
 # Lobe of the first row past whose middle the amplitude is NaN: none, early,
 # the last or first lobe of a block, or max_lobes - 1 (-1).
 NAN_LOBE = st.sampled_from([None, 0, 3, 31, 32, -1])
+# Whether the amplitude decays like a power, (1 + x)^-(1 + rate), so that
+# epsilon, not a tail stop, ends most rows, at a block edge or max_lobes.
+SLOW = st.booleans()
 
 
 def _keys(results):
@@ -40,9 +43,9 @@ def _keys(results):
 @settings(max_examples=30, deadline=None, database=None)
 @given(st.integers(1, 40).flatmap(
     lambda n: st.lists(ROW, min_size=n, max_size=n)), MAX_LOBES, STEP,
-    NAN_LOBE)
+    NAN_LOBE, SLOW)
 def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
-                                               nan_lobe):
+                                               nan_lobe, slow):
     rate, onset, nu, nan_from = (np.array(c) for c in zip(*params))
     n, spec = len(params), QuadSpec()
 
@@ -61,7 +64,9 @@ def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
     # Lobe rows share one amplitude and differ in frequency.
     if step is None:
         def amp(x):
-            return np.exp(-rate[0] * x) * (1.0 + np.exp(-(x - onset[0]) ** 2))
+            decay = ((1.0 + x) ** -(1.0 + rate[0]) if slow
+                     else np.exp(-rate[0] * x))
+            return decay * (1.0 + np.exp(-(x - onset[0]) ** 2))
     else:
         # Lobe `step` of the first row lies past the step, exactly 0.
         edge = (max_lobes - 1 if step == -1 else step) * math.pi / nu[0]
