@@ -345,7 +345,7 @@ def run_ledger(cfg: RunConfig) -> list[ClaimReport]:
     """One report per manifest claim id, in manifest order, deterministic."""
     s_audit = 0.75 - 2.0j
     digits = max(cfg.digits, 50)
-    direct, factored = laplace.rep_green_fresnel(1.0 + 0.0j)
+    direct, factored = laplace.rep_green_fresnel(1.0 + 2.0j)
     by_id = {
         "gram-psd": lambda: laplace.gram_psd_check(_SIGNED_PAIR),
         "lhpd-search": lambda: laplace.lhpd_falsify(

@@ -171,8 +171,8 @@ def make_report(claim_id: str, inputs: dict[str, Any],
     and budget b = max(error_estimate, RESIDUAL_FLOOR), and a NaN r
     violates.  A sign audit (lhs is the quantity claimed positive, rhs 0)
     passes its own (lower, upper) bounds on lhs; its residual is then
-    max(0, -lhs), the amount by which lhs falls below zero.  `notes` keyed
-    by status gives the note of the verdict reached.
+    max(0, -lhs), the amount by which lhs falls below zero, or NaN for a
+    NaN lhs.  `notes` keyed by status gives the note of the verdict reached.
     """
     paper_eq = CLAIM_IDS.get(claim_id) or IDENTITY_LABELS.get(claim_id)
     if paper_eq is None:
@@ -184,7 +184,7 @@ def make_report(claim_id: str, inputs: dict[str, Any],
                   (CONFIRM_FACTOR * budget - resid,
                    VIOLATE_FACTOR * budget - resid))
     else:
-        resid = max(0.0, -lhs)
+        resid = math.nan if math.isnan(lhs) else max(0.0, -lhs)
     status = classify(*bounds, converged)
     if isinstance(notes, dict):
         notes = notes.get(status, "")

@@ -369,7 +369,7 @@ def test_ledger_covers_the_manifest(tmp_path):
     assert [d["claimId"] for d in data] == list(CLAIM_IDS)
     inputs = {d["claimId"]: d["inputs"] for d in data}
     assert (inputs["lhpd-search"]["budget"],
-            inputs["lhpd-search"]["nPoints"]) == (4000, 8)
+            inputs["lhpd-search"]["nPoints"]) == (8, 8)
     assert (inputs["fresnel-positivity"]["nSamples"],
             inputs["fresnel-positivity"]["nuMax"],
             inputs["fresnel-positivity"]["families"]) == (
@@ -377,6 +377,11 @@ def test_ledger_covers_the_manifest(tmp_path):
     assert (inputs["hausdorff-moments"]["jMax"],
             inputs["hausdorff-moments"]["kMax"]) == (20, 20)
     assert inputs["cm-scan"]["h"] == 0.05
+    # The Fresnel routes run off the real axis, so a cosine transform runs.
+    reports = {d["claimId"]: d for d in data}
+    for claim_id in ("green-fresnel-direct", "green-fresnel-factored"):
+        assert inputs[claim_id]["z"] == {"re": 1.0, "im": 2.0}
+    assert reports["green-fresnel-factored"]["extra"]["evaluations"] > 0
 
 
 def test_traces_subcommand_structure(capsys):

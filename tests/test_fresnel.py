@@ -197,6 +197,7 @@ def test_positivity_audit_is_inconclusive_when_a_row_is_nan(monkeypatch):
     assert rep.notes == ("4 of 240 sampled transforms did not converge "
                          "or are not finite")
     assert math.isnan(rep.lhs)
+    assert math.isnan(rep.abs_residual)
 
 
 def test_positivity_audit_reports_its_evaluations():
