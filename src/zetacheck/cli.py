@@ -1,8 +1,8 @@
 """Command-line front end: verification suites, claim sweeps, report files.
 
-Exit codes: 0 on success, 2 when a hard identity misses its tolerance,
-3 when --strict-claims is set and an audited claim is VIOLATED, 4 on I/O
-failure, 64 on invalid configuration.
+Exit codes: 0 on success, 2 when a hard identity misses its tolerance or
+does not read CONFIRMED, 3 when --strict-claims is set and an audited claim
+is VIOLATED, 4 on I/O failure, 64 on invalid configuration.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ _SPEC_FRESNEL = QuadSpec(abs_tol=1e-11, rel_tol=1e-11)
 class _Check(NamedTuple):
     """Reports of one check and the bound each must meet.
 
-    A report passes when its abs_residual is at most --tol, or `threshold`
-    without --tol.  With `threshold` None it must be CONFIRMED instead,
-    whatever --tol says.
+    A report passes when it is CONFIRMED and its abs_residual is at most
+    --tol, or `threshold` without --tol.  A CONFIRMED sign audit has
+    abs_residual 0, so its threshold is 0.
     """
 
-    threshold: float | None
+    threshold: float
     evaluate: Callable[[int], list[ClaimReport]]
 
 
@@ -221,7 +221,7 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
                             AmplitudeSpec.gaussian(1.0),
                             AmplitudeSpec.rational(2.0)),
                            _fresnel_derivative)),
-        _Check(None, lambda seed: [
+        _Check(0.0, lambda seed: [
             fresnel.positivity_audit(seed=_SEED_BASE + seed)]),
     ),
     "theta": (
@@ -278,12 +278,9 @@ def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:
         for threshold, evaluate in _SUITES[name]:
             for rep in evaluate(cfg.seed):
                 reports.append(rep)
-                if threshold is None:
-                    ok = rep.status == ClaimStatus.CONFIRMED
-                else:
-                    bound = cfg.tol if cfg.tol is not None else threshold
-                    ok = rep.abs_residual <= bound
-                all_ok = all_ok and ok
+                bound = cfg.tol if cfg.tol is not None else threshold
+                all_ok = (all_ok and rep.status == ClaimStatus.CONFIRMED
+                          and rep.abs_residual <= bound)
     return reports, EXIT_OK if all_ok else EXIT_IDENTITY
 
 

@@ -149,8 +149,7 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     for amp in _DEFAULT_FAMILIES:
         nus = _NU_MAX * (1.0 - rng.random(per))  # uniform in (0, _NU_MAX]
         amp.validate_pcid()
-        rows += oscillatory_rows(amp.value, nus, OscKind.SIN,
-                                 _SPEC_POSITIVITY, max_lobes=768)
+        rows += oscillatory_rows(amp.value, nus, OscKind.SIN, _SPEC_POSITIVITY)
         at += [{"family": amp.family.value, "parameter": amp.parameter,
                 "nu": float(nu)} for nu in nus]
     value = np.array([r.value for r in rows], dtype=float)

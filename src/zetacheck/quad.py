@@ -18,10 +18,12 @@ arrays, so an interval settled by either costs no Python work; only the
 few still unsettled get a QUADPACK panel heap each.  A walk of many rows
 (the inner integrals of a quadrant, the frequencies of a positivity audit)
 keeps each row's stopping state in array slots and advances all rows a
-block at a time with cumulative numpy operations.  A one-row walk sends
-each interval to a stopping coroutine, which costs less than the array
-step's fixed numpy work per block.  Both add a row's intervals in the same
-order and end it bit for bit alike.
+block at a time with cumulative numpy operations; every lobe walk does so,
+one-row walks too.  A one-row window walk (a semi-infinite integral, the
+outer walk of a quadrant) sends each window to a stopping coroutine
+instead, which costs less there than the array step's fixed numpy work per
+block.  Both add a row's windows in the same order and end it bit for bit
+alike.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
@@ -30,7 +32,6 @@ must return an ndarray of the same shape; anything else raises TypeError.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
@@ -104,6 +105,8 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 _MAX_DEPTH = 48
 _MAX_EVALS = 4_000_000
 _MAX_WINDOWS = 700
+# Lobes a lobe walk may take before it ends on its last epsilon result.
+_MAX_LOBES = 768
 # Windows or lobes integrated per block: past the stop they are wasted work,
 # so a block stays small next to a typical walk of 30-300.
 _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
@@ -361,8 +364,8 @@ def _running(start: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 class _Coroutine:
-    """Walk state of one row: a stopping coroutine (see _walk), sent its
-    intervals one at a time."""
+    """Walk state of one window row: a stopping coroutine (see _walk), sent
+    its windows one at a time."""
 
     n = 1
 
@@ -479,10 +482,11 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
     mass even under cancellation, which is what the window stopping rule
     needs.
 
-    Many rows step on array state (_WindowRows, _LobeRows): numpy calls per
-    block, none per interval.  One row (integrate_semi_infinite, the outer
-    quadrant walk, a one-frequency lobe walk) steps a _Coroutine, whose
-    Python work per interval costs less there than that fixed numpy work.
+    Lobe walks and window walks of many rows step on array state
+    (_LobeRows, _WindowRows): numpy calls per block, none per interval.  A
+    one-row window walk (integrate_semi_infinite, the outer quadrant walk)
+    steps a _Coroutine, whose Python work per window costs less there than
+    that fixed numpy work.
     """
     active, spent = np.arange(walker.n), []
     for k0 in range(0, limit, block):
@@ -616,69 +620,31 @@ def _epsilon(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, _max(error, 5.0 * eps * _abs(value))
 
 
-def _lobe_sum(spec: QuadSpec, max_lobes: int):
-    """Stopping rules of one lobe walk: a coroutine sent and yielding as _walk.
-
-    A tail stop comes first: a lobe past the first below abs_tol / 10 ends
-    the walk on the next lobe, which bounds the alternating tail.  Failing
-    that, at the last lobe of each block and at lobe max_lobes - 1 the walk
-    extrapolates its last _LOBE_BLOCK partial sums with _epsilon.  Its drift
-    is the distance from the result to the one before (NaN at the first).
-    The walk ends on the result once its error and its drift both meet
-    tolerance, and at lobe max_lobes - 1 in any case, unconverged unless
-    both meet tolerance; the larger of the two is the result's error.  So
-    no walk ends on its first result, and one whose amplitude changes
-    course after a window walks on into the change.
-    """
-    partials: deque[complex] = deque(maxlen=_LOBE_BLOCK)
-    total, total_err, tail, converged = 0.0 + 0.0j, 0.0, 0.0, False
-    lobes_converged, diverged, last = True, False, math.nan
-    for k in range(max_lobes):
-        val, err, conv, div, _ = yield
-        total += val
-        total_err += err
-        lobes_converged, diverged = lobes_converged and conv, diverged or div
-        if total != total or total_err != total_err:
-            break  # NaN stays NaN; the row ends on its running sums
-        partials.append(total)
-        if k >= 1 and abs(val) < spec.abs_tol / 10.0:
-            # Alternating-series tail: first omitted lobe bounds the rest.
-            nval, nerr, conv, div, _ = yield
-            tail = abs(nval) + nerr
-            lobes_converged, diverged = lobes_converged and conv, diverged or div
-            converged = True
-            break
-        if (k + 1) % _LOBE_BLOCK == 0 or k + 1 == max_lobes:
-            value, error = (x.item() for x in _epsilon(np.array([partials])))
-            drift = abs(value - last)
-            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-            converged = error <= tol and drift <= tol
-            if converged or k + 1 == max_lobes:
-                total, tail = value, max(error, drift)  # a NaN drift loses
-                break
-            last = value
-    yield total, total_err + tail, converged and lobes_converged, diverged
-
-
 class _LobeRows:
-    """The stopping rules of _lobe_sum for many rows, one block at a time.
+    """Stopping rules of a lobe walk for many rows, one block at a time.
 
-    As _WindowRows does for _walk.  A lobe is small when it lies below
-    abs_tol / 10 and its index is at least 1 and below max_lobes.  A row
-    ends on lobe e, the first lobe after a small one: its value is the
+    As _WindowRows does for _walk, each row's walk state is a slot of an
+    array.  A tail stop comes first: a lobe is small when it lies below
+    abs_tol / 10 and its index is at least 1 and below _MAX_LOBES, and a
+    row ends on lobe e, the first lobe after a small one: its value is the
     running total through lobe e - 1, and lobe e bounds the alternating
     tail.  Each row carries whether its last lobe was small, so e may be a
     block's first lobe.  A row whose running total or error turns NaN at an
-    earlier lobe below max_lobes ends there, on its running sums.  At the
-    block's last lobe, or at lobe max_lobes - 1 if the block holds it, the
+    earlier lobe below _MAX_LOBES ends there, on its running sums.  At the
+    block's last lobe, or at lobe _MAX_LOBES - 1 if the block holds it, the
     rows still walking whose lobe there is not small extrapolate their last
-    _LOBE_BLOCK partial sums in one _epsilon call, and end as _lobe_sum
-    does; each row carries the partial sums of its last block and its last
-    epsilon result for that.
+    _LOBE_BLOCK partial sums in one _epsilon call; a row's drift is the
+    distance from that result to its previous one (NaN at the first).  A
+    row ends on the result once its error and its drift both meet
+    tolerance, and at lobe _MAX_LOBES - 1 in any case, unconverged unless
+    both meet tolerance; the larger of the two is the result's error.  So
+    no row ends on its first result, and one whose amplitude changes course
+    after a window walks on into the change.  Each row carries the partial
+    sums of its last block and its last epsilon result for that.
     """
 
-    def __init__(self, n: int, spec: QuadSpec, max_lobes: int) -> None:
-        self.n, self.spec, self.max_lobes = n, spec, max_lobes
+    def __init__(self, n: int, spec: QuadSpec) -> None:
+        self.n, self.spec = n, spec
         self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         self.small = np.zeros(n, dtype=bool)
@@ -687,7 +653,7 @@ class _LobeRows:
         self.ends = [None] * n
 
     def step(self, rows, k0, val, err, conv, div, _mass) -> np.ndarray:
-        spec, max_lobes, k = self.spec, self.max_lobes, val.shape[1]
+        spec, k = self.spec, val.shape[1]
         mag = _abs(val)
         total = _running(self.total[rows], val)
         error = _running(self.error[rows], err)
@@ -695,13 +661,13 @@ class _LobeRows:
         div = np.logical_or.accumulate(div, axis=1) | self.div[rows, None]
         lobe = k0 + np.arange(k)
         small = ((mag < spec.abs_tol / 10.0) & (lobe >= 1)
-                 & (lobe < max_lobes))
+                 & (lobe < _MAX_LOBES))
         stop = _first(np.concatenate([self.small[rows, None], small[:, :-1]],
                                      axis=1))
         # NaN stays NaN: a row ends on the running sums of its first NaN
         # lobe, unless that lobe is the lookahead of a tail stop.
         at_nan = _first((np.isnan(total) | np.isnan(error))
-                        & (lobe < max_lobes))
+                        & (lobe < _MAX_LOBES))
         i = np.flatnonzero(at_nan < stop)
         n = at_nan[i]
         _settle(self.ends, rows[i], total[i, n], error[i, n], conv[i, n],
@@ -715,17 +681,18 @@ class _LobeRows:
                 + (mag[i, s] + err[i, s]), conv[i, s], div[i, s])
         end_at = np.minimum(stop, at_nan)
         ended = end_at < k
-        c = min(max_lobes - 1 - k0, k - 1)
-        if c >= 0:
-            # Epsilon at lobe c, for the rows walking on without a tail stop.
-            i = np.flatnonzero((end_at > c) & ~small[:, c])
+        c = min(_MAX_LOBES - 1 - k0, k - 1)
+        # Epsilon at lobe c, for the rows walking on without a tail stop;
+        # a block in which every row has ended calls it for none.
+        i = np.flatnonzero((end_at > c) & ~small[:, c]) if c >= 0 else rows[:0]
+        if i.size:
             value, tail = _epsilon(np.concatenate(
                 [self.partials[rows[i]], total[i, :c + 1]],
-                axis=1)[:, -min(max_lobes, _LOBE_BLOCK):])
+                axis=1)[:, -min(_MAX_LOBES, _LOBE_BLOCK):])
             drift = _abs(value - self.last[rows[i]])
             tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
             ok = (tail <= tol) & (drift <= tol)
-            end = ok | (k0 + c == max_lobes - 1)
+            end = ok | (k0 + c == _MAX_LOBES - 1)
             self.last[rows[i]] = value
             tail = _max(tail, drift)  # a NaN drift loses
             i, value, tail, ok = i[end], value[end], tail[end], ok[end]
@@ -740,29 +707,15 @@ class _LobeRows:
         return ended
 
 
-def _walk_lobes(f, nus: np.ndarray, kind: OscKind, spec: QuadSpec,
-                max_lobes: int, walker) -> list[QuadResult]:
-    """Lobe sums of f(x)*osc(nu x) over [0, inf) for nu in nus (walker.n
-    rows), walked in lockstep."""
-    osc = np.sin if kind == OscKind.SIN else np.cos
-    # The last block holds the lookahead lobe max_lobes.
-    limit = _LOBE_BLOCK * (max_lobes // _LOBE_BLOCK + 1)
-    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
-                      walker,
-                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
-                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
-
-
-def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
-                     max_lobes: int = 4096) -> list[QuadResult]:
+def oscillatory_rows(f, nus, kind: OscKind,
+                     spec: QuadSpec = QuadSpec()) -> list[QuadResult]:
     """Lobe-partitioned integrals of f(x)*osc(nu x) over [0, inf), nu in nus.
 
     osc is sin or cos by kind.  Every row shares the amplitude f and walks
-    its own lobes, all rows in lockstep; no positivity or monotonicity is
-    assumed about f.  A row's result is the same as its own one-row walk.
+    its own lobes, all rows in lockstep on one _LobeRows; no positivity or
+    monotonicity is assumed about f.  A row's result is the same as its own
+    one-row walk.
     """
-    if max_lobes < 16:
-        raise DomainError(f"need max_lobes >= 16, got {max_lobes}")
     nus = np.array([float(nu) for nu in nus])
     if not nus.size:
         raise DomainError("need at least one frequency")
@@ -771,20 +724,23 @@ def oscillatory_rows(f, nus, kind: OscKind, spec: QuadSpec = QuadSpec(),
             raise DomainError("oscillator frequency must be finite and > 0")
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
-    walker = (_LobeRows(nus.size, spec, max_lobes) if nus.size > 1
-              else _Coroutine(_lobe_sum(spec, max_lobes)))
-    return _walk_lobes(f, nus, kind, spec, max_lobes, walker)
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    # The last block holds the lookahead lobe _MAX_LOBES.
+    limit = _LOBE_BLOCK * (_MAX_LOBES // _LOBE_BLOCK + 1)
+    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
+                      _LobeRows(nus.size, spec),
+                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
+                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
 
 
 def oscillatory_raw(f, nu: float, kind: OscKind,
-                    spec: QuadSpec = QuadSpec(),
-                    max_lobes: int = 4096) -> QuadResult:
+                    spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Lobe-partitioned integral of f(x)*sin(nu x) (or cos) over [0, inf).
 
     The one-row case of oscillatory_rows, and the raw engine beneath
     integrate_oscillatory.
     """
-    return oscillatory_rows(f, [nu], kind, spec, max_lobes)[0]
+    return oscillatory_rows(f, [nu], kind, spec)[0]
 
 
 def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:

@@ -215,7 +215,11 @@ def zeta_star(s: complex) -> complex:
 
 
 def theta(x):
-    """Sum of exp(-pi n^2 x) over n >= 1, for x > 0 (scalar or ndarray)."""
+    """Sum of exp(-pi n^2 x) over n >= 1, for x > 0 (scalar or ndarray).
+
+    Raises DomainError for an x so small (below about 2.5e-6) that 1999
+    terms do not reach the sum's rounding.
+    """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("theta requires finite x > 0")
@@ -225,6 +229,9 @@ def theta(x):
         if n > 1 and np.all(term < np.maximum(1e-16 * total, 1e-300)):
             break
         total = total + term
+    else:
+        raise DomainError("theta series did not converge in 1999 terms; "
+                          "x is too small")
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(total)
     return total

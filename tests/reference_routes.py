@@ -1,7 +1,7 @@
 """Test-side evaluation routes: oracles that no audit runs.
 
 Each is a second way to a quantity the package computes, kept here for the
-comparisons in the tests, as _mpc_series and _serial_lobe_sum are.
+comparisons in the tests, as _mpc_series of test_traces.py is.
 """
 
 import math
@@ -12,7 +12,8 @@ import numpy as np
 
 from zetacheck import laplace, quad
 from zetacheck.errors import DomainError
-from zetacheck.quad import QuadResult, QuadSpec, integrate_semi_infinite
+from zetacheck.quad import (OscKind, QuadResult, QuadSpec,
+                            integrate_semi_infinite)
 from zetacheck.report import ClaimReport, classify, make_report
 from zetacheck.specfun import theta
 from zetacheck.traces import tr_cg_sigma_result
@@ -66,6 +67,63 @@ def j_tail_bound(u: float, m: int, n_start: int) -> float:
     n_tail = n_start ** (-float(m)) + n_start ** (1.0 - m) / (m - 1.0)
     x_factor = 1.0 / (m - u) + 1.0 / (m + u - 1.0)
     return big_k * n_tail * x_factor
+
+
+def serial_lobe_sum(f, nu: float, kind: OscKind,
+                    spec: QuadSpec) -> tuple[QuadResult, int]:
+    """One lobe walk of f(x)*osc(nu x) over [0, inf), a lobe at a time.
+
+    The stopping rules of quad._LobeRows written for one row, up to
+    quad._MAX_LOBES: the walk fetches a block of lobes only when it needs
+    that block's first lobe, and a block's lobes all count as evaluations.
+    Returns the result and the number of lobes the walk took.
+    """
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    block, cap, evals = quad._LOBE_BLOCK, quad._MAX_LOBES, 0
+
+    def lobes():
+        nonlocal evals
+        for k0 in range(0, cap + 1, block):
+            ks = range(k0, k0 + block)
+            rows = list(zip(*(column.tolist() for column in quad._lockstep(
+                lambda x, _: f(x) * osc(nu * x),
+                [max(k - shift, 0.0) * math.pi / nu for k in ks],
+                [(k + 1 - shift) * math.pi / nu for k in ks],
+                spec.abs_tol / 50.0, 1e-10, 24))))
+            evals += sum(r[2] for r in rows)
+            yield from rows
+
+    walk, partials, used, last = lobes(), [], 0, math.nan
+    total, total_err, tail, converged = 0j, 0.0, 0.0, False
+    lobes_converged, diverged = True, False
+    for k in range(cap):
+        val, err, _, conv, div, _ = next(walk)
+        total, total_err, used = total + val, total_err + err, used + 1
+        lobes_converged, diverged = lobes_converged and conv, diverged or div
+        if total != total or total_err != total_err:
+            break  # NaN stays NaN: the walk ends on its running sums
+        partials.append(total)
+        if k >= 1 and abs(val) < spec.abs_tol / 10.0:
+            # Alternating-series tail: the next lobe bounds the rest.
+            nval, nerr, _, conv, div, _ = next(walk)
+            tail, converged, used = abs(nval) + nerr, True, used + 1
+            lobes_converged = lobes_converged and conv
+            diverged = diverged or div
+            break
+        if (k + 1) % block == 0 or k + 1 == cap:
+            value, error = (x.item() for x in quad._epsilon(
+                np.array([partials[-block:]])))
+            drift = abs(value - last)
+            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+            converged = error <= tol and drift <= tol
+            if converged or k + 1 == cap:
+                total, tail = value, max(error, drift)  # a NaN drift loses
+                break
+            last = value
+    value, error = quad._tidy(total), total_err + tail
+    return QuadResult(value, error, evals, converged and lobes_converged
+                      and value == value and error == error, diverged), used
 
 
 def tr_cg_sigma(n: int, z: complex) -> float:

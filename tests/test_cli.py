@@ -94,7 +94,8 @@ def test_nan_sample_residual_is_not_dropped(monkeypatch, tmp_path):
 def test_unconverged_newton_leibnitz_sample_is_inconclusive(monkeypatch,
                                                             tmp_path):
     # One sample's quadrature reports converged=False: the worst residual is
-    # still tiny, but the check must not confirm what did not converge.
+    # still tiny, but the check must not confirm what did not converge, and
+    # verify must not pass a report that is not CONFIRMED.
     real = rhfe.newton_leibnitz_quadrature
     calls = []
 
@@ -105,7 +106,8 @@ def test_unconverged_newton_leibnitz_sample_is_inconclusive(monkeypatch,
 
     monkeypatch.setattr(rhfe, "newton_leibnitz_quadrature", one_unconverged)
     out = tmp_path / "nl.json"
-    run(["verify", "--suite", "newton-leibnitz", "--out", str(out)])
+    assert run(["verify", "--suite", "newton-leibnitz", "--out",
+                str(out)]) == 2
     report, = json.loads(out.read_text())
     assert len(calls) == 100
     assert report["claimId"] == "newton-leibnitz"

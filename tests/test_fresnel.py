@@ -147,7 +147,7 @@ def test_positivity_audit_matches_serial_transforms(seed):
     for amp in fresnel._DEFAULT_FAMILIES:
         for nu in fresnel._NU_MAX * (1.0 - rng.random(per)):
             res = quad.oscillatory_raw(amp.value, float(nu), OscKind.SIN,
-                                       fresnel._SPEC_POSITIVITY, 768)
+                                       fresnel._SPEC_POSITIVITY)
             lcb = min(lcb, res.value - 3.0 * res.error_estimate)
             converged = converged and res.converged
             if worst is None or res.value < worst[0]:
@@ -211,7 +211,7 @@ def test_positivity_audit_reports_its_evaluations():
     for amp in fresnel._DEFAULT_FAMILIES:
         rows += quad.oscillatory_rows(
             amp.value, fresnel._NU_MAX * (1.0 - rng.random(per)),
-            OscKind.SIN, fresnel._SPEC_POSITIVITY, max_lobes=768)
+            OscKind.SIN, fresnel._SPEC_POSITIVITY)
     rep = fresnel.positivity_audit(seed=20260815)
     assert rep.extra == {"evaluations": sum(r.evaluations for r in rows)}
     assert rep.extra["evaluations"] <= 250_000
@@ -219,8 +219,7 @@ def test_positivity_audit_reports_its_evaluations():
 
 def test_rational_derivative_check_stops_early():
     # (1 + x)^-2 and its derivative have no tail stop; epsilon ends both
-    # sides at a block edge instead of walking 4096 lobes (61,500
-    # evaluations a side).
+    # sides at a block edge instead of walking to the lobe cap.
     amp, spec = AmplitudeSpec.rational(2.0), QuadSpec(1e-10, 1e-10)
     lhs = fresnel.fresnel_cos(amp, 1.5, spec)
     rhs = quad.oscillatory_raw(amp.derivative, 1.5, OscKind.SIN, spec)

@@ -164,7 +164,7 @@ def test_late_onset_exp_cascade():
     assert abs(res.value - HALF_E1_PI) <= 1e-14
 
 
-# -- array walkers against one coroutine per row -----------------------------
+# -- window walkers against one coroutine per row ----------------------------
 
 
 def _key(res):
@@ -284,56 +284,6 @@ def test_oscillatory_rational_cos():
     assert abs(res.value - truth) <= 1e-8
 
 
-def _serial_lobe_sum(f, nu, kind, spec, max_lobes):
-    """Reference for the rows walker: one lobe walk that fetches a block
-    only when it needs that block's first lobe.
-
-    Returns (value, error, evaluations, converged, lobes consumed).
-    """
-    osc = np.sin if kind == OscKind.SIN else np.cos
-    shift = 0.0 if kind == OscKind.SIN else 0.5
-    evals = 0
-
-    def lobes():
-        nonlocal evals
-        for k0 in range(0, max_lobes + 1, quad._LOBE_BLOCK):
-            ks = range(k0, k0 + quad._LOBE_BLOCK)
-            block = list(zip(*(column.tolist() for column in quad._lockstep(
-                lambda x, _: f(x) * osc(nu * x),
-                [max(k - shift, 0.0) * math.pi / nu for k in ks],
-                [(k + 1 - shift) * math.pi / nu for k in ks],
-                spec.abs_tol / 50.0, 1e-10, 24))))
-            evals += sum(r[2] for r in block)
-            yield from block
-
-    walk, partials, used, last = lobes(), [], 0, math.nan
-    total, total_err, tail, converged = 0j, 0.0, 0.0, False
-    lobes_converged = True
-    for k in range(max_lobes):
-        val, err, _, conv, *_ = next(walk)
-        total, total_err, used = total + val, total_err + err, used + 1
-        lobes_converged = lobes_converged and conv
-        partials.append(total)
-        if k >= 1 and abs(val) < spec.abs_tol / 10.0:
-            nval, nerr, _, conv, *_ = next(walk)
-            tail, converged, used = abs(nval) + nerr, True, used + 1
-            lobes_converged = lobes_converged and conv
-            break
-        if (k + 1) % quad._LOBE_BLOCK == 0 or k + 1 == max_lobes:
-            value, error = (x.item() for x in quad._epsilon(
-                np.array([partials[-quad._LOBE_BLOCK:]])))
-            drift = abs(value - last)
-            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-            converged = error <= tol and drift <= tol
-            if converged or k + 1 == max_lobes:
-                total = value
-                tail = error if math.isnan(drift) else max(error, drift)
-                break
-            last = value
-    return (total, total_err + tail, evals, converged and lobes_converged,
-            used)
-
-
 @pytest.mark.parametrize("p, kind, nu", [(2.0, OscKind.COS, 0.05),
                                          (2.5, OscKind.SIN, 50.0)])
 def test_rational_transform_matches_quadosc(p, kind, nu):
@@ -423,52 +373,53 @@ MORE_NUS = [1.3, 2.2, 4.4, 5.9, 9.5, 11.0, 13.3, 21.0, 24.4, 33.0, 38.5, 44.0,
             49.0]
 
 
-@pytest.mark.parametrize("amp, kind, nus, spec, max_lobes", [
+@pytest.mark.parametrize("amp, kind, nus, spec, cap", [
     # exp(-2x) at nu = 8.12 (sin) and 7.87 (cos) stops at lobe 31, so its
     # tail lookahead is the first lobe of the next block.
     (AmplitudeSpec.exponential(2.0), OscKind.SIN,
-     [0.7, 8.12, 17.15, 30.0] + MORE_NUS, QuadSpec(), 4096),
+     [0.7, 8.12, 17.15, 30.0] + MORE_NUS, QuadSpec(), 768),
     (AmplitudeSpec.exponential(2.0), OscKind.COS,
-     [0.7, 7.87, 16.9, 30.0] + MORE_NUS, QuadSpec(), 4096),
+     [0.7, 7.87, 16.9, 30.0] + MORE_NUS, QuadSpec(), 768),
     # rational(2.5) rows have no tail stop: epsilon ends them at the second
     # block edge, where its result first agrees with the one before, or at
-    # max_lobes = 20 before either edge.
+    # a lobe cap of 20 before either edge.
     (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0] + MORE_NUS,
      QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 768),
     (AmplitudeSpec.rational(2.5), OscKind.SIN, [0.5, 3.0, 20.0] + MORE_NUS,
      QuadSpec(abs_tol=1e-9, rel_tol=1e-9), 20),
 ], ids=["exp-sin", "exp-cos", "rational-sin", "rational-sin-capped"])
-def test_oscillatory_rows_match_one_row_walks(amp, kind, nus, spec, max_lobes):
-    # The rows walk takes the array path; each one-row walk, the coroutine.
+def test_oscillatory_rows_match_one_row_walks(monkeypatch, amp, kind, nus,
+                                              spec, cap):
+    # Each row of a many-row walk ends where its own one-row walk does, and
+    # where the lobe-at-a-time reference does.
     assert len(nus) > 1
-    rows = oscillatory_rows(amp.value, nus, kind, spec, max_lobes)
+    monkeypatch.setattr(quad, "_MAX_LOBES", cap)
+    rows = oscillatory_rows(amp.value, nus, kind, spec)
     used = []
     for nu, row in zip(nus, rows):
-        one = oscillatory_raw(amp.value, nu, kind, spec, max_lobes)
-        *ref, n_used = _serial_lobe_sum(amp.value, nu, kind, spec, max_lobes)
+        one = oscillatory_raw(amp.value, nu, kind, spec)
+        ref, n_used = routes.serial_lobe_sum(amp.value, nu, kind, spec)
         used.append(n_used)
-        for res in (row, one):
-            assert (complex(res.value), res.error_estimate, res.evaluations,
-                    res.converged) == (complex(ref[0]), *ref[1:])
-        assert _key(row) == _key(one)
+        assert _key(row) == _key(one) == _key(ref)
     if amp.family == Family.RATIONAL:
-        assert used == [min(max_lobes, 2 * quad._LOBE_BLOCK)] * len(nus)
+        assert used == [min(cap, 2 * quad._LOBE_BLOCK)] * len(nus)
     else:
         # Rows stop in different blocks, one just past a block edge.
         assert len({-(-n // quad._LOBE_BLOCK) for n in used}) > 1
         assert any(n % quad._LOBE_BLOCK == 1 for n in used)
 
 
-@pytest.mark.parametrize("nu, max_lobes", [
+@pytest.mark.parametrize("nu, n_rows", [
     (0.0, 4096), (-1.0, 4096), (math.nan, 4096), (math.inf, 4096),
-    (1001.0, 4096), (2.0, 15), (2.0, 1), (2.0, 0),
+    (1001.0, 4096),
 ])
-def test_oscillatory_rejects_bad_input(nu, max_lobes):
+def test_oscillatory_rejects_bad_input(nu, n_rows):
+    # A bad frequency is rejected alone and as the last of many rows.
     f = lambda x: np.exp(-x)
     with pytest.raises(DomainError):
-        oscillatory_raw(f, nu, OscKind.SIN, max_lobes=max_lobes)
+        oscillatory_raw(f, nu, OscKind.SIN)
     with pytest.raises(DomainError):
-        oscillatory_rows(f, [1.0, nu], OscKind.COS, max_lobes=max_lobes)
+        oscillatory_rows(f, [1.0] * (n_rows - 1) + [nu], OscKind.COS)
 
 
 def test_oscillatory_rows_reject_an_empty_frequency_list():
@@ -522,7 +473,7 @@ def test_lobe_walk_reports_lobe_convergence():
     assert oscillatory_raw(lambda x: np.exp(-x), 1.0, OscKind.SIN).converged
 
 
-def test_lobe_rows_report_an_unconverged_lookahead():
+def test_lobe_rows_report_an_unconverged_lookahead(monkeypatch):
     # A step to 1 at x = 12.5 lies in the lookahead lobe of each row from
     # nu = 6.3 on: the first of the next block at nu = 8.12, whose tail stop
     # is lobe 31; inside the block at the others.  The tail stop fires, but
@@ -530,44 +481,35 @@ def test_lobe_rows_report_an_unconverged_lookahead():
     # before the step, but has no earlier result to agree with, so the row
     # walks on into the step.  At nu = 5 the step comes before any small
     # lobe, and epsilon cannot settle the lobes of the constant past it, so
-    # the row walks to max_lobes and ends there unconverged.
+    # the row walks to the lobe cap and ends there unconverged.
+    monkeypatch.setattr(quad, "_MAX_LOBES", 64)
     f = lambda x: np.where(x < 12.5, np.exp(-2.0 * x), 1.0)
-    spec, nus = QuadSpec(), np.array([5.0, 6.3, 6.9, 7.42, 8.12, 9.5])
-    rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,
-                            quad._LobeRows(nus.size, spec, 64))
+    spec, nus = QuadSpec(), [5.0, 6.3, 6.9, 7.42, 8.12, 9.5]
     used = []
-    for nu, row in zip(nus, rows):
-        sent = []
-        one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
-                                quad._Coroutine(_counting(
-                                    quad._lobe_sum(spec, 64), sent)))
-        assert _key(row) == _key(one)
+    for nu, row in zip(nus, oscillatory_rows(f, nus, OscKind.SIN, spec)):
+        ref, n_used = routes.serial_lobe_sum(f, nu, OscKind.SIN, spec)
+        assert _key(row) == _key(oscillatory_raw(f, nu, OscKind.SIN, spec)) \
+            == _key(ref)
         assert not row.converged
-        used.append(len(sent))
+        used.append(n_used)
     assert used == [64, 26, 28, 30, 33, 38]
 
 
 @pytest.mark.parametrize("nus", [[1.0] * 16, [1.0] * 14 + [2.0, 0.5], [1.0]],
                          ids=["all-at-cap", "mixed", "one-row"])
-def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(nus):
-    # At nu = 1 lobe 63 = max_lobes - 1 is the first small one, so the row
-    # ends on lobe 64, the first lobe of the block after the cap.  At nu = 2
-    # no lobe is small and the row accelerates; at nu = 0.5 the tail stop
-    # comes early.
+def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(monkeypatch, nus):
+    # With a lobe cap of 64, at nu = 1 lobe 63 = cap - 1 is the first small
+    # one, so the row ends on lobe 64, the first lobe of the block after the
+    # cap.  At nu = 2 no lobe is small and the row accelerates; at nu = 0.5
+    # the tail stop comes early.
+    monkeypatch.setattr(quad, "_MAX_LOBES", 64)
     f = lambda x: np.where(x < 63.0 * math.pi, 1.0, 0.0)
-    spec, nus = QuadSpec(), np.array(nus)
-    rows = quad._walk_lobes(f, nus, OscKind.SIN, spec, 64,
-                            quad._LobeRows(nus.size, spec, 64))
-    assert [_key(r) for r in oscillatory_rows(f, nus, OscKind.SIN,
-                                              max_lobes=64)] == \
-        [_key(r) for r in rows]
-    for nu, row in zip(nus, rows):
-        sent = []
-        one, = quad._walk_lobes(f, np.array([nu]), OscKind.SIN, spec, 64,
-                                quad._Coroutine(_counting(
-                                    quad._lobe_sum(spec, 64), sent)))
-        assert _key(row) == _key(one)
-        assert len(sent) == {1.0: 65, 2.0: 64, 0.5: 34}[nu]
+    spec = QuadSpec()
+    for nu, row in zip(nus, oscillatory_rows(f, nus, OscKind.SIN, spec)):
+        ref, n_used = routes.serial_lobe_sum(f, nu, OscKind.SIN, spec)
+        assert _key(row) == _key(oscillatory_raw(f, nu, OscKind.SIN, spec)) \
+            == _key(ref)
+        assert n_used == {1.0: 65, 2.0: 64, 0.5: 34}[nu]
 
 
 def test_inv_sqrt_improper_amplitude():

@@ -131,6 +131,8 @@ def test_zeta_star_small_near_first_zero():
     (1.0, 0.043217405606654005),
     (2.0, 0.0018674427438695456),
     (0.1, 1.0811388300842615),
+    # Near the smallest x it sums: (1/sqrt(x) - 1) / 2 to rounding there.
+    (3e-6, 288.17513459481285),
 ])
 def test_theta_oracles(x, want):
     assert theta(x) == pytest.approx(want, rel=1e-14, abs=1e-16)
@@ -157,6 +159,15 @@ def test_theta_rejects_nonpositive():
         theta(0.0)
     with pytest.raises(DomainError):
         theta(-1.0)
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-7, np.array([1e-7, 1.0])],
+                         ids=["1e-6", "1e-7", "array"])
+def test_theta_raises_when_its_series_does_not_converge(x):
+    # 1999 terms fall short of the Jacobi values 499.5 and 1580.6; a
+    # truncated sum must not come back as theta.
+    with pytest.raises(DomainError, match="did not converge"):
+        theta(x)
 
 
 # -- small closed-form pieces ------------------------------------------------

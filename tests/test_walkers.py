@@ -1,8 +1,11 @@
-"""Property: the array walkers end every row bit for bit where that row's
-own one-row coroutine walk does, for windows and for lobes, at any row
-count and lobe cap, NaN integrands and epsilon-ended lobe rows included."""
+"""Property: a walk of many rows ends every row bit for bit where that
+row's own one-row walk does, for windows and for lobes, at any row count
+and lobe cap, NaN integrands and epsilon-ended lobe rows included.  A
+window row's own walk is its stopping coroutine; a lobe row's is a one-row
+lobe walk, and the lobe-at-a-time reference walk ends it there too."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ from hypothesis import strategies as st  # noqa: E402
 from zetacheck import quad  # noqa: E402
 from zetacheck.quad import OscKind, QuadSpec  # noqa: E402
 
+import reference_routes as routes  # noqa: E402
+
 # Per row: exp decay rate, Gaussian-bump onset, frequency, and the x past
 # which its window integrand is NaN (inf: never).
 ROW = st.tuples(st.floats(0.2, 3.0), st.floats(0.0, 30.0),
                 st.floats(0.05, 50.0),
                 st.one_of(st.just(math.inf), st.floats(0.0, 40.0)))
-# Caps on both sides of the 32-lobe block edges.
+# Lobe caps on both sides of the 32-lobe block edges.
 MAX_LOBES = st.sampled_from([16, 31, 32, 33, 63, 64, 65, 256])
 # Lobe of the first row at which the amplitude steps to 0, so that lobe is
 # the row's first small one: none, the last or first lobe of a block, or
@@ -82,10 +87,10 @@ def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
         def amp(x):
             return np.where(x > nan_at, np.nan, finite_amp(x))
 
-    arrays = quad._walk_lobes(amp, nu, OscKind.SIN, spec, max_lobes,
-                              quad._LobeRows(n, spec, max_lobes))
-    one_rows = [quad._walk_lobes(amp, nu[i:i + 1], OscKind.SIN, spec,
-                                 max_lobes, quad._Coroutine(quad._lobe_sum(
-                                     spec, max_lobes)))[0]
-                for i in range(n)]
-    assert _keys(arrays) == _keys(one_rows)
+    with mock.patch.object(quad, "_MAX_LOBES", max_lobes):
+        arrays = quad.oscillatory_rows(amp, nu, OscKind.SIN, spec)
+        one_rows = [quad.oscillatory_raw(amp, x, OscKind.SIN, spec)
+                    for x in nu]
+        serial = [routes.serial_lobe_sum(amp, x, OscKind.SIN, spec)[0]
+                  for x in nu]
+    assert _keys(arrays) == _keys(one_rows) == _keys(serial)
