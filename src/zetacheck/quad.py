@@ -140,8 +140,7 @@ def _panels(g, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
     # The ufunc reductions np.sum and np.max call, without their wrappers.
     k15 = h * np.add.reduce(_WK * y, axis=1)
     d = k15 - h * np.add.reduce(_WG * y[:, 1::2], axis=1)
-    # hypot rounds |complex| as a scalar abs does; np.abs may not.
-    return k15, np.hypot(d.real, d.imag), np.maximum.reduce(np.abs(y), axis=1)
+    return k15, _abs(d), np.maximum.reduce(np.abs(y), axis=1)
 
 
 class _Diverge:
@@ -187,7 +186,7 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
     for s in range(0, lo.size, _MAX_INTERVALS):
         a, b = lo[s:s + _MAX_INTERVALS], hi[s:s + _MAX_INTERVALS]
         val, err, peak = _panels(g, a, b, np.arange(s, s + a.size))
-        done = err <= np.fmax(abs_tol, rel_tol * np.hypot(val.real, val.imag))
+        done = err <= np.fmax(abs_tol, rel_tol * _abs(val))
         evals, diverged = np.full(a.size, 15), np.zeros(a.size, dtype=bool)
         chunks.append((val, err, evals, done, diverged, peak))
         todo = (~done).nonzero()[0]
@@ -205,7 +204,7 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
                              np.concatenate([todo, todo]) + s)
         mid, lv, le, rv, re_ = ends[n:2 * n], cv[:n], ce[:n], cv[n:], ce[n:]
         t, te = v - v + lv + rv, e - e + le + re_
-        tmag = np.hypot(t.real, t.imag)
+        tmag = _abs(t)
         tol = np.fmax(abs_tol, rel_tol * tmag)
         val[todo], err[todo], evals[todo], done[todo] = t, te, 45, te <= tol
         peak[todo] = _max(_max(peak[todo], cp[:n]), cp[n:])
@@ -224,7 +223,7 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
                 z[rest].tolist() for z in (pa, mid, pb, lv, rv, le, re_))):
             heappush(heap, (-lerr, 44, x, c, 1, l, lerr))
             heappush(heap, (-rerr, 45, c, y, 1, r, rerr))
-        watch = [_Diverge(x) for x in np.hypot(v.real, v.imag)[rest].tolist()]
+        watch = [_Diverge(x) for x in _abs(v)[rest].tolist()]
         for w, x in zip(watch, tmag[rest].tolist()):
             w.update(x)
         active = list(range(n))
@@ -294,7 +293,7 @@ def _walk(spec: QuadSpec):
     converged, diverged).  A walk stops at its first window whose running
     total or error is NaN, after the divergence test.
     """
-    total, total_err, prev_win = 0.0 + 0.0j, 0.0, 0.0
+    total, total_err, prev_win = 0.0, 0.0, 0.0
     converged_all, diverged, seen_loud, quiet = True, False, False, 0
     envelopes: list[float] = []
     # Floor the divergence watch at tolerance scale: climbing out of the
@@ -352,6 +351,17 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
 
 
+def _upcast(block: np.ndarray, *state: np.ndarray) -> tuple:
+    """The walker arrays `state`, as complex copies once `block` is complex.
+
+    A walk's sums stay real until it meets a complex value; storing one
+    into a real array would drop its imaginary part.
+    """
+    if np.iscomplexobj(block) and not np.iscomplexobj(state[0]):
+        return tuple(x.astype(complex) for x in state)
+    return state
+
+
 def _first(mask: np.ndarray) -> np.ndarray:
     """Column of each row's first True in a (rows, k) mask; k where none."""
     return np.where(mask.any(axis=1), mask.argmax(axis=1), mask.shape[1])
@@ -387,12 +397,13 @@ class _WindowRows:
     become running totals, |z|, quiet-run lengths and each row's first stop
     through cumulative numpy operations, so rows cost no Python work per
     window.  A row's totals are still added in window order, so every row
-    ends bit for bit where its own _walk coroutine would.
+    ends bit for bit where its own _walk coroutine would.  The totals stay
+    real until a block arrives complex (see _upcast).
     """
 
     def __init__(self, n: int, spec: QuadSpec) -> None:
         self.n, self.spec = n, spec
-        self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
+        self.total, self.error = np.zeros(n), np.zeros(n)
         self.conv = np.ones(n, dtype=bool)
         self.prev, self.env = np.zeros(n), np.zeros(n)  # of the last window
         self.seen, self.quiet = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
@@ -402,10 +413,11 @@ class _WindowRows:
 
     def step(self, rows, k0, val, err, conv, div, mass) -> np.ndarray:
         spec, (m, k) = self.spec, val.shape
-        mag = np.hypot(val.real, val.imag)
+        (self.total,) = _upcast(val, self.total)
+        mag = _abs(val)
         total = _running(self.total[rows], val)
         error = _running(self.error[rows], err)
-        tmag = np.hypot(total.real, total.imag)
+        tmag = _abs(total)
         conv = np.logical_and.accumulate(conv, axis=1) & self.conv[rows, None]
         env = _max(mag, 0.01 * mass)
         grew = mag > np.concatenate([self.prev[rows, None], mag[:, :-1]], axis=1)
@@ -625,49 +637,58 @@ class _LobeRows:
 
     As _WindowRows does for _walk, each row's walk state is a slot of an
     array.  A tail stop comes first: a lobe is small when it lies below
-    abs_tol / 10 and its index is at least 1 and below _MAX_LOBES, and a
-    row ends on lobe e, the first lobe after a small one: its value is the
-    running total through lobe e - 1, and lobe e bounds the alternating
-    tail.  Each row carries whether its last lobe was small, so e may be a
-    block's first lobe.  A row whose running total or error turns NaN at an
-    earlier lobe below _MAX_LOBES ends there, on its running sums.  At the
-    block's last lobe, or at lobe _MAX_LOBES - 1 if the block holds it, the
-    rows still walking whose lobe there is not small extrapolate their last
-    _LOBE_BLOCK partial sums in one _epsilon call; a row's drift is the
-    distance from that result to its previous one (NaN at the first).  A
-    row ends on the result once its error and its drift both meet
-    tolerance, and at lobe _MAX_LOBES - 1 in any case, unconverged unless
-    both meet tolerance; the larger of the two is the result's error.  So
-    no row ends on its first result, and one whose amplitude changes course
-    after a window walks on into the change.  Each row carries the partial
-    sums of its last block and its last epsilon result for that.
+    abs_tol / 10 and its index is at least 1, and a row ends on lobe e, the
+    first lobe after a small one: its value is the running total through
+    lobe e - 1, and lobe e bounds the alternating tail.  Each row carries
+    whether its last lobe was small, so e may be a block's first lobe.  A
+    row whose running total or error turns NaN at an earlier lobe ends
+    there, on its running sums.  At the block's last lobe, or at lobe
+    _MAX_LOBES - 1 if the block holds it, the rows still walking whose lobe
+    there is not small extrapolate their last _LOBE_BLOCK partial sums in
+    one _epsilon call; a row's drift is the distance from that result to
+    its previous one (NaN at the first).  A row ends on the result once its
+    error and its drift both meet tolerance, and at lobe _MAX_LOBES - 1 in
+    any case, unconverged unless both meet tolerance; the larger of the two
+    is the result's error.  So no row ends on its first result, and one
+    whose amplitude changes course after a window walks on into the change.
+    Each row carries the partial sums of its last block and its last
+    epsilon result for that; they stay real until a block arrives complex
+    (see _upcast).
+
+    No row walks past lobe _MAX_LOBES - 1 except into the lookahead lobe
+    _MAX_LOBES.  In the block that holds lobe _MAX_LOBES - 1, every row
+    still walking there ends on its epsilon result unless that lobe is
+    small, and that settle overwrites any tail or NaN stop the row met past
+    it in the same block; a row whose lobe _MAX_LOBES - 1 is small ends on
+    its next lobe.  So a small or NaN lobe past the cap never decides a
+    row's end.
     """
 
     def __init__(self, n: int, spec: QuadSpec) -> None:
         self.n, self.spec = n, spec
-        self.total, self.error = np.zeros(n, dtype=complex), np.zeros(n)
+        self.total, self.error = np.zeros(n), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         self.small = np.zeros(n, dtype=bool)
-        self.partials = np.zeros((n, _LOBE_BLOCK), dtype=complex)
-        self.last = np.full(n, math.nan, dtype=complex)
+        self.partials = np.zeros((n, _LOBE_BLOCK))
+        self.last = np.full(n, math.nan)
         self.ends = [None] * n
 
     def step(self, rows, k0, val, err, conv, div, _mass) -> np.ndarray:
         spec, k = self.spec, val.shape[1]
+        self.total, self.partials, self.last = _upcast(
+            val, self.total, self.partials, self.last)
         mag = _abs(val)
         total = _running(self.total[rows], val)
         error = _running(self.error[rows], err)
         conv = np.logical_and.accumulate(conv, axis=1) & self.conv[rows, None]
         div = np.logical_or.accumulate(div, axis=1) | self.div[rows, None]
         lobe = k0 + np.arange(k)
-        small = ((mag < spec.abs_tol / 10.0) & (lobe >= 1)
-                 & (lobe < _MAX_LOBES))
+        small = (mag < spec.abs_tol / 10.0) & (lobe >= 1)
         stop = _first(np.concatenate([self.small[rows, None], small[:, :-1]],
                                      axis=1))
         # NaN stays NaN: a row ends on the running sums of its first NaN
         # lobe, unless that lobe is the lookahead of a tail stop.
-        at_nan = _first((np.isnan(total) | np.isnan(error))
-                        & (lobe < _MAX_LOBES))
+        at_nan = _first(np.isnan(total) | np.isnan(error))
         i = np.flatnonzero(at_nan < stop)
         n = at_nan[i]
         _settle(self.ends, rows[i], total[i, n], error[i, n], conv[i, n],

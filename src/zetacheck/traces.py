@@ -214,13 +214,33 @@ def _series_j_max(n: int, s: complex, digits: int) -> int:
     - 4b/(b^2+v^2) <= 4/(a+b) - 1/a - 1/b <= 0.  As t_j <= (4j+1) t_0, the
     stop's tail at j_max - 1 is below 10^-14 (4 j_max + 1)(pi n^2 + 21)/21
     of its cutoff, under one for every admitted n, so the stop fires first.
+
+    From c = pi n^2 up, g(j) = j log c - lgamma(j + 1) falls by at least
+    log((c + 21) / c) a step past the scan's start at c + 20, far above its
+    rounding, so galloping and then bisecting find the j a step-by-step
+    scan finds.
     """
     c = math.pi * n * n
+    log_c = math.log(c)
     target = -(digits + 12) * math.log(10.0)
-    j = max(math.ceil(c) + 20, math.ceil(abs(s.imag) / math.sqrt(12.0)) + 1)
-    while j * math.log(c) - math.lgamma(j + 1) >= target:
-        j += 1
-    return j
+
+    def above(j: int) -> bool:
+        return j * log_c - math.lgamma(j + 1) >= target
+
+    lo = max(math.ceil(c) + 20, math.ceil(abs(s.imag) / math.sqrt(12.0)) + 1)
+    if not above(lo):
+        return lo
+    step = 1
+    while above(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # above(lo) and not above(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
@@ -245,17 +265,47 @@ def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
         yield (4 * j + 1) * d4 // den
 
 
-def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
+class _TraceTable:
+    """floor(t_j(s) 2^prec) for j = 0, 1, 2, ..., shared by the series of
+    one call at one s and one prec.
+
+    Each iteration replays the t_j drawn so far and draws the rest from
+    _fixed_traces as it reads them, so no t_j is computed twice and none
+    past the last one read.  The table lives as long as the call that
+    made it.
+    """
+
+    def __init__(self, s: complex, prec: int) -> None:
+        self.drawn, self.more = [], _fixed_traces(s, prec)
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.drawn
+        for t in self.more:
+            self.drawn.append(t)
+            yield t
+
+
+def _series_prec(digits: int) -> int:
+    """Bits of the series' fixed point: digits + 10 decimal digits plus 20
+    guard bits."""
+    return math.ceil((digits + 10) * math.log2(10)) + 20
+
+
+def tr_cg_n_series(n: int, p: TraceParams, *,
+                   table: _TraceTable | None = None) -> mp.mpf:
     """sum_j (-pi n^2)^j / j! * t_j(s), summed in extended precision.
 
     The terms peak near e^{pi n^2}, so the working precision must carry
     that many digits of headroom on top of the answer's.  The sum runs in
     Python integers scaled by 2^prec, prec bits matching p.digits + 10
     decimal digits plus 20 guard bits; s enters exactly (see _fixed_traces)
-    and pi from mpmath's fixed-point pi.  Truncation is certified by a
-    geometric majorant once the term ratio and t_j fall.  A bound
-    _series_j_max over _SERIES_TERM_LIMIT raises, as does a series not
-    certified by that bound, rather than return an uncertain sum.
+    and pi from mpmath's fixed-point pi.  The t_j come from `table`, which
+    tr_cg_total_value shares between the n of one call at p's s and prec;
+    called alone, the series draws them from _fixed_traces.  Truncation is
+    certified by a geometric majorant once the term ratio and t_j fall; the
+    exact stop product is formed only where bit lengths leave it open.  A
+    bound _series_j_max over _SERIES_TERM_LIMIT raises, as does a series
+    not certified by that bound, rather than return an uncertain sum.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -267,13 +317,18 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
     if j_max > _SERIES_TERM_LIMIT:
         raise InsufficientPrecisionError(
             f"series for n={n} needs {j_max} terms at s={p.s}")
-    prec = math.ceil((p.digits + 10) * math.log2(10)) + 20
+    prec = _series_prec(p.digits)
     one = 1 << prec
     c = pi_fixed(prec) * n * n
     # The stop's tail power t_next / (1 - c/(j+2)) < 10^(2-digits)
     # running_max, multiplied out so it needs no division.
     inv_cutoff = 10 ** (p.digits - 2)
-    t_of = _fixed_traces(p.s, prec)
+    # bitlen(x y) >= bitlen(x) + bitlen(y) - 1 for positive x and y, so
+    # while the left side's four factors' bit lengths, less 3, exceed the
+    # right side's two, the left is larger and the stop cannot fire.  A
+    # zero factor goes to the exact test.
+    cutoff_bits = inv_cutoff.bit_length() - 3
+    t_of = iter(table) if table is not None else _fixed_traces(p.s, prec)
     total = 0
     power = one  # c^j / j!
     running_max = 0
@@ -289,10 +344,15 @@ def tr_cg_n_series(n: int, p: TraceParams) -> mp.mpf:
                 f"{j_max}")
         power = (power * c >> prec) // (j + 1)
         t_next = next(t_of)
-        if c < (j + 2) * one and t_next <= t_prev:
-            if (power * t_next * (j + 2) * inv_cutoff
-                    < running_max * ((j + 2) * one - c)):
-                break
+        room = (j + 2) * one - c
+        if room > 0 and t_next <= t_prev:
+            if not (power and t_next) or (
+                    power.bit_length() + t_next.bit_length()
+                    + (j + 2).bit_length() + cutoff_bits
+                    <= running_max.bit_length() + room.bit_length()):
+                if (power * t_next * (j + 2) * inv_cutoff
+                        < running_max * room):
+                    break
         t_prev = t_next
         j += 1
     with mp.workdps(p.digits + 10):
@@ -352,12 +412,15 @@ def claimed_tail_envelope(z: complex, d: int, n_start: int) -> float:
 def tr_cg_total_value(p: TraceParams) -> tuple[float, float, list[float]]:
     """Partial total trace: polar term plus terms through n_max.
 
-    Returns (value, evaluation-error budget, per-n terms).  The budget
-    covers evaluation error of the partial sum only, not the truncated
-    tail, which is the audited quantity.
+    Every n sums its series over one _TraceTable of p's s and prec, so
+    each t_j is computed once.  Returns (value, evaluation-error budget,
+    per-n terms).  The budget covers evaluation error of the partial sum
+    only, not the truncated tail, which is the audited quantity.
     """
     polar = 1.0 / abs(p.s * (p.s - 1.0)) ** 2
-    terms = [float(tr_cg_n_series(n, p)) for n in range(1, p.n_max + 1)]
+    table = _TraceTable(p.s, _series_prec(p.digits))
+    terms = [float(tr_cg_n_series(n, p, table=table))
+             for n in range(1, p.n_max + 1)]
     value = polar + math.fsum(terms)
     budget = (p.n_max + 1) * 10.0 ** (-p.digits + 4) + 1e-15 * abs(value)
     return value, budget, terms

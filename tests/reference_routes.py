@@ -10,13 +10,15 @@ import time
 import mpmath as mp
 import numpy as np
 
-from zetacheck import laplace, quad
-from zetacheck.errors import DomainError
+from mpmath.libmp import pi_fixed
+
+from zetacheck import laplace, quad, traces
+from zetacheck.errors import DomainError, InsufficientPrecisionError
 from zetacheck.quad import (OscKind, QuadResult, QuadSpec,
                             integrate_semi_infinite)
 from zetacheck.report import ClaimReport, classify, make_report
 from zetacheck.specfun import theta
-from zetacheck.traces import tr_cg_sigma_result
+from zetacheck.traces import TraceParams, tr_cg_sigma_result
 
 
 def integrate_diag_reduced(g, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -124,6 +126,63 @@ def serial_lobe_sum(f, nu: float, kind: OscKind,
     value, error = quad._tidy(total), total_err + tail
     return QuadResult(value, error, evals, converged and lobes_converged
                       and value == value and error == error, diverged), used
+
+
+def linear_series_j_max(n: int, s: complex, digits: int) -> int:
+    """traces._series_j_max as a scan: j steps up one at a time until
+    (pi n^2)^j / j! falls below 10^-(digits+12)."""
+    c = math.pi * n * n
+    target = -(digits + 12) * math.log(10.0)
+    j = max(math.ceil(c) + 20, math.ceil(abs(s.imag) / math.sqrt(12.0)) + 1)
+    while j * math.log(c) - math.lgamma(j + 1) >= target:
+        j += 1
+    return j
+
+
+def serial_trace_series(n: int, p: TraceParams) -> mp.mpf:
+    """traces.tr_cg_n_series one term at a time: each series draws its own
+    t_j, bounds its terms by the linear_series_j_max scan, and forms the
+    exact stop product at every term past the peak."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    headroom = traces._series_digits(n)
+    if p.digits < headroom:
+        raise InsufficientPrecisionError(
+            f"digits={p.digits} < required {headroom} for n={n}")
+    j_max = linear_series_j_max(n, p.s, p.digits)
+    if j_max > traces._SERIES_TERM_LIMIT:
+        raise InsufficientPrecisionError(
+            f"series for n={n} needs {j_max} terms at s={p.s}")
+    prec = math.ceil((p.digits + 10) * math.log2(10)) + 20
+    one = 1 << prec
+    c = pi_fixed(prec) * n * n
+    # The stop's tail power t_next / (1 - c/(j+2)) < 10^(2-digits)
+    # running_max, multiplied out so it needs no division.
+    inv_cutoff = 10 ** (p.digits - 2)
+    t_of = traces._fixed_traces(p.s, prec)
+    total = 0
+    power = one  # c^j / j!
+    running_max = 0
+    t_prev = next(t_of)
+    j = 0
+    while True:
+        term = power * t_prev >> prec
+        total += term if j % 2 == 0 else -term
+        running_max = max(running_max, term)
+        if j + 1 > j_max:
+            raise InsufficientPrecisionError(
+                f"series for n={n} not certifiably truncated by j_max="
+                f"{j_max}")
+        power = (power * c >> prec) // (j + 1)
+        t_next = next(t_of)
+        if c < (j + 2) * one and t_next <= t_prev:
+            if (power * t_next * (j + 2) * inv_cutoff
+                    < running_max * ((j + 2) * one - c)):
+                break
+        t_prev = t_next
+        j += 1
+    with mp.workdps(p.digits + 10):
+        return mp.ldexp(total, -prec)
 
 
 def tr_cg_sigma(n: int, z: complex) -> float:

@@ -554,6 +554,108 @@ def test_quadrant_rows_match_independent_inner_integrals():
         assert complex(res.value) == complex(reference.value), z
 
 
+# -- real walks on real state ------------------------------------------------
+#
+# A walker holds real sums until it meets a complex value.  Real state must
+# end every walk bit for bit where complex state holding the same values
+# does.  The comparisons keep the integrand and force the state complex:
+# f + 0j would not do, as numpy sums a complex panel in another order than
+# a real one, so its panels differ from f's in the last bits.
+
+
+def _complex_sends(walk):
+    """The stopping coroutine walk, sent each window's value as a complex."""
+    end = next(walk)
+    while end is None:
+        val, *rest = yield
+        end = walk.send((complex(val), *rest))
+    yield end
+
+
+def _complex_state(monkeypatch):
+    """Have every array walker hold complex state from its first block."""
+    monkeypatch.setattr(quad, "_upcast", lambda block, *state: tuple(
+        x.astype(complex) for x in state))
+
+
+def _green_fresnel(z):
+    # The real quadrant integrand of laplace.rep_green_fresnel.
+    x, y = z.real, abs(z.imag)
+    return lambda l1, l2: np.exp(-x * (l1 + l2)) * np.cos(y * (l2 - l1))
+
+
+@pytest.mark.parametrize("f", WINDOW_ROWS)
+def test_real_window_walks_equal_complex_state_walks(monkeypatch, f):
+    spec = QuadSpec()
+    real = integrate_semi_infinite(f, 0.0, spec)
+    real_rows = quad._walk_windows(lambda x, rows: f(x), 0.0, spec,
+                                   quad._WindowRows(3, spec))
+    cplx, = quad._walk_windows(lambda x, _: f(x), 0.0, spec, quad._Coroutine(
+        _complex_sends(quad._walk(spec))))
+    _complex_state(monkeypatch)
+    cplx_rows = quad._walk_windows(lambda x, rows: f(x), 0.0, spec,
+                                   quad._WindowRows(3, spec))
+    assert _key(real) == _key(cplx)
+    assert [_key(r) for r in real_rows] == [_key(r) for r in cplx_rows]
+
+
+@pytest.mark.parametrize("z", [0.57 + 1.39j, 2.0 - 3.0j, 0.8])
+def test_real_quadrant_equals_its_complex_state_walk(monkeypatch, z):
+    real = integrate_quadrant(_green_fresnel(z))
+    _complex_state(monkeypatch)
+    cplx = integrate_quadrant(_green_fresnel(z))
+    assert _key(real) == _key(cplx)
+    assert real.inner_failures == cplx.inner_failures
+
+
+@pytest.mark.parametrize("kind", [OscKind.SIN, OscKind.COS])
+@pytest.mark.parametrize("amp", [
+    lambda x: np.exp(-0.3 * x),
+    lambda x: (1.0 + x) ** -1.5,            # epsilon ends these rows
+    lambda x: np.where(x < 7.0, np.exp(-x), np.nan),
+])
+def test_real_lobe_rows_equal_complex_state_rows(monkeypatch, amp, kind):
+    nus = [0.3, 1.0, 7.5, 40.0]
+    real = oscillatory_rows(amp, nus, kind)
+    _complex_state(monkeypatch)
+    cplx = oscillatory_rows(amp, nus, kind)
+    assert [_key(r) for r in real] == [_key(r) for r in cplx]
+    assert all(isinstance(r.value, float) for r in real)
+
+
+def _turns_complex(at):
+    """An integrand that is real, in dtype too, on abscissae below `at` and
+    complex with a nonzero imaginary part on any array reaching past it."""
+    def f(x):
+        y = np.exp(-0.25 * x)
+        if (x < at).all():
+            return y
+        return y + 1j * np.where(x < at, 0.0, (x - at) ** 2 * y)
+    return f
+
+
+def test_walks_keep_the_imaginary_part_of_a_late_complex_block(monkeypatch):
+    # The first blocks are real: 32 lobes at nu = 25 end near x = 4.0, and
+    # 8 windows at x = 8, so the walkers meet the complex values in a later
+    # block.  Their real state must take them whole: a ComplexWarning would
+    # mean an imaginary part was dropped.
+    lobes, windows = _turns_complex(5.0), _turns_complex(10.0)
+
+    def walks():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return (oscillatory_rows(lobes, [25.0, 30.0], OscKind.SIN)
+                    + [integrate_semi_infinite(windows, 0.0),
+                       integrate_quadrant(
+                           lambda l1, l2: windows(l2) * np.exp(-l1))])
+
+    real = walks()
+    _complex_state(monkeypatch)
+    cplx = walks()
+    assert [_key(r) for r in real] == [_key(r) for r in cplx]
+    assert all(r.converged and r.value.imag != 0.0 for r in real)
+
+
 def test_diag_reduction_agrees_with_quadrant():
     g = lambda w: np.exp(-1.7 * w)
     direct = integrate_quadrant(lambda l1, l2: np.exp(-1.7 * (l1 + l2)))

@@ -253,7 +253,8 @@ def _mpc_series(n, p):
 
 def test_series_needs_headroom_digits():
     p = traces.TraceParams(0.75 - 2.0j, n_max=3, digits=15)
-    for route in (traces.tr_cg_n_series, _mpc_series):
+    for route in (traces.tr_cg_n_series, _mpc_series,
+                  routes.serial_trace_series):
         with pytest.raises(InsufficientPrecisionError, match="required 28"):
             route(3, p)
 
@@ -269,7 +270,8 @@ def test_series_runs_past_the_peak_of_t_j(s):
 
 def test_series_refuses_an_unbounded_term_count():
     p = traces.TraceParams(0.75 + 1e12j)
-    for route in (traces.tr_cg_n_series, _mpc_series):
+    for route in (traces.tr_cg_n_series, _mpc_series,
+                  routes.serial_trace_series):
         with pytest.raises(InsufficientPrecisionError, match="terms"):
             route(1, p)
 
@@ -298,8 +300,11 @@ def test_fixed_point_series_matches_the_mpc_loop(n, digits, s):
 
 def test_both_series_routes_refuse_an_uncertified_stop(monkeypatch):
     monkeypatch.setattr(traces, "_series_j_max", lambda n, s, digits: 5)
+    monkeypatch.setattr(routes, "linear_series_j_max",
+                        lambda n, s, digits: 5)
     p = traces.TraceParams(S_AUDIT)
-    for route in (traces.tr_cg_n_series, _mpc_series):
+    for route in (traces.tr_cg_n_series, _mpc_series,
+                  routes.serial_trace_series):
         with pytest.raises(InsufficientPrecisionError,
                            match="not certifiably truncated by j_max=5"):
             route(2, p)
@@ -335,6 +340,61 @@ def test_both_series_routes_meet_their_certified_stop(n, digits, s):
     bound = 10.0 ** (-digits + 3) * float(largest)
     for route in (traces.tr_cg_n_series, _mpc_series):
         assert abs(float(route(n, p) - want)) <= bound
+
+
+def _series_outcome(route, n, p):
+    """route(n, p) as its exact mpf, or the type and message it raised."""
+    try:
+        return route(n, p)._mpf_
+    except InsufficientPrecisionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("digits", [15, 40, 60, 120, 200])
+@pytest.mark.parametrize("n", range(1, 12))
+def test_series_equals_the_serial_loop(n, digits):
+    # Bisected term bound, bit-length stop pre-test: the same sum, bit for
+    # bit, and the same error where the digits do not admit n.
+    for u in (0.5, 0.55, 0.75, 0.95):
+        for v in (-0.5, -5.0, -40.0, -400.0):
+            p = traces.TraceParams(complex(u, v), digits=digits)
+            assert (_series_outcome(traces.tr_cg_n_series, n, p)
+                    == _series_outcome(routes.serial_trace_series, n, p))
+
+
+def test_term_bound_equals_the_linear_scan():
+    rng = random.Random(20261019)
+    for _ in range(2500):
+        n, digits = rng.randint(1, 11), rng.randint(15, 200)
+        v = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.5)
+        s = complex(rng.choice((0.0, 0.5, 1.0, rng.random())), v)
+        assert (traces._series_j_max(n, s, digits)
+                == routes.linear_series_j_max(n, s, digits)), (n, s, digits)
+
+
+@pytest.mark.parametrize("s", [S_AUDIT, 0.5 - 14.1j, 0.95 - 300.0j])
+@pytest.mark.parametrize("n_max, digits", [(3, 60), (5, 120), (7, 175)])
+def test_total_value_shares_one_trace_table(monkeypatch, s, n_max, digits):
+    # One table for every n of the call: its terms are the separate
+    # series', and it draws each t_j once, only as far as a series reads.
+    p = traces.TraceParams(s, n_max, digits)
+    separate = [float(traces.tr_cg_n_series(n, p))
+                for n in range(1, n_max + 1)]
+    fixed_traces, drawn = traces._fixed_traces, []
+
+    def counted(s, prec):
+        for j, t in enumerate(fixed_traces(s, prec)):
+            drawn.append(j)
+            yield t
+
+    monkeypatch.setattr(traces, "_fixed_traces", counted)
+    reads = []
+    for n in range(1, n_max + 1):
+        traces.tr_cg_n_series(n, p)
+        reads.append(len(drawn))
+        drawn.clear()
+    assert traces.tr_cg_total_value(p)[2] == separate
+    assert drawn == list(range(max(reads)))
 
 
 def test_total_trace_partial_sum_is_negative_at_audit_point():
