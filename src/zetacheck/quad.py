@@ -16,14 +16,16 @@ The engine returns per-interval arrays.  It takes every interval's first
 panel and, for those that one leaves unsettled, its first bisection on
 arrays, so an interval settled by either costs no Python work; only the
 few still unsettled get a QUADPACK panel heap each.  A walk of many rows
-(the inner integrals of a quadrant, the frequencies of a positivity audit)
-keeps each row's stopping state in array slots and advances all rows a
-block at a time with cumulative numpy operations; every lobe walk does so,
-one-row walks too.  A one-row window walk (a semi-infinite integral, the
-outer walk of a quadrant) sends each window to a stopping coroutine
-instead, which costs less there than the array step's fixed numpy work per
-block.  Both add a row's windows in the same order and end it bit for bit
-alike.
+(the inner integrals of a quadrant, the frequencies of a positivity audit,
+the Poisson terms and the sigma terms of two trace audits) keeps each
+row's stopping state in array slots and advances all rows a block at a
+time with cumulative numpy operations; every lobe walk does so, one-row
+walks too.  A one-row window walk (a semi-infinite integral, the outer walk
+of a quadrant) sends each window to a stopping coroutine instead, which
+costs less there than the array step's fixed numpy work per block.  Both
+add a row's windows in the same order and end it bit for bit alike.  The
+relative tolerance is shared by every row of a walk; the absolute one may
+be each row's own, and the engine then takes each interval's.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
@@ -42,8 +44,9 @@ from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError, DomainError
 
 __all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
-           "integrate_semi_infinite", "integrate_oscillatory",
-           "integrate_quadrant", "oscillatory_raw", "oscillatory_rows"]
+           "integrate_semi_infinite", "semi_infinite_rows",
+           "integrate_oscillatory", "integrate_quadrant", "oscillatory_raw",
+           "oscillatory_rows"]
 
 
 class OscKind(Enum):
@@ -167,26 +170,29 @@ class _Diverge:
         return self.strikes >= 3
 
 
-def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
+def _lockstep(g, lo, hi, abs_tol, rel_tol: float, max_depth: int):
     """Adaptive integrals of g over [lo[i], hi[i]] for every i, in lockstep.
 
     g(x, owner) maps an (m, 15) array of abscissae, row j in interval
-    owner[j], to an array of x's shape.  Each interval runs the greedy
-    QUADPACK loop until its error meets the tolerance, max_depth, _MAX_EVALS
-    or _Diverge stops it, or its error turns NaN, which no refinement can
-    undo; one generation bisects the worst panel of every unfinished
-    interval and evaluates all children in one call.  The first panel and
-    its bisection run on arrays for every interval, so only the intervals
-    that the first split leaves unsettled get a panel heap and cost Python
-    work of their own.  Returns per-interval arrays (value, error, evals,
-    converged, diverged, peak |g|).
+    owner[j], to an array of x's shape.  abs_tol is one float or an array
+    of each interval's own; rel_tol is shared.  Each interval runs the
+    greedy QUADPACK loop until its error meets its tolerance, max_depth,
+    _MAX_EVALS or _Diverge stops it, or its error turns NaN, which no
+    refinement can undo; one generation bisects the worst panel of every
+    unfinished interval and evaluates all children in one call.  The first
+    panel and its bisection run on arrays for every interval, so only the
+    intervals that the first split leaves unsettled get a panel heap and
+    cost Python work of their own.  Returns per-interval arrays (value,
+    error, evals, converged, diverged, peak |g|).
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    per_interval = isinstance(abs_tol, np.ndarray)
     chunks = []
     for s in range(0, lo.size, _MAX_INTERVALS):
         a, b = lo[s:s + _MAX_INTERVALS], hi[s:s + _MAX_INTERVALS]
+        atol = abs_tol[s:s + _MAX_INTERVALS] if per_interval else abs_tol
         val, err, peak = _panels(g, a, b, np.arange(s, s + a.size))
-        done = err <= np.fmax(abs_tol, rel_tol * _abs(val))
+        done = err <= np.fmax(atol, rel_tol * _abs(val))
         evals, diverged = np.full(a.size, 15), np.zeros(a.size, dtype=bool)
         chunks.append((val, err, evals, done, diverged, peak))
         todo = (~done).nonzero()[0]
@@ -205,7 +211,9 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
         mid, lv, le, rv, re_ = ends[n:2 * n], cv[:n], ce[:n], cv[n:], ce[n:]
         t, te = v - v + lv + rv, e - e + le + re_
         tmag = _abs(t)
-        tol = np.fmax(abs_tol, rel_tol * tmag)
+        if per_interval:
+            atol = atol[todo]
+        tol = np.fmax(atol, rel_tol * tmag)
         val[todo], err[todo], evals[todo], done[todo] = t, te, 45, te <= tol
         peak[todo] = _max(_max(peak[todo], cp[:n]), cp[n:])
         # Unsettled and not NaN: a NaN error stays NaN and never settles.
@@ -217,6 +225,7 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
         n, owner = rest.size, (s + todo).tolist()
         total, total_err = t[rest].tolist(), te[rest].tolist()
         pk = peak[todo].tolist()
+        atol = atol[rest].tolist() if per_interval else [atol] * n
         ev, converged, div = [45] * n, [False] * n, [False] * n
         heaps = [[] for _ in range(n)]
         for heap, x, c, y, l, r, lerr, rerr in zip(heaps, *(
@@ -251,7 +260,7 @@ def _lockstep(g, lo, hi, abs_tol: float, rel_tol: float, max_depth: int):
                                     rv, re_))
                 if watch[i].update(abs(total[i])):
                     div[i] = True
-                elif total_err[i] <= max(abs_tol, rel_tol * abs(total[i])):
+                elif total_err[i] <= max(atol[i], rel_tol * abs(total[i])):
                     converged[i] = True
                 elif total_err[i] == total_err[i]:
                     # A NaN error stays NaN: the interval cannot converge.
@@ -399,15 +408,23 @@ class _WindowRows:
     window.  A row's totals are still added in window order, so every row
     ends bit for bit where its own _walk coroutine would.  The totals stay
     real until a block arrives complex (see _upcast).
+
+    Each row has its own absolute tolerance, abs_tol[r] (spec.abs_tol for
+    every row by default), in its quiet cut and its divergence floor;
+    spec.rel_tol is shared.  The inner walks of a quadrant share one
+    tolerance; the Poisson terms of traces.poisson_vanishing_audit and the
+    sigma terms of traces.tr_cg_total walk as rows of their own
+    tolerances.
     """
 
-    def __init__(self, n: int, spec: QuadSpec) -> None:
+    def __init__(self, n: int, spec: QuadSpec, abs_tol=None) -> None:
         self.n, self.spec = n, spec
+        self.abs_tol = np.full(n, spec.abs_tol) if abs_tol is None else abs_tol
         self.total, self.error = np.zeros(n), np.zeros(n)
         self.conv = np.ones(n, dtype=bool)
         self.prev, self.env = np.zeros(n), np.zeros(n)  # of the last window
         self.seen, self.quiet = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
-        self.checkpoint = np.full(n, max(spec.abs_tol, 1e-300))
+        self.checkpoint = np.maximum(self.abs_tol, 1e-300)
         self.strikes = np.zeros(n, dtype=int)
         self.ends = [None] * n
 
@@ -440,7 +457,7 @@ class _WindowRows:
             fire[hit[fired]] = j[fired]
             after[hit] = j + 1
 
-        cut = _max(spec.abs_tol, spec.rel_tol * tmag) / 8.0
+        cut = _max(self.abs_tol[rows, None], spec.rel_tol * tmag) / 8.0
         loud = ~(_max(mag, mass * 1e-3) < cut)
         last_loud = np.maximum.accumulate(
             np.where(loud, idx, -1 - self.quiet[rows, None]), axis=1)
@@ -485,14 +502,15 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
 
     edges(rows, ks) gives the (lo, hi) arrays of intervals ks (a range) of
     each row, row by row; walker holds the stopping state of all walker.n
-    rows.  A block takes the next intervals of every row still walking at
-    the block's first interval, integrates them all in one engine call with
-    g(x, rows), rows[j] the row of x[j], and hands walker.step the (rows, k)
-    results in order; it returns which rows ended.  Every interval of the
-    block counts as its row's evaluations, those past the row's stop too.
-    Peak of the integrand times width over-estimates an interval's absolute
-    mass even under cancellation, which is what the window stopping rule
-    needs.
+    rows.  tol is the engine's (abs_tol, rel_tol, max_depth), abs_tol one
+    float or an array of each row's own.  A block takes the next intervals
+    of every row still walking at the block's first interval, integrates
+    them all in one engine call with g(x, rows), rows[j] the row of x[j],
+    and hands walker.step the (rows, k) results in order; it returns which
+    rows ended.  Every interval of the block counts as its row's
+    evaluations, those past the row's stop too.  Peak of the integrand
+    times width over-estimates an interval's absolute mass even under
+    cancellation, which is what the window stopping rule needs.
 
     Lobe walks and window walks of many rows step on array state
     (_LobeRows, _WindowRows): numpy calls per block, none per interval.  A
@@ -500,6 +518,7 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
     steps a _Coroutine, whose Python work per window costs less there than
     that fixed numpy work.
     """
+    abs_tol, rel_tol, max_depth = tol
     active, spent = np.arange(walker.n), []
     for k0 in range(0, limit, block):
         if not active.size:
@@ -508,7 +527,9 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
         lo, hi = edges(active, range(k0, k0 + k))
         rows = active.repeat(k)
         val, err, ev, conv, div, peak = _lockstep(
-            lambda x, owner: g(x, rows[owner]), lo, hi, *tol)
+            lambda x, owner: g(x, rows[owner]), lo, hi,
+            abs_tol[rows] if isinstance(abs_tol, np.ndarray) else abs_tol,
+            rel_tol, max_depth)
         spent.append((rows, ev))
         shape = (active.size, k)
         ended = walker.step(active, k0, val.reshape(shape), err.reshape(shape),
@@ -523,18 +544,22 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
             for (v, e, c, d), ev in zip(walker.ends, evals.tolist())]
 
 
-def _walk_windows(f, a: float, spec: QuadSpec, walker) -> list[QuadResult]:
+def _walk_windows(f, a: float, spec: QuadSpec, walker,
+                  abs_tol=None) -> list[QuadResult]:
     """Integrals over [a, inf) of walker.n integrands, walked in lockstep.
 
     f(x, rows) gets abscissae x and, per row of x, its integrand's index.
+    abs_tol, if given, is an array of each row's absolute tolerance, used
+    in place of spec.abs_tol; walker must hold the same tolerances.
     """
     def edges(rows, ks):
         return (_EDGES[None, ks.start + 1:ks.stop + 1].repeat(rows.size, 0).ravel(),
                 _EDGES[None, ks.start:ks.stop].repeat(rows.size, 0).ravel())
 
+    abs_tol = spec.abs_tol if abs_tol is None else abs_tol
     return _walk_rows(lambda t, rows: _call(f, a - np.log(t), rows) / t,
                       walker, edges, _WINDOW_BLOCK, _MAX_WINDOWS,
-                      (spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH))
+                      (abs_tol / 16.0, min(spec.rel_tol, 1e-8), _MAX_DEPTH))
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
@@ -549,6 +574,27 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
         raise DomainError("lower endpoint must be finite")
     return _walk_windows(lambda x, _: f(x), a, spec,
                          _Coroutine(_walk(spec)))[0]
+
+
+def semi_infinite_rows(f, a: float, abs_tols) -> list[QuadResult]:
+    """Integrals over [a, inf) of f(x, rows) for r = 0, 1, ..., each row r
+    to its own absolute tolerance abs_tols[r] and the default rel_tol.
+
+    f(x, rows) gets abscissae x and, per row of x, its row's index.  All
+    rows walk in lockstep on one _WindowRows, and row r ends bit for bit
+    where integrate_semi_infinite(lambda x: f(x, r), a,
+    QuadSpec(abs_tol=abs_tols[r])) ends.
+    """
+    if not math.isfinite(a):
+        raise DomainError("lower endpoint must be finite")
+    abs_tol = np.array(abs_tols, dtype=float)
+    if not abs_tol.size:
+        raise DomainError("need at least one row")
+    if not ((0.0 < abs_tol) & (abs_tol < 1.0)).all():
+        raise ValueError(f"abs_tols must lie in (0, 1), got {abs_tol}")
+    spec = QuadSpec()
+    return _walk_windows(f, a, spec, _WindowRows(abs_tol.size, spec, abs_tol),
+                         abs_tol)
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amplitudes import _EXP_CLIP
 from .errors import DomainError
 from .quad import QuadResult, QuadSpec, integrate_finite, integrate_semi_infinite
 from .report import ClaimReport, make_report
@@ -93,7 +94,7 @@ def im_j_n(n: int, s: complex) -> QuadResult:
     c = math.pi * n * n
 
     def f(r):
-        damp = np.exp(-c * np.exp(np.minimum(2.0 * r, 700.0)))
+        damp = np.exp(-c * np.exp(np.minimum(2.0 * r, _EXP_CLIP)))
         return (np.exp(r * u) - np.exp(r * (1.0 - u))) * np.sin(v * r) * damp
 
     return integrate_semi_infinite(f, 0.0)

@@ -18,14 +18,18 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import pi_fixed
 
+from .amplitudes import _EXP_CLIP
 from .errors import DomainError, InsufficientPrecisionError, PoleError
-from .quad import QuadResult, QuadSpec, integrate_quadrant, integrate_semi_infinite
+from .quad import (QuadResult, QuadSpec, integrate_quadrant,
+                   integrate_semi_infinite, semi_infinite_rows)
 from .report import ClaimReport, ClaimStatus, make_report
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 __all__ = [
     "TraceParams",
@@ -44,8 +48,6 @@ __all__ = [
     "poisson_coarse_bound",
     "poisson_vanishing_audit",
 ]
-
-_EXP_CLIP = 700.0
 
 
 @dataclass(frozen=True)
@@ -307,6 +309,9 @@ def tr_cg_n_series(n: int, p: TraceParams, *,
     bound _series_j_max over _SERIES_TERM_LIMIT raises, as does a series
     not certified by that bound, rather than return an uncertain sum.
     """
+    import mpmath as mp
+    from mpmath.libmp import pi_fixed
+
     if n < 1:
         raise DomainError("n must be >= 1")
     headroom = _series_digits(n)
@@ -364,12 +369,8 @@ def tr_cg_n_series(n: int, p: TraceParams, *,
 # --------------------------------------------------------------------------
 
 
-def tr_cg_sigma_result(n: int, z: complex) -> QuadResult:
-    """(1/v) int_0^inf e^{-ut} sin(vt) K_n(t) dt with the Gaussian kernel.
-
-    K_n = e^{-pi n^2 e^{-2t}} resums sum_j (-pi n^2)^j / j! / |2j+z|^2
-    without any cancellation.
-    """
+def _sigma_constants(n: int, z: complex) -> tuple[float, float, float]:
+    """(c_n, re z, im z) of the sigma term of n at z, after its checks."""
     u, v = z.real, z.imag
     if v == 0.0:
         raise DomainError("im(z) must be nonzero")
@@ -377,13 +378,33 @@ def tr_cg_sigma_result(n: int, z: complex) -> QuadResult:
         raise DomainError("re(z) must be nonnegative")
     if n < 1:
         raise DomainError("n must be >= 1")
-    c = math.pi * n * n
+    return math.pi * n * n, u, v
 
-    def integrand(t):
-        kern = np.exp(-c * np.exp(-2.0 * t))
-        return np.exp(-u * t) * np.sin(v * t) / v * kern
 
-    return integrate_semi_infinite(integrand, 0.0)
+def _sigma_integrand(t, c, u, v):
+    """e^{-ut} sin(vt) / v K_n(t) with K_n = e^{-c e^{-2t}}: c, u and v are
+    floats, or (rows, 1) arrays of each row's."""
+    kern = np.exp(-c * np.exp(-2.0 * t))
+    return np.exp(-u * t) * np.sin(v * t) / v * kern
+
+
+def _sigma_rows(terms: list[tuple[int, complex]]) -> list[QuadResult]:
+    """tr_cg_sigma_result(n, z) of every (n, z) in terms, as the rows of one
+    walk; every row's checks run first, in order."""
+    params = np.array([_sigma_constants(n, z) for n, z in terms]).T[:, :, None]
+    return semi_infinite_rows(
+        lambda t, rows: _sigma_integrand(t, *params[:, rows]), 0.0,
+        [QuadSpec().abs_tol] * len(terms))
+
+
+def tr_cg_sigma_result(n: int, z: complex) -> QuadResult:
+    """(1/v) int_0^inf e^{-ut} sin(vt) K_n(t) dt with the Gaussian kernel.
+
+    K_n = e^{-pi n^2 e^{-2t}} resums sum_j (-pi n^2)^j / j! / |2j+z|^2
+    without any cancellation.
+    """
+    c, u, v = _sigma_constants(n, z)
+    return integrate_semi_infinite(lambda t: _sigma_integrand(t, c, u, v), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -432,10 +453,12 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
     The value is the partial sum through n_max.  The claimed envelope for
     the remainder is evaluated at its best d <= 12 for both arguments s
     and 1-s; the next few actual terms are then computed through the
-    sigma route and compared against it.  Positivity of the partial sum
-    is reported, but the status stays inconclusive whenever the claimed
-    tail control fails to dominate the measured terms.  p.digits is raised
-    to 40 and 17 beyond the series peak; past 200 it raises before any term.
+    sigma route, its six half-line integrals as the rows of one walk (on
+    re s = 1/2 through the series), and compared against it.  Positivity
+    of the partial sum is reported, but the status stays inconclusive
+    whenever the claimed tail control fails to dominate the measured
+    terms.  p.digits is raised to 40 and 17 beyond the series peak; past
+    200 it raises before any term.
     """
     t0 = time.perf_counter()
     digits = _series_digits(p.n_max, max(p.digits, 40), spare=17)
@@ -459,20 +482,19 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
         if env < best_env:
             best_d, best_env = d, env
 
-    # Measure the next actual terms through the cancellation-free route.
-    measured = []
-    for n in range(p.n_max + 1, p.n_max + 4):
-        sig_s = tr_cg_sigma_result(n, s)
-        sig_r = tr_cg_sigma_result(n, 1.0 - s)
-        # v (sigma(s) - sigma(1-s)) = -zeta_t(s) tr^n, so
-        # tr^n = (sigma(1-s) - sigma(s)) / (2u - 1).
-        denom = 2.0 * s.real - 1.0
-        if denom != 0.0:
-            tr_n = float(np.real(sig_r.value - sig_s.value)) / denom
-        else:
-            digits = _series_digits(n, p.digits)
-            tr_n = float(tr_cg_n_series(n, replace(p, digits=digits)))
-        measured.append(tr_n)
+    # Measure the next actual terms through the cancellation-free route:
+    # v (sigma(s) - sigma(1-s)) = -zeta_t(s) tr^n, so
+    # tr^n = (sigma(1-s) - sigma(s)) / (2u - 1).  On re s = 1/2, where that
+    # divides by zero, the series measures them instead.
+    next_n = range(p.n_max + 1, p.n_max + 4)
+    denom = 2.0 * s.real - 1.0
+    if denom != 0.0:
+        sig = _sigma_rows([(n, x) for n in next_n for x in (s, 1.0 - s)])
+        measured = [float(np.real(sig_r.value - sig_s.value)) / denom
+                    for sig_s, sig_r in zip(sig[::2], sig[1::2])]
+    else:
+        measured = [float(tr_cg_n_series(
+            n, replace(p, digits=_series_digits(n, p.digits)))) for n in next_n]
     envelope_honest = all(abs(m) <= best_env for m in measured)
 
     return make_report(
@@ -525,6 +547,35 @@ def _poisson_constants(n: int, L: int, u: float,
     return math.pi * n * n, 4.0 * math.pi / v, math.exp(a * L)
 
 
+def _poisson_tol(scale: float) -> float:
+    """Absolute tolerance of the reduced integral under the prefactor
+    e^{aL} = scale, so the scaled term keeps 1e-10 where it can."""
+    return max(1e-15, QuadSpec().abs_tol * min(1.0, 1.0 / scale))
+
+
+def _poisson_integrand(w, c, bl, u, v):
+    """e^{-c e^{bL - 2w}} e^{-uw} sin(vw) / v with bl = bL: c, bl, u and v
+    are floats, or (rows, 1) arrays of each row's."""
+    inner = np.minimum(bl - 2.0 * w, _EXP_CLIP)
+    return np.exp(-c * np.exp(inner)) * np.exp(-u * w) * np.sin(v * w) / v
+
+
+def _poisson_rows(n: int,
+                  terms: list[tuple[int, float, float]]) -> list[QuadResult]:
+    """poisson_reduced(n, L, z, v) of every (L, re z, v) in terms, as the rows
+    of one walk, each to its own tolerance; every row's checks run first,
+    in order."""
+    consts = [_poisson_constants(n, L, u, v) for L, u, v in terms]
+    params = np.array([(c, b * L, u, v) for (c, b, _), (L, u, v)
+                       in zip(consts, terms)]).T[:, :, None]
+    scales = [scale for _, _, scale in consts]
+    results = semi_infinite_rows(
+        lambda w, rows: _poisson_integrand(w, *params[:, rows]), 0.0,
+        [_poisson_tol(scale) for scale in scales])
+    return [replace(res, value=float(np.real(res.value))).scaled(scale)
+            for res, scale in zip(results, scales)]
+
+
 def poisson_reduced(n: int, L: int, z: complex, v_freq: float) -> QuadResult:
     """One-dimensional reduction of the L-indexed Poissonian term.
 
@@ -536,15 +587,9 @@ def poisson_reduced(n: int, L: int, z: complex, v_freq: float) -> QuadResult:
     """
     u = z.real
     c, b, scale = _poisson_constants(n, L, u, v_freq)
-    inner_tol = max(1e-15, QuadSpec().abs_tol * min(1.0, 1.0 / scale))
-    inner_spec = QuadSpec(abs_tol=inner_tol)
-
-    def integrand(w):
-        inner = np.minimum(b * L - 2.0 * w, _EXP_CLIP)
-        return (np.exp(-c * np.exp(inner)) * np.exp(-u * w)
-                * np.sin(v_freq * w) / v_freq)
-
-    res = integrate_semi_infinite(integrand, 0.0, inner_spec)
+    res = integrate_semi_infinite(
+        lambda w: _poisson_integrand(w, c, b * L, u, v_freq), 0.0,
+        QuadSpec(abs_tol=_poisson_tol(scale)))
     return replace(res, value=float(np.real(res.value))).scaled(scale)
 
 
@@ -579,6 +624,8 @@ def poisson_gamma_limit(n: int, z: complex) -> float:
     v = z.imag
     if v <= 0.0:
         raise DomainError("the runaway limit exists for positive frequency")
+    import mpmath as mp
+
     u = z.real
     c = math.pi * n * n
     with mp.workdps(40):
@@ -621,11 +668,13 @@ def poisson_vanishing_audit(n: int = 1, z: complex = 0.75 + 2.0j,
     if l_max < 0:
         raise DomainError(f"l_max must be >= 0, got {l_max}")
     t0 = time.perf_counter()
-    results = [poisson_reduced(n, L, z, z.imag) for L in range(l_max + 1)]
+    # The terms at im(z) and at -im(z), rows of one walk.
+    rows = _poisson_rows(n, [(L, z.real, v) for v in (z.imag, -z.imag)
+                             for L in range(l_max + 1)])
+    results = rows[:l_max + 1]
     values = [res.value for res in results]
     errs = [res.error_estimate for res in results]
-    mirrored = [poisson_reduced(n, L, z.conjugate(), -z.imag).value
-                for L in range(l_max + 1)]
+    mirrored = [res.value for res in rows[l_max + 1:]]
     limit = poisson_gamma_limit(n, z)
     bounds = [poisson_coarse_bound(n, L, z) for L in range(l_max + 1)]
     lhs = values[-1]

@@ -190,6 +190,21 @@ def tr_cg_sigma(n: int, z: complex) -> float:
     return float(np.real(tr_cg_sigma_result(n, z).value))
 
 
+def serial_sigma_rows(terms: list[tuple[int, complex]]) -> list[QuadResult]:
+    """traces._sigma_rows as a loop: one tr_cg_sigma_result walk per term,
+    in order, as traces.tr_cg_total measured its next terms before they
+    became the rows of one walk."""
+    return [tr_cg_sigma_result(n, z) for n, z in terms]
+
+
+def serial_poisson_rows(n: int,
+                        terms: list[tuple[int, float, float]]) -> list[QuadResult]:
+    """traces._poisson_rows as a loop: one poisson_reduced walk per
+    (L, re z, v), in order, as traces.poisson_vanishing_audit took its terms
+    before they became the rows of one walk."""
+    return [traces.poisson_reduced(n, L, complex(u, v), v) for L, u, v in terms]
+
+
 def mixed_difference(f, x: float, y: float, ax: int, ay: int,
                      h: float) -> float:
     """Forward difference Delta_x^ax Delta_y^ay f at (x, y), step h."""

@@ -493,3 +493,20 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         assert run([command, "--out", str(here)]) == 0
         assert strip_volatile(path.read_text()) == \
             strip_volatile(here.read_text())
+
+
+def test_cli_import_cm_and_gram_leave_mpmath_unloaded(tmp_path):
+    # Only the trace series and the Poisson limit need mpmath, and they
+    # import it when first called.
+    src = str(Path(zetacheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys\n"
+             "from zetacheck import cli\n"
+             "assert 'mpmath' not in sys.modules, 'import'\n"
+             "for command, out in zip(('cm', 'gram'), sys.argv[1:]):\n"
+             "    assert cli.main([command, '--out', out]) == 0\n"
+             "    assert 'mpmath' not in sys.modules, command\n")
+    subprocess.run([sys.executable, "-c", probe, str(tmp_path / "cm.json"),
+                    str(tmp_path / "gram.json")],
+                   env=env, capture_output=True, text=True, check=True)

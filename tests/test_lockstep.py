@@ -140,3 +140,35 @@ def test_case_reaches_every_exit():
     assert (conv & (evals == 45)).any()     # the first split
     assert (conv & (evals > 45)).any()      # the heap
     assert div.any()
+
+
+def _per_interval_tolerance(draw: int, n: int, complex_: bool,
+                            max_depth: int):
+    """One engine call with a per-interval abs_tol array, checked against one
+    scalar call per distinct tolerance over that tolerance's intervals;
+    returns the tolerances and the evaluation counts."""
+    rng = np.random.default_rng(draw)
+    g, lo, hi = _case(rng, n, complex_)
+    tols = np.array([1e-6, 1e-10, 1e-13])[rng.integers(0, 3, n)]
+    got = quad._lockstep(g, lo, hi, tols, 1e-12, max_depth)
+    for t in np.unique(tols):
+        idx = np.flatnonzero(tols == t)
+        ref = quad._lockstep(lambda x, owner: g(x, idx[owner]), lo[idx],
+                             hi[idx], float(t), 1e-12, max_depth)
+        for x, y in zip(got, ref):
+            assert x.dtype == y.dtype and x[idx].tobytes() == y.tobytes()
+    return tols, got[2]
+
+
+@seed(20261020)
+@settings(max_examples=25, deadline=None, database=None)
+@given(COUNT, st.booleans(), st.integers(0, 2 ** 32 - 1), MAX_DEPTH)
+def test_per_interval_tolerance_equals_one_call_per_tolerance(
+        n, complex_, draw, max_depth):
+    _per_interval_tolerance(draw, n, complex_, max_depth)
+
+
+def test_per_interval_tolerance_reaches_the_heap_loop():
+    tols, evals = _per_interval_tolerance(7, 600, True, 48)
+    for t in np.unique(tols):
+        assert (evals[tols == t] > 45).any()

@@ -427,6 +427,17 @@ def test_oscillatory_rows_reject_an_empty_frequency_list():
         oscillatory_rows(lambda x: np.exp(-x), [], OscKind.SIN)
 
 
+def test_semi_infinite_rows_reject_bad_input():
+    f = lambda x, rows: np.exp(-x)
+    with pytest.raises(DomainError, match="at least one row"):
+        quad.semi_infinite_rows(f, 0.0, [])
+    with pytest.raises(DomainError, match="finite"):
+        quad.semi_infinite_rows(f, math.inf, [1e-10])
+    for tol in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="abs_tols"):
+            quad.semi_infinite_rows(f, 0.0, [1e-10, tol])
+
+
 def _nan_near(x):
     # NaN within 1e-3 of 0.3, which neither the first panel on [0, 1] nor
     # its first split samples; the second heap generation does.

@@ -14,7 +14,7 @@ import pytest
 from zetacheck import traces
 from zetacheck.errors import (DomainError, InsufficientPrecisionError,
                               PoleError)
-from zetacheck.report import ClaimStatus
+from zetacheck.report import ClaimStatus, reports_to_json, strip_volatile
 
 import reference_routes as routes
 
@@ -397,6 +397,60 @@ def test_total_value_shares_one_trace_table(monkeypatch, s, n_max, digits):
     assert drawn == list(range(max(reads)))
 
 
+def _walk_key(res):
+    # repr, so that NaN results compare equal too.
+    return repr((res.value, res.error_estimate, res.evaluations,
+                 res.converged))
+
+
+def _stripped(report):
+    return strip_volatile(reports_to_json([report]))
+
+
+@pytest.mark.parametrize("s", [S_AUDIT, 0.55 - 9.0j, 0.95 - 40.0j,
+                               0.25 + 3.0j, 1.0 - 0.5j])
+def test_sigma_rows_equal_their_one_row_walks(s):
+    terms = [(n, z) for n in range(1, 7) for z in (s, 1.0 - s)]
+    for (n, z), row in zip(terms, traces._sigma_rows(terms)):
+        assert _walk_key(row) == _walk_key(traces.tr_cg_sigma_result(n, z))
+
+
+@pytest.mark.parametrize("terms, match", [
+    ([(1, S_AUDIT), (0, S_AUDIT), (1, 0.5 + 0.0j)], "n must be"),
+    ([(1, S_AUDIT), (2, 0.5 + 0.0j), (0, S_AUDIT)], "im\\(z\\)"),
+    ([(1, -0.25 + 1.0j), (0, S_AUDIT)], "re\\(z\\)"),
+])
+def test_sigma_rows_raise_what_the_serial_loop_raises(terms, match):
+    with pytest.raises(DomainError, match=match) as rows:
+        traces._sigma_rows(terms)
+    with pytest.raises(DomainError) as serial:
+        routes.serial_sigma_rows(terms)
+    assert type(rows.value) is type(serial.value)
+    assert str(rows.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("s, n_max, digits", [
+    (S_AUDIT, 3, 60), (0.55 - 9.0j, 5, 60), (0.95 - 40.0j, 2, 40),
+    (0.25 + 3.0j, 3, 60), (0.5 - 5.0j, 3, 60)])
+def test_total_trace_equals_the_serial_loop(monkeypatch, s, n_max, digits):
+    p = traces.TraceParams(s, n_max, digits)
+    rows = _stripped(traces.tr_cg_total(p))
+    monkeypatch.setattr(traces, "_sigma_rows", routes.serial_sigma_rows)
+    assert _stripped(traces.tr_cg_total(p)) == rows
+
+
+def test_total_trace_on_the_critical_line_walks_no_sigma_term(monkeypatch):
+    # On re s = 1/2 the series measures the next terms, so a sigma walk
+    # would be thrown away.
+    def refuse(*args, **kwargs):
+        raise AssertionError("no sigma walk on re s = 1/2")
+
+    monkeypatch.setattr(traces, "semi_infinite_rows", refuse)
+    monkeypatch.setattr(traces, "integrate_semi_infinite", refuse)
+    rep = traces.tr_cg_total(traces.TraceParams(0.5 - 5.0j, 3, 60))
+    assert len(rep.extra["measuredNextTerms"]) == 3
+
+
 def test_total_trace_partial_sum_is_negative_at_audit_point():
     p = traces.TraceParams(S_AUDIT, n_max=3, digits=60)
     value, budget, terms = traces.tr_cg_total_value(p)
@@ -499,6 +553,28 @@ def test_terms_decay_at_negative_frequency():
         assert b / a == pytest.approx(ratio, rel=0.05)
 
 
+@pytest.mark.parametrize("n, z", [(1, 0.75 + 2.0j), (2, 0.55 + 9.0j),
+                                  (1, 0.95 + 0.5j), (3, 0.25 + 3.0j)])
+def test_poisson_rows_equal_their_one_row_walks(n, z):
+    # At v > 0 the tolerance falls with L; at v < 0 it stays 1e-10, so
+    # rows of different tolerances share every block.
+    terms = [(L, z.real, v) for v in (z.imag, -z.imag) for L in range(10)]
+    assert len({traces._poisson_constants(n, L, u, v)[2] > 1.0
+                for L, u, v in terms}) == 2
+    for (L, u, v), row in zip(terms, traces._poisson_rows(n, terms)):
+        one = traces.poisson_reduced(n, L, complex(u, v), v)
+        assert _walk_key(row) == _walk_key(one)
+
+
+@pytest.mark.parametrize("n, z, l_max", [
+    (1, 0.75 + 2.0j, 5), (2, 0.55 + 9.0j, 9), (1, 0.95 + 0.5j, 0),
+    (3, 0.25 + 3.0j, 4)])
+def test_vanishing_audit_equals_the_serial_loop(monkeypatch, n, z, l_max):
+    rows = _stripped(traces.poisson_vanishing_audit(n, z, l_max))
+    monkeypatch.setattr(traces, "_poisson_rows", routes.serial_poisson_rows)
+    assert _stripped(traces.poisson_vanishing_audit(n, z, l_max)) == rows
+
+
 def test_vanishing_audit_reports_violation():
     rep = traces.poisson_vanishing_audit()
     assert rep.status == ClaimStatus.VIOLATED
@@ -535,8 +611,17 @@ def test_reduced_term_scale_guard():
     (1, 0, complex(math.inf, 2.0)),
     (1, 0, complex(0.75, math.inf)),
 ])
-def test_both_routes_reject_the_same_arguments(n, L, z):
+def test_both_routes_reject_the_same_arguments(monkeypatch, n, L, z):
     with pytest.raises(DomainError):
         traces.poisson_reduced(n, L, z, z.imag)
     with pytest.raises(DomainError):
         traces.poisson_term_quadrant(n, L, z)
+    # The audit checks every row before its one walk, and raises what its
+    # serial loop of poisson_reduced calls raises.
+    with pytest.raises(DomainError) as rows:
+        traces.poisson_vanishing_audit(n, z, L)
+    monkeypatch.setattr(traces, "_poisson_rows", routes.serial_poisson_rows)
+    with pytest.raises(DomainError) as serial:
+        traces.poisson_vanishing_audit(n, z, L)
+    assert type(rows.value) is type(serial.value)
+    assert str(rows.value) == str(serial.value)

@@ -94,3 +94,31 @@ def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
         serial = [routes.serial_lobe_sum(amp, x, OscKind.SIN, spec)[0]
                   for x in nu]
     assert _keys(arrays) == _keys(one_rows) == _keys(serial)
+
+
+@seed(20261020)
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.integers(1, 24).flatmap(
+    lambda n: st.lists(st.tuples(ROW, st.sampled_from(
+        [1e-7, 1e-10, 1e-12, 1e-15]), st.booleans()),
+        min_size=n, max_size=n)))
+def test_window_rows_keep_their_own_tolerances(params):
+    # Rows of different absolute tolerances share every block, and each
+    # ends where its own one-row walk to that tolerance does.  A row
+    # without the decaying head is only the bump, whose climb out of
+    # numerical zero meets the divergence watch at its row's floor.
+    rows, tols, head = zip(*params)
+    rate, onset, nu, nan_from = (np.array(c) for c in zip(*rows))
+    head = np.array(head, dtype=float)
+
+    def f(x, rows):
+        r = rows[:, None]
+        return np.where(x > nan_from[r], np.nan,
+                        head[r] * np.exp(-rate[r] * x) * np.cos(nu[r] * x)
+                        + np.exp(-(x - onset[r]) ** 2))
+
+    arrays = quad.semi_infinite_rows(f, 0.0, tols)
+    one_rows = [quad.integrate_semi_infinite(
+        lambda x, i=i: f(x, np.full(x.shape[0], i)), 0.0,
+        QuadSpec(abs_tol=t)) for i, t in enumerate(tols)]
+    assert _keys(arrays) == _keys(one_rows)
