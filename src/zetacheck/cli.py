@@ -18,10 +18,10 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from . import fresnel, laplace, rhfe, traces
+from . import fresnel, laplace, quad, rhfe, traces
 from .amplitudes import AmplitudeSpec
 from .errors import DomainError, InsufficientPrecisionError
-from .quad import QuadResult, QuadSpec
+from .quad import OscKind, QuadResult, QuadSpec
 from .report import (CLAIM_IDS, ClaimReport, ClaimStatus, make_report,
                      reports_to_csv, reports_to_json)
 from .specfun import theta, zeta_star
@@ -79,27 +79,51 @@ def _critical_line_real(t: float) -> ClaimReport:
                        error_estimate=1e-13, started=t0)
 
 
-def _closed_form(check: str, transform: Callable[[float], QuadResult],
-                 closed: Callable[[float], float]
-                 ) -> Callable[[float], ClaimReport]:
-    """Audit timing the Fresnel transform(nu) against its closed(nu)."""
-    def audit(nu: float) -> ClaimReport:
+def _closed_forms(nus: tuple[float, ...],
+                  *checks: tuple[str, Callable[[list[float]],
+                                               list[QuadResult]],
+                                 Callable[[float], float]]
+                  ) -> Callable[[int], list[ClaimReport]]:
+    """Evaluator auditing Fresnel transforms against their closed forms.
+
+    A check is (name, transforms, closed): transforms(nus) gives the
+    transform at every nu in one call, closed(nu) its exact value.  The
+    reports come as _over orders them, checks innermost, each timed from
+    the start of the batch.
+    """
+    def evaluate(seed: int) -> list[ClaimReport]:
         t0 = time.perf_counter()
-        got = transform(nu)
-        return make_report("fresnel-closed-form", {"check": check, "nu": nu},
-                           lhs=float(np.real(got.value)), rhs=closed(nu),
-                           error_estimate=got.error_estimate + 1e-13,
-                           started=t0, converged=got.converged)
-    return audit
+        got = [transforms(list(nus)) for _, transforms, _ in checks]
+        return [make_report("fresnel-closed-form", {"check": name, "nu": nu},
+                            lhs=float(np.real(res[i].value)), rhs=closed(nu),
+                            error_estimate=res[i].error_estimate + 1e-13,
+                            started=t0, converged=res[i].converged)
+                for i, nu in enumerate(nus)
+                for (name, _, closed), res in zip(checks, got)]
+    return evaluate
 
 
-def _fresnel_derivative(amp: AmplitudeSpec) -> ClaimReport:
-    t0 = time.perf_counter()
-    resid, budget, ok = fresnel.derivative_identity(amp, 1.5, _SPEC_FRESNEL)
-    return make_report("fresnel-derivative",
-                       {"check": "derivative", "family": amp.family.name},
-                       lhs=resid, rhs=0.0, error_estimate=budget, started=t0,
-                       converged=ok)
+def _transforms(amp: AmplitudeSpec, kind: OscKind
+                ) -> Callable[[list[float]], list[QuadResult]]:
+    """The transforms of amp at a list of frequencies, in one call."""
+    return lambda nus: quad.integrate_oscillatory_rows(
+        [amp] * len(nus), nus, kind, _SPEC_FRESNEL)
+
+
+def _fresnel_derivatives(amps: tuple[AmplitudeSpec, ...], nu: float
+                         ) -> Callable[[int], list[ClaimReport]]:
+    """Evaluator of the derivative identity of every amplitude at nu, in
+    one call, each report timed from the start of the batch."""
+    def evaluate(seed: int) -> list[ClaimReport]:
+        t0 = time.perf_counter()
+        rows = fresnel.derivative_identity_rows(amps, [nu] * len(amps),
+                                                _SPEC_FRESNEL)
+        return [make_report("fresnel-derivative",
+                            {"check": "derivative", "family": amp.family.name},
+                            lhs=resid, rhs=0.0, error_estimate=budget,
+                            started=t0, converged=ok)
+                for amp, (resid, budget, ok) in zip(amps, rows)]
+    return evaluate
 
 
 def _theta_jacobi(x: float) -> ClaimReport:
@@ -167,14 +191,14 @@ def _newton_leibnitz_residual(w: float, v: float,
 
 
 _NUS = (0.5, 1.0, 2.0)
+_RACE_POINTS = tuple(complex(u, v) for u in (0.2, 0.35, 0.5, 0.65, 0.8)
+                     for v in (2.0, 6.5, 11.0, 15.5, 20.0))
 
 # Suite name -> checks, run in order; `verify --suite all` runs every suite
 # in table order.
 _SUITES: dict[str, tuple[_Check, ...]] = {
     "race": (
-        _Check(1e-8, _over([complex(u, v) for u in (0.2, 0.35, 0.5, 0.65, 0.8)
-                            for v in (2.0, 6.5, 11.0, 15.5, 20.0)],
-                           lambda s: rhfe.race_report(s))),
+        _Check(1e-8, lambda seed: rhfe.race_reports(_RACE_POINTS)),
     ),
     "reflection": (
         _Check(1e-9, _over((2.0, 5.0, 10.0, 14.0),
@@ -191,36 +215,28 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
                            lambda z: laplace.rep_green_complex(z))),
     ),
     "fresnel": (
-        _Check(1e-9, _over(
+        _Check(1e-9, _closed_forms(
             _NUS,
-            _closed_form(
-                "closed-sin",
-                lambda nu: fresnel.fresnel_sin(AmplitudeSpec.exponential(1.0),
-                                               nu, _SPEC_FRESNEL),
-                lambda nu: fresnel.closed_form_sin(
-                    AmplitudeSpec.exponential(1.0), nu)),
-            _closed_form(
-                "closed-cos",
-                lambda nu: fresnel.fresnel_cos(AmplitudeSpec.exponential(1.0),
-                                               nu, _SPEC_FRESNEL),
-                lambda nu: fresnel.closed_form_cos(
-                    AmplitudeSpec.exponential(1.0), nu)))),
-        _Check(1e-6, _over(
+            ("closed-sin", _transforms(AmplitudeSpec.exponential(1.0),
+                                       OscKind.SIN),
+             lambda nu: fresnel.closed_form_sin(
+                 AmplitudeSpec.exponential(1.0), nu)),
+            ("closed-cos", _transforms(AmplitudeSpec.exponential(1.0),
+                                       OscKind.COS),
+             lambda nu: fresnel.closed_form_cos(
+                 AmplitudeSpec.exponential(1.0), nu)))),
+        _Check(1e-6, _closed_forms(
             _NUS,
-            _closed_form(
-                "half-pi",
-                lambda nu: fresnel.fresnel_sin(AmplitudeSpec.reciprocal(), nu,
-                                               _SPEC_FRESNEL),
-                lambda nu: fresnel.closed_form_sin(
-                    AmplitudeSpec.reciprocal(), nu)),
-            _closed_form(
-                "classic",
-                lambda nu: fresnel.fresnel_classic(nu, _SPEC_FRESNEL),
-                lambda nu: fresnel.fresnel_classic_value(nu)))),
-        _Check(1e-7, _over((AmplitudeSpec.exponential(1.0),
-                            AmplitudeSpec.gaussian(1.0),
-                            AmplitudeSpec.rational(2.0)),
-                           _fresnel_derivative)),
+            ("half-pi", _transforms(AmplitudeSpec.reciprocal(), OscKind.SIN),
+             lambda nu: fresnel.closed_form_sin(
+                 AmplitudeSpec.reciprocal(), nu)),
+            ("classic",
+             lambda nus: fresnel.fresnel_classic_rows(nus, _SPEC_FRESNEL),
+             lambda nu: fresnel.fresnel_classic_value(nu)))),
+        _Check(1e-7, _fresnel_derivatives((AmplitudeSpec.exponential(1.0),
+                                           AmplitudeSpec.gaussian(1.0),
+                                           AmplitudeSpec.rational(2.0)),
+                                          1.5)),
         _Check(0.0, lambda seed: [
             fresnel.positivity_audit(seed=_SEED_BASE + seed)]),
     ),

@@ -5,6 +5,12 @@ positive continuous decreasing amplitude A.  For such amplitudes the lobe
 sums alternate with shrinking magnitude, so F_s is positive; the positivity
 audit samples that assertion across families and frequencies instead of
 taking it on faith.
+
+Each check that evaluates many points does so in one call: the positivity
+audit walks all its amplitudes and frequencies as the rows of one lobe
+walk, and fresnel_classic_rows and derivative_identity_rows are the
+many-point forms of fresnel_classic and derivative_identity, whose every
+row ends where the one-point call ends.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ import numpy as np
 
 from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError, DomainError
-from .quad import (OscKind, QuadResult, QuadSpec, integrate_oscillatory,
-                   oscillatory_raw, oscillatory_rows)
+from .quad import (OscKind, QuadResult, QuadSpec, by_row,
+                   integrate_oscillatory, integrate_oscillatory_rows,
+                   oscillatory_rows)
 from .report import ClaimReport, ClaimStatus, make_report
 
 __all__ = [
@@ -27,7 +34,9 @@ __all__ = [
     "closed_form_cos",
     "fresnel_classic",
     "fresnel_classic_value",
+    "fresnel_classic_rows",
     "derivative_identity",
+    "derivative_identity_rows",
     "positivity_audit",
 ]
 
@@ -81,18 +90,49 @@ def closed_form_cos(amplitude: AmplitudeSpec, nu: float) -> float | None:
 
 def fresnel_classic_value(nu: float) -> float:
     """int_0^inf sin(nu t^2) dt = (1/2) sqrt(pi / (2 nu))."""
-    if nu <= 0.0:
-        raise AmplitudeError("parabolic-phase frequency must be positive")
+    if not nu > 0.0:
+        raise DomainError(f"parabolic-phase frequency must be positive, "
+                          f"got nu={nu}")
     return 0.5 * closed_form_sin(AmplitudeSpec.inv_sqrt(), nu)
 
 
-def fresnel_classic(nu: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """int_0^inf sin(nu t^2) dt, evaluated through the transform engine.
+def fresnel_classic_rows(nus, spec: QuadSpec = QuadSpec()
+                         ) -> list[QuadResult]:
+    """int_0^inf sin(nu t^2) dt for every nu in nus, through the transform
+    engine.
 
     Substituting u = t^2 turns the parabolic phase into a plain oscillation
     against the x^{-1/2} amplitude with an extra factor 1/2.
     """
-    return fresnel_sin(AmplitudeSpec.inv_sqrt(), nu, spec).scaled(0.5)
+    nus = list(nus)
+    return [r.scaled(0.5) for r in integrate_oscillatory_rows(
+        [AmplitudeSpec.inv_sqrt()] * len(nus), nus, OscKind.SIN, spec)]
+
+
+def fresnel_classic(nu: float, spec: QuadSpec = QuadSpec()) -> QuadResult:
+    """int_0^inf sin(nu t^2) dt; the one-point case of fresnel_classic_rows."""
+    return fresnel_classic_rows([nu], spec)[0]
+
+
+def derivative_identity_rows(amplitudes, nus, spec: QuadSpec = QuadSpec()
+                             ) -> list[tuple[float, float, bool]]:
+    """derivative_identity(amplitudes[r], nus[r], spec) for every row r.
+
+    The cosine sides walk as the rows of one lobe walk and the derivative
+    sides as the rows of another.  An improper amplitude in any row raises
+    AmplitudeError before anything else is checked.
+    """
+    amplitudes, nus = list(amplitudes), list(nus)
+    if any(amplitude.improper for amplitude in amplitudes):
+        raise AmplitudeError(
+            "derivative identity needs a proper amplitude (finite at 0)"
+        )
+    lhs = integrate_oscillatory_rows(amplitudes, nus, OscKind.COS, spec)
+    rhs = oscillatory_rows(by_row([a.derivative for a in amplitudes]), nus,
+                           OscKind.SIN, spec)
+    return [(abs(c.value - (-(1.0 / nu) * d.value)),
+             c.error_estimate + d.error_estimate / nu,
+             c.converged and d.converged) for c, d, nu in zip(lhs, rhs, nus)]
 
 
 def derivative_identity(amplitude: AmplitudeSpec, nu: float,
@@ -104,17 +144,10 @@ def derivative_identity(amplitude: AmplitudeSpec, nu: float,
     Integration by parts moves the derivative onto the amplitude; the
     boundary terms vanish for any proper decaying amplitude.  The right
     side goes through the raw lobe engine because A' is negative, hence
-    not itself an admissible amplitude.
+    not itself an admissible amplitude.  The one-row case of
+    derivative_identity_rows.
     """
-    if amplitude.improper:
-        raise AmplitudeError(
-            "derivative identity needs a proper amplitude (finite at 0)"
-        )
-    lhs = fresnel_cos(amplitude, nu, spec)
-    rhs = oscillatory_raw(amplitude.derivative, nu, OscKind.SIN, spec)
-    residual = abs(lhs.value - (-(1.0 / nu) * rhs.value))
-    budget = lhs.error_estimate + rhs.error_estimate / nu
-    return residual, budget, lhs.converged and rhs.converged
+    return derivative_identity_rows([amplitude], [nu], spec)[0]
 
 
 # The positivity audit's amplitude set, frequency count and range, and
@@ -133,8 +166,8 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     """Sample F_s(A, nu) > 0 across families and frequencies.
 
     240 frequencies are drawn uniformly from (0, 50] with a seeded
-    generator, split evenly across the four amplitudes; each amplitude's
-    frequencies are integrated as the rows of one lobe walk.  The verdict
+    generator, split evenly across the four amplitudes; all 240 are
+    integrated as the rows of one lobe walk.  The verdict
     compares the worst sampled value against its own error budget:
     confidently positive everywhere confirms; a value negative beyond ten
     budgets would refute; anything pinned to zero within noise, or any
@@ -144,14 +177,14 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     per = _N_SAMPLES // len(_DEFAULT_FAMILIES)
-    rows: list[QuadResult] = []
-    at: list[dict[str, float | str]] = []
-    for amp in _DEFAULT_FAMILIES:
-        nus = _NU_MAX * (1.0 - rng.random(per))  # uniform in (0, _NU_MAX]
-        amp.validate_pcid()
-        rows += oscillatory_rows(amp.value, nus, OscKind.SIN, _SPEC_POSITIVITY)
-        at += [{"family": amp.family.value, "parameter": amp.parameter,
-                "nu": float(nu)} for nu in nus]
+    amps = [amp for amp in _DEFAULT_FAMILIES for _ in range(per)]
+    # Uniform in (0, _NU_MAX], drawn family by family.
+    nus = [float(nu) for _ in _DEFAULT_FAMILIES
+           for nu in _NU_MAX * (1.0 - rng.random(per))]
+    rows = integrate_oscillatory_rows(amps, nus, OscKind.SIN,
+                                      _SPEC_POSITIVITY)
+    at = [{"family": amp.family.value, "parameter": amp.parameter, "nu": nu}
+          for amp, nu in zip(amps, nus)]
     value = np.array([r.value for r in rows], dtype=float)
     error = np.array([r.error_estimate for r in rows])
     ok = (np.array([r.converged for r in rows]) & np.isfinite(value)

@@ -16,10 +16,11 @@ The engine returns per-interval arrays.  It takes every interval's first
 panel and, for those that one leaves unsettled, its first bisection on
 arrays, so an interval settled by either costs no Python work; only the
 few still unsettled get a QUADPACK panel heap each.  A walk of many rows
-(the inner integrals of a quadrant, the frequencies of a positivity audit,
-the Poisson terms and the sigma terms of two trace audits) keeps each
-row's stopping state in array slots and advances all rows a block at a
-time with cumulative numpy operations; every lobe walk does so, one-row
+(the inner integrals of a quadrant, the frequencies and amplitudes of a
+positivity audit or of a Fresnel check, the Race integrals of the race
+suite, the Poisson terms and the sigma terms of two trace audits) keeps
+each row's stopping state in array slots and advances all rows a block at
+a time with cumulative numpy operations; every lobe walk does so, one-row
 walks too.  A one-row window walk (a semi-infinite integral, the outer walk
 of a quadrant) sends each window to a stopping coroutine instead, which
 costs less there than the array step's fixed numpy work per block.  Both
@@ -29,6 +30,8 @@ be each row's own, and the engine then takes each interval's.
 
 Every integrand is called with an ndarray of abscissae, of any shape, and
 must return an ndarray of the same shape; anything else raises TypeError.
+The integrand of a many-row walk, window or lobe, is f(x, rows): rows[j]
+is the row of x[j], so one call evaluates every row's integrand.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from .errors import AmplitudeError, DomainError
 
 __all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
            "integrate_semi_infinite", "semi_infinite_rows",
-           "integrate_oscillatory", "integrate_quadrant", "oscillatory_raw",
-           "oscillatory_rows"]
+           "integrate_oscillatory", "integrate_oscillatory_rows",
+           "integrate_quadrant", "oscillatory_raw", "oscillatory_rows",
+           "by_row"]
 
 
 class OscKind(Enum):
@@ -115,9 +119,10 @@ _MAX_LOBES = 768
 _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 # Intervals per engine pass.  Each pass pays a fixed numpy cost for its
 # first panels and its first split, so more intervals amortise it; the cap
-# bounds the working arrays when inner integrals multiply them (8 outer
-# windows x 15 nodes x 8 inner windows, twice that in a first split).
-_MAX_INTERVALS = 256
+# bounds the working arrays.  One pass holds a quadrant's first inner block
+# (8 outer windows x 15 nodes x 8 inner windows = 960 intervals, twice that
+# in a first split) or a 32-lobe block of 32 rows.
+_MAX_INTERVALS = 1024
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
 _EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
 
@@ -776,10 +781,12 @@ class _LobeRows:
 
 def oscillatory_rows(f, nus, kind: OscKind,
                      spec: QuadSpec = QuadSpec()) -> list[QuadResult]:
-    """Lobe-partitioned integrals of f(x)*osc(nu x) over [0, inf), nu in nus.
+    """Lobe-partitioned integrals of f(x, r)*osc(nus[r] x) over [0, inf)
+    for r = 0, 1, ...
 
-    osc is sin or cos by kind.  Every row shares the amplitude f and walks
-    its own lobes, all rows in lockstep on one _LobeRows; no positivity or
+    osc is sin or cos by kind.  f(x, rows) gets abscissae x and, per row of
+    x, its row's index, as in semi_infinite_rows; every row walks its own
+    lobes, all rows in lockstep on one _LobeRows.  No positivity or
     monotonicity is assumed about f.  A row's result is the same as its own
     one-row walk.
     """
@@ -794,20 +801,47 @@ def oscillatory_rows(f, nus, kind: OscKind,
     osc = np.sin if kind == OscKind.SIN else np.cos
     # The last block holds the lookahead lobe _MAX_LOBES.
     limit = _LOBE_BLOCK * (_MAX_LOBES // _LOBE_BLOCK + 1)
-    return _walk_rows(lambda x, rows: _call(f, x) * osc(nus[rows, None] * x),
-                      _LobeRows(nus.size, spec),
-                      lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
-                      _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
+    return _walk_rows(
+        lambda x, rows: _call(f, x, rows) * osc(nus[rows, None] * x),
+        _LobeRows(nus.size, spec),
+        lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
+        _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
 
 
 def oscillatory_raw(f, nu: float, kind: OscKind,
                     spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Lobe-partitioned integral of f(x)*sin(nu x) (or cos) over [0, inf).
 
-    The one-row case of oscillatory_rows, and the raw engine beneath
-    integrate_oscillatory.
+    The one-row case of oscillatory_rows, with a one-argument f.
     """
-    return oscillatory_rows(f, [nu], kind, spec)[0]
+    return oscillatory_rows(lambda x, _: f(x), [nu], kind, spec)[0]
+
+
+def by_row(functions: list):
+    """The row-indexed integrand f(x, rows) = functions[rows[j]](x[j]).
+
+    Rows whose functions are equal share one call on their abscissae, which
+    are masked out of x by row; a single distinct function gets x whole.
+    Each function is elementwise, so a row's values do not depend on the
+    rows it shares a call with.
+    """
+    distinct = list(dict.fromkeys(functions))
+    if len(distinct) == 1:
+        (g,) = distinct
+        return lambda x, _: _call(g, x)
+    index = {g: i for i, g in enumerate(distinct)}
+    which = np.array([index[g] for g in functions])
+
+    def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        k = which[rows]
+        parts = [(m, _call(g, x[m])) for i, g in enumerate(distinct)
+                 if (m := k == i).any()]
+        y = np.empty(x.shape, np.result_type(*(p for _, p in parts)))
+        for m, p in parts:
+            y[m] = p
+        return y
+
+    return f
 
 
 def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
@@ -847,26 +881,70 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
                       all(conv))
 
 
+def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
+                               spec: QuadSpec = QuadSpec()
+                               ) -> list[QuadResult]:
+    """Integrals of amplitudes[r](x) * sin(nus[r] x) (or cos) over [0, inf)
+    for every row r; row r is integrate_oscillatory(amplitudes[r], nus[r],
+    kind, spec), bit for bit.
+
+    Every row is checked, in row order, before any integral runs, so a bad
+    argument raises the error, type and message, that a loop of
+    integrate_oscillatory calls raises first.  The proper rows walk as the
+    rows of one lobe walk, each distinct amplitude validated once; the
+    improper rows scale one _improper_power result per exponent.
+    """
+    amplitudes, nus = list(amplitudes), list(nus)
+    if len(amplitudes) != len(nus):
+        raise ValueError(f"{len(amplitudes)} amplitudes for {len(nus)} "
+                         f"frequencies")
+    if not nus:
+        raise DomainError("need at least one row")
+    validated: set[AmplitudeSpec] = set()
+    for amplitude, nu in zip(amplitudes, nus):
+        if not (math.isfinite(nu) and nu > 0.0):
+            raise DomainError("oscillator frequency must be finite and > 0")
+        if amplitude.family == Family.RECIPROCAL and kind == OscKind.COS:
+            raise AmplitudeError(
+                "cosine against a 1/x amplitude diverges logarithmically at 0"
+            )
+        if amplitude.improper:
+            continue
+        if amplitude not in validated:
+            amplitude.validate_pcid()
+            validated.add(amplitude)
+        if nu > 1e3:
+            raise DomainError("oscillator frequency capped at 1e3 for audits")
+    results: list = [None] * len(nus)
+    powers: dict[float, QuadResult] = {}
+    proper = []
+    for r, (amplitude, nu) in enumerate(zip(amplitudes, nus)):
+        if not amplitude.improper:
+            proper.append(r)
+            continue
+        p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
+        if p not in powers:
+            powers[p] = _improper_power(p, kind, spec)
+        # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
+        results[r] = powers[p].scaled(nu ** (p - 1.0))
+    if proper:
+        walked = oscillatory_rows(by_row([amplitudes[r].value for r in proper]),
+                                  [nus[r] for r in proper], kind, spec)
+        for r, res in zip(proper, walked):
+            results[r] = res
+    return results
+
+
 def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
                           spec: QuadSpec = QuadSpec()) -> QuadResult:
     """Integral of amplitude(x) * sin(nu x) (or cos) over [0, inf).
 
     Decreasing integrable amplitudes go through the sign-lobe path whose
     partial sums bracket the limit; the two improper amplitude families are
-    routed to dedicated endpoint-splitting evaluations.
+    routed to dedicated endpoint-splitting evaluations.  The one-row case
+    of integrate_oscillatory_rows.
     """
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise DomainError("oscillator frequency must be finite and > 0")
-    if amplitude.family in (Family.RECIPROCAL, Family.INV_SQRT):
-        p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
-        if p == 1.0 and kind == OscKind.COS:
-            raise AmplitudeError(
-                "cosine against a 1/x amplitude diverges logarithmically at 0"
-            )
-        # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
-        return _improper_power(p, kind, spec).scaled(nu ** (p - 1.0))
-    amplitude.validate_pcid()
-    return oscillatory_raw(amplitude.value, nu, kind, spec)
+    return integrate_oscillatory_rows([amplitude], [nu], kind, spec)[0]
 
 
 # --------------------------------------------------------------------------

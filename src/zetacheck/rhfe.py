@@ -20,7 +20,8 @@ import numpy as np
 
 from .amplitudes import _EXP_CLIP
 from .errors import DomainError
-from .quad import QuadResult, QuadSpec, integrate_finite, integrate_semi_infinite
+from .quad import (QuadResult, QuadSpec, integrate_finite,
+                   integrate_semi_infinite, semi_infinite_rows)
 from .report import ClaimReport, make_report
 from .specfun import theta, trivial_zeta, zeta_star
 from .traces import (TraceParams, _series_digits, poisson_reduced,
@@ -29,7 +30,9 @@ from .traces import (TraceParams, _series_digits, poisson_reduced,
 __all__ = [
     "RaceResult",
     "race_check",
+    "race_checks",
     "race_report",
+    "race_reports",
     "im_j_n",
     "newton_leibnitz",
     "newton_leibnitz_quadrature",
@@ -51,35 +54,79 @@ class RaceResult:
     converged: bool
 
 
-def _j_integrand(s: complex):
-    def f(x):
-        lx = np.log(x)
-        return (np.exp(0.5 * (s - 2.0) * lx) + np.exp(-0.5 * (s + 1.0) * lx)) \
-            * theta(x)
-    return f
+def _j_exponents(s: complex) -> tuple[complex, complex]:
+    """The powers of x in the Race integrand at s."""
+    return 0.5 * (s - 2.0), -0.5 * (s + 1.0)
 
 
-def race_check(s: complex, spec: QuadSpec = QuadSpec()) -> RaceResult:
-    """Completed zeta versus polar term plus theta-weighted half-line integral."""
+def _j_integrand(x: np.ndarray, a, b) -> np.ndarray:
+    """(x^a + x^b) theta(x): a and b are complex, or (n, 1) arrays of them
+    per row of x."""
+    lx = np.log(x)
+    return (np.exp(a * lx) + np.exp(b * lx)) * theta(x)
+
+
+def _completed_zeta(s: complex) -> complex:
+    """The completed zeta at s; DomainError at s = 0 and s = 1, the poles
+    of the polar term."""
     if s == 0.0 or s == 1.0:
         raise DomainError("the polar term blows up at s=0 and s=1")
-    direct = zeta_star(s)
+    return zeta_star(s)
+
+
+def _race_result(s: complex, direct: complex, jq: QuadResult) -> RaceResult:
     polar = 1.0 / (s * (s - 1.0))
-    jq = integrate_semi_infinite(_j_integrand(s), 1.0, spec)
     j_val = complex(jq.value)
     residual = abs(direct - (polar + j_val))
     budget = jq.error_estimate + 1e-13 * (1.0 + abs(direct))
     return RaceResult(s, direct, polar, j_val, residual, budget, jq.converged)
 
 
+def race_check(s: complex, spec: QuadSpec = QuadSpec()) -> RaceResult:
+    """Completed zeta versus polar term plus theta-weighted half-line integral."""
+    direct = _completed_zeta(s)
+    a, b = _j_exponents(s)
+    jq = integrate_semi_infinite(lambda x: _j_integrand(x, a, b), 1.0, spec)
+    return _race_result(s, direct, jq)
+
+
+def race_checks(points) -> list[RaceResult]:
+    """race_check(s) for every s in points, the half-line integrals walked
+    as the rows of one semi_infinite_rows walk.
+
+    Every point is checked, in order, before the walk, so a bad point
+    raises what a loop of race_check calls raises first.  Row r ends where
+    race_check's one-row walk ends: theta sums the same terms on any array
+    of x >= 1, where every element stops at the same n.
+    """
+    points = list(points)
+    directs = [_completed_zeta(s) for s in points]
+    powers = np.array([_j_exponents(s) for s in points]).reshape(-1, 2).T
+    rows = semi_infinite_rows(
+        lambda x, rows: _j_integrand(x, *powers[:, rows, None]), 1.0,
+        [QuadSpec().abs_tol] * len(points))
+    return [_race_result(s, direct, jq)
+            for s, direct, jq in zip(points, directs, rows)]
+
+
+def _race_report(r: RaceResult, started: float) -> ClaimReport:
+    return make_report(
+        "race", {"s": r.s}, lhs=r.zeta_star_direct,
+        rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
+        started=started, converged=r.converged,
+    )
+
+
 def race_report(s: complex) -> ClaimReport:
     t0 = time.perf_counter()
-    r = race_check(s)
-    return make_report(
-        "race", {"s": s}, lhs=r.zeta_star_direct,
-        rhs=r.polar_term + r.j_integral, error_estimate=r.error_budget,
-        started=t0, converged=r.converged,
-    )
+    return _race_report(race_check(s), t0)
+
+
+def race_reports(points) -> list[ClaimReport]:
+    """race_report(s) for every s in points, through race_checks; each
+    report is timed from the start of the batch."""
+    t0 = time.perf_counter()
+    return [_race_report(r, t0) for r in race_checks(points)]
 
 
 def im_j_n(n: int, s: complex) -> QuadResult:

@@ -12,11 +12,14 @@ import numpy as np
 
 from mpmath.libmp import pi_fixed
 
-from zetacheck import laplace, quad, traces
-from zetacheck.errors import DomainError, InsufficientPrecisionError
+from zetacheck import cli, fresnel, laplace, quad, traces
+from zetacheck.amplitudes import AmplitudeSpec, Family
+from zetacheck.errors import (AmplitudeError, DomainError,
+                              InsufficientPrecisionError)
 from zetacheck.quad import (OscKind, QuadResult, QuadSpec,
                             integrate_semi_infinite)
-from zetacheck.report import ClaimReport, classify, make_report
+from zetacheck.report import (ClaimReport, ClaimStatus, classify,
+                              make_report)
 from zetacheck.specfun import theta
 from zetacheck.traces import TraceParams, tr_cg_sigma_result
 
@@ -126,6 +129,24 @@ def serial_lobe_sum(f, nu: float, kind: OscKind,
     value, error = quad._tidy(total), total_err + tail
     return QuadResult(value, error, evals, converged and lobes_converged
                       and value == value and error == error, diverged), used
+
+
+def serial_transform(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
+                     spec: QuadSpec = QuadSpec()) -> QuadResult:
+    """quad.integrate_oscillatory as one call of its own: the frequency
+    check, then an improper amplitude's scaled _improper_power or a proper
+    one's validate_pcid and one-row lobe walk."""
+    if not (math.isfinite(nu) and nu > 0.0):
+        raise DomainError("oscillator frequency must be finite and > 0")
+    if amplitude.improper:
+        p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
+        if p == 1.0 and kind == OscKind.COS:
+            raise AmplitudeError(
+                "cosine against a 1/x amplitude diverges logarithmically at 0"
+            )
+        return quad._improper_power(p, kind, spec).scaled(nu ** (p - 1.0))
+    amplitude.validate_pcid()
+    return quad.oscillatory_raw(amplitude.value, nu, kind, spec)
 
 
 def linear_series_j_max(n: int, s: complex, digits: int) -> int:
@@ -327,3 +348,96 @@ def rational_transform(p: float, nu: float, sine: bool) -> float:
         v = (mp.exp(z) * z ** (mp.mpf(p) - 1)
              * mp.gammainc(1 - mp.mpf(p), z))
         return float(mp.im(v) if sine else mp.re(v))
+
+
+def four_walk_positivity_audit(seed: int) -> ClaimReport:
+    """fresnel.positivity_audit with each family's frequencies walked as
+    the rows of a lobe walk of their own, one walk per family."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    families = fresnel._DEFAULT_FAMILIES
+    n_samples = fresnel._N_SAMPLES
+    per = n_samples // len(families)
+    rows: list[QuadResult] = []
+    at: list[dict] = []
+    for amp in families:
+        nus = fresnel._NU_MAX * (1.0 - rng.random(per))
+        amp.validate_pcid()
+        rows += quad.oscillatory_rows(lambda x, _: amp.value(x), nus,
+                                      OscKind.SIN, fresnel._SPEC_POSITIVITY)
+        at += [{"family": amp.family.value, "parameter": amp.parameter,
+                "nu": float(nu)} for nu in nus]
+    value = np.array([r.value for r in rows], dtype=float)
+    error = np.array([r.error_estimate for r in rows])
+    ok = (np.array([r.converged for r in rows]) & np.isfinite(value)
+          & np.isfinite(error))
+    unconverged = int(np.count_nonzero(~ok))
+    worst = int(np.argmin(value))
+    min_val, min_err = float(value[worst]), float(error[worst])
+    return make_report(
+        "fresnel-positivity",
+        {"nSamples": n_samples, "nuMax": fresnel._NU_MAX, "seed": seed,
+         "families": [a.family.value for a in families],
+         "minAt": at[worst]},
+        lhs=min_val, rhs=0.0, error_estimate=min_err, started=t0,
+        bounds=(float(np.min(value - 3.0 * error)),
+                min_val + 10.0 * max(min_err, 1e-13)),
+        converged=not unconverged,
+        notes={ClaimStatus.CONFIRMED: "every sampled transform is positive "
+                                      "beyond its error budget",
+               ClaimStatus.VIOLATED: "a sampled transform is negative "
+                                     "beyond ten error budgets",
+               ClaimStatus.INCONCLUSIVE: (
+                   f"{unconverged} of {n_samples} sampled transforms did "
+                   "not converge or are not finite" if unconverged else
+                   "minimum sampled value is within its error budget of "
+                   "zero")},
+        extra={"evaluations": sum(r.evaluations for r in rows)},
+    )
+
+
+def _closed_form_report(check: str, transform, closed,
+                        nu: float) -> ClaimReport:
+    t0 = time.perf_counter()
+    got = transform(nu)
+    return make_report("fresnel-closed-form", {"check": check, "nu": nu},
+                       lhs=float(np.real(got.value)), rhs=closed(nu),
+                       error_estimate=got.error_estimate + 1e-13,
+                       started=t0, converged=got.converged)
+
+
+def _derivative_report(amp: AmplitudeSpec) -> ClaimReport:
+    t0 = time.perf_counter()
+    resid, budget, ok = fresnel.derivative_identity(amp, 1.5,
+                                                    cli._SPEC_FRESNEL)
+    return make_report("fresnel-derivative",
+                       {"check": "derivative", "family": amp.family.name},
+                       lhs=resid, rhs=0.0, error_estimate=budget, started=t0,
+                       converged=ok)
+
+
+def serial_fresnel_suite(seed: int) -> list[tuple[float, list[ClaimReport]]]:
+    """The checks of `verify --suite fresnel`, one call per point: the
+    closed forms and the derivative identity point by point, the positivity
+    audit as four walks.  (threshold, reports) of each check, in order."""
+    spec, nus = cli._SPEC_FRESNEL, (0.5, 1.0, 2.0)
+    exp1, recip = AmplitudeSpec.exponential(1.0), AmplitudeSpec.reciprocal()
+    closed = [
+        ("closed-sin", lambda nu: fresnel.fresnel_sin(exp1, nu, spec),
+         lambda nu: fresnel.closed_form_sin(exp1, nu)),
+        ("closed-cos", lambda nu: fresnel.fresnel_cos(exp1, nu, spec),
+         lambda nu: fresnel.closed_form_cos(exp1, nu)),
+        ("half-pi", lambda nu: fresnel.fresnel_sin(recip, nu, spec),
+         lambda nu: fresnel.closed_form_sin(recip, nu)),
+        ("classic", lambda nu: fresnel.fresnel_classic(nu, spec),
+         fresnel.fresnel_classic_value),
+    ]
+    return [
+        (1e-9, [_closed_form_report(*check, nu) for nu in nus
+                for check in closed[:2]]),
+        (1e-6, [_closed_form_report(*check, nu) for nu in nus
+                for check in closed[2:]]),
+        (1e-7, [_derivative_report(amp) for amp in (
+            exp1, AmplitudeSpec.gaussian(1.0), AmplitudeSpec.rational(2.0))]),
+        (0.0, [four_walk_positivity_audit(cli._SEED_BASE + seed)]),
+    ]

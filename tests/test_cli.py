@@ -15,7 +15,9 @@ import pytest
 
 import zetacheck
 from zetacheck import cli, rhfe, traces
-from zetacheck.report import CLAIM_IDS, strip_volatile
+from zetacheck.report import CLAIM_IDS, reports_to_json, strip_volatile
+
+import reference_routes as routes
 
 try:
     from hypothesis import given, seed, settings
@@ -41,6 +43,18 @@ def test_identity_suite_passes(tmp_path):
     data = json.loads(out.read_text())
     assert len(data) == 20
     assert all(d["status"] == "CONFIRMED" for d in data)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 89, 3231])
+def test_fresnel_suite_equals_the_serial_reference(seed):
+    # One call per check gives the reports, order and thresholds of one
+    # call per point, wall times aside; seed 89 holds a blind first lobe.
+    checks = cli._SUITES["fresnel"]
+    reference = routes.serial_fresnel_suite(seed)
+    assert [c.threshold for c in checks] == [t for t, _ in reference]
+    for check, (_, reports) in zip(checks, reference):
+        assert (strip_volatile(reports_to_json(check.evaluate(seed)))
+                == strip_volatile(reports_to_json(reports)))
 
 
 def test_unattainable_tolerance_exits_two(tmp_path):

@@ -8,9 +8,12 @@ import pytest
 
 from zetacheck import fresnel, quad
 from zetacheck.amplitudes import AmplitudeSpec, Family
+from zetacheck.cli import _SEED_BASE
 from zetacheck.errors import AmplitudeError, DomainError
 from zetacheck.quad import OscKind, QuadSpec
-from zetacheck.report import ClaimStatus
+from zetacheck.report import ClaimStatus, reports_to_json, strip_volatile
+
+import reference_routes as routes
 
 TIGHT = QuadSpec(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -62,6 +65,18 @@ def test_reciprocal_amplitude_gives_half_pi(nu):
     assert abs(got.value - math.pi / 2.0) <= 1e-7
 
 
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+def test_both_classic_routes_reject_a_bad_frequency(nu):
+    # The closed form and the quadrature route reject the same frequencies,
+    # as bad input: DomainError.
+    with pytest.raises(DomainError):
+        fresnel.fresnel_classic_value(nu)
+    with pytest.raises(DomainError):
+        fresnel.fresnel_classic(nu)
+    with pytest.raises(DomainError):
+        fresnel.fresnel_classic_rows([1.0, nu])
+
+
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
 def test_classic_quadratic_phase_value(nu):
     got = fresnel.fresnel_classic(nu)
@@ -81,6 +96,25 @@ def test_derivative_identity(amp):
     assert converged
     assert resid <= max(5.0 * budget, 1e-8)
     assert resid <= 1e-7
+
+
+def test_derivative_identity_rows_equal_one_row_calls():
+    # Repeated amplitudes and frequencies share the two walks; every row
+    # ends where its own derivative_identity call ends.
+    amps = [AmplitudeSpec.exponential(1.0), AmplitudeSpec.gaussian(1.0),
+            AmplitudeSpec.rational(2.0), AmplitudeSpec.rational(3.5),
+            AmplitudeSpec.exponential(1.0), AmplitudeSpec.gaussian(1.0)]
+    nus = [1.5, 1.5, 1.5, 0.7, 4.0, 0.3]
+    rows = fresnel.derivative_identity_rows(amps, nus, TIGHT)
+    assert repr(rows) == repr([fresnel.derivative_identity(a, nu, TIGHT)
+                               for a, nu in zip(amps, nus)])
+
+
+def test_derivative_identity_rows_reject_an_improper_amplitude():
+    with pytest.raises(AmplitudeError, match="proper amplitude"):
+        fresnel.derivative_identity_rows(
+            [AmplitudeSpec.exponential(1.0), AmplitudeSpec.inv_sqrt()],
+            [1.0, 1.0])
 
 
 def test_positivity_audit_confirms():
@@ -162,7 +196,7 @@ def test_positivity_audit_matches_serial_transforms(seed):
 
 def test_positivity_audit_is_inconclusive_when_a_row_does_not_converge(
         monkeypatch):
-    real = fresnel.oscillatory_rows
+    real = fresnel.integrate_oscillatory_rows
 
     calls = []
 
@@ -173,9 +207,10 @@ def test_positivity_audit_is_inconclusive_when_a_row_does_not_converge(
         calls.append(len(rows))
         return rows
 
-    monkeypatch.setattr(fresnel, "oscillatory_rows", first_row_unconverged)
+    monkeypatch.setattr(fresnel, "integrate_oscillatory_rows",
+                        first_row_unconverged)
     rep = fresnel.positivity_audit(seed=20260815)
-    assert calls == [60] * 4
+    assert calls == [240]   # one walk of all 240 rows
     assert rep.status == ClaimStatus.INCONCLUSIVE
     assert rep.notes == ("1 of 240 sampled transforms did not converge "
                          "or are not finite")
@@ -184,14 +219,17 @@ def test_positivity_audit_is_inconclusive_when_a_row_does_not_converge(
 def test_positivity_audit_is_inconclusive_when_a_row_is_nan(monkeypatch):
     # Row 3 of each family reads NaN with its converged flag left set.
     # Folds that drop NaN would still confirm on the other 236 rows.
-    real = fresnel.oscillatory_rows
+    real = fresnel.integrate_oscillatory_rows
+    per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
 
-    def nan_row(*args, **kwargs):
+    def nan_rows(*args, **kwargs):
         rows = real(*args, **kwargs)
-        rows[3] = replace(rows[3], value=math.nan)
+        assert len(rows) == fresnel._N_SAMPLES   # one walk of all 240 rows
+        for r in range(3, len(rows), per):
+            rows[r] = replace(rows[r], value=math.nan)
         return rows
 
-    monkeypatch.setattr(fresnel, "oscillatory_rows", nan_row)
+    monkeypatch.setattr(fresnel, "integrate_oscillatory_rows", nan_rows)
     rep = fresnel.positivity_audit(seed=20260815)
     assert rep.status == ClaimStatus.INCONCLUSIVE
     assert rep.notes == ("4 of 240 sampled transforms did not converge "
@@ -210,7 +248,8 @@ def test_positivity_audit_reports_its_evaluations():
     per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
     for amp in fresnel._DEFAULT_FAMILIES:
         rows += quad.oscillatory_rows(
-            amp.value, fresnel._NU_MAX * (1.0 - rng.random(per)),
+            lambda x, _: amp.value(x),
+            fresnel._NU_MAX * (1.0 - rng.random(per)),
             OscKind.SIN, fresnel._SPEC_POSITIVITY)
     rep = fresnel.positivity_audit(seed=20260815)
     assert rep.extra == {"evaluations": sum(r.evaluations for r in rows)}
@@ -227,3 +266,16 @@ def test_rational_derivative_check_stops_early():
     assert lhs.evaluations <= 5_000 and rhs.evaluations <= 5_000
     resid, budget, ok = fresnel.derivative_identity(amp, 1.5, spec)
     assert ok and resid <= budget
+
+
+@pytest.mark.parametrize("k", [89, 365, 531, 593, 831, 936, 1061, 1167,
+                               3231])
+def test_positivity_audit_equals_the_four_walk_reference(k):
+    # One walk of all 240 rows reports what one walk per family reports,
+    # at the seeds whose blind first lobe leaves the audit INCONCLUSIVE
+    # (ROADMAP item 2) and at the verify seed 3231.
+    seed = _SEED_BASE + k
+    one_walk = fresnel.positivity_audit(seed=seed)
+    four_walks = routes.four_walk_positivity_audit(seed)
+    assert (strip_volatile(reports_to_json([one_walk]))
+            == strip_volatile(reports_to_json([four_walks])))

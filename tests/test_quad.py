@@ -15,7 +15,7 @@ import pytest
 
 from zetacheck import quad
 from zetacheck.amplitudes import AmplitudeSpec, Family
-from zetacheck.errors import DomainError
+from zetacheck.errors import AmplitudeError, DomainError
 from zetacheck.laplace import complex_form
 from zetacheck.quad import (OscKind, QuadResult, QuadSpec, integrate_finite,
                             integrate_oscillatory, integrate_quadrant,
@@ -85,7 +85,8 @@ def test_integrand_must_map_array_to_array(f):
     lambda f: integrate_finite(lambda x: np.sqrt(np.abs(f(x) - 0.3)), 0.0, 2.0),
     lambda f: integrate_semi_infinite(f, 0.0),
     lambda f: oscillatory_raw(f, 2.0, OscKind.SIN),
-    lambda f: oscillatory_rows(f, [0.3, 2.0, 9.0, 40.0], OscKind.COS),
+    lambda f: oscillatory_rows(lambda x, _: f(x), [0.3, 2.0, 9.0, 40.0],
+                               OscKind.COS),
 ], ids=["finite", "finite-cusp", "semi-infinite", "oscillatory",
         "oscillatory-rows"])
 def test_evaluations_count_every_abscissa(integrate):
@@ -312,8 +313,8 @@ def test_lobe_rows_are_honest_against_an_oracle(amp, kind):
     # lobes, so epsilon ends each at a block edge; exp rows end on epsilon
     # or on a tail stop.  Every row must converge and cover its miss.
     sine = kind == OscKind.SIN
-    for nu, row in zip(ORACLE_NUS, oscillatory_rows(amp.value, ORACLE_NUS,
-                                                    kind)):
+    for nu, row in zip(ORACLE_NUS, oscillatory_rows(
+            lambda x, _: amp.value(x), ORACLE_NUS, kind)):
         a = amp.parameter
         if amp.family == Family.RATIONAL:
             truth = routes.rational_transform(a, nu, sine)
@@ -394,7 +395,7 @@ def test_oscillatory_rows_match_one_row_walks(monkeypatch, amp, kind, nus,
     # where the lobe-at-a-time reference does.
     assert len(nus) > 1
     monkeypatch.setattr(quad, "_MAX_LOBES", cap)
-    rows = oscillatory_rows(amp.value, nus, kind, spec)
+    rows = oscillatory_rows(lambda x, _: amp.value(x), nus, kind, spec)
     used = []
     for nu, row in zip(nus, rows):
         one = oscillatory_raw(amp.value, nu, kind, spec)
@@ -419,12 +420,79 @@ def test_oscillatory_rejects_bad_input(nu, n_rows):
     with pytest.raises(DomainError):
         oscillatory_raw(f, nu, OscKind.SIN)
     with pytest.raises(DomainError):
-        oscillatory_rows(f, [1.0] * (n_rows - 1) + [nu], OscKind.COS)
+        oscillatory_rows(lambda x, _: f(x), [1.0] * (n_rows - 1) + [nu],
+                         OscKind.COS)
+
+
+class _Rejected(AmplitudeSpec):
+    """exp(-x), whose admissibility check fails."""
+
+    def validate_pcid(self) -> None:
+        raise AmplitudeError("rejected amplitude")
+
+
+def _first_error(call):
+    try:
+        call()
+    except (AmplitudeError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+BAD_ROWS = {
+    "zero": (AmplitudeSpec.exponential(1.0), 0.0),
+    "negative": (AmplitudeSpec.inv_sqrt(), -1.0),
+    "nan": (AmplitudeSpec.reciprocal(), math.nan),
+    "inf": (AmplitudeSpec.gaussian(1.0), math.inf),
+    "over-cap": (AmplitudeSpec.rational(2.0), 1001.0),
+    "reciprocal-cos": (AmplitudeSpec.reciprocal(), 1.0),
+    "rejected": (_Rejected(Family.EXP, 1.0), 2.0),
+    # Two faults in one row: the frequency is checked first, the cap last.
+    "rejected-nan": (_Rejected(Family.EXP, 1.0), math.nan),
+    "rejected-over-cap": (_Rejected(Family.EXP, 1.0), 1001.0),
+}
+
+
+@pytest.mark.parametrize("at", [0, 2, 5])
+@pytest.mark.parametrize("second", [None, "nan", "reciprocal-cos",
+                                    "rejected"])
+@pytest.mark.parametrize("first", list(BAD_ROWS))
+def test_transform_rows_raise_the_serial_first_error(monkeypatch, first,
+                                                     second, at):
+    # A bad row at any place, with a second bad row after it: the rows
+    # raise the error type and message that a loop of one-row transforms
+    # meets first, and walk nothing before it.
+    good = [(AmplitudeSpec.exponential(1.0), 0.5), (AmplitudeSpec.inv_sqrt(),
+                                                   2.0)] * 2 + [
+        (AmplitudeSpec.rational(1.5), 1e3)]
+    rows = good[:at] + [BAD_ROWS[first]] + good[at:]
+    if second is not None:
+        rows.append(BAD_ROWS[second])
+    amps, nus = zip(*rows)
+    serial = _first_error(lambda: [
+        routes.serial_transform(a, nu, OscKind.COS) for a, nu in rows])
+    assert serial is not None
+    walked = []
+    monkeypatch.setattr(quad, "oscillatory_rows",
+                        lambda *args: walked.append(args))
+    monkeypatch.setattr(quad, "_improper_power",
+                        lambda *args: walked.append(args))
+    assert _first_error(lambda: quad.integrate_oscillatory_rows(
+        amps, nus, OscKind.COS)) == serial
+    assert not walked
+
+
+def test_transform_rows_reject_mismatched_or_empty_rows():
+    with pytest.raises(DomainError, match="at least one row"):
+        quad.integrate_oscillatory_rows([], [], OscKind.SIN)
+    with pytest.raises(ValueError, match="2 amplitudes for 1 frequencies"):
+        quad.integrate_oscillatory_rows([AmplitudeSpec.exponential(1.0)] * 2,
+                                        [1.0], OscKind.SIN)
 
 
 def test_oscillatory_rows_reject_an_empty_frequency_list():
     with pytest.raises(DomainError, match="at least one frequency"):
-        oscillatory_rows(lambda x: np.exp(-x), [], OscKind.SIN)
+        oscillatory_rows(lambda x, _: np.exp(-x), [], OscKind.SIN)
 
 
 def test_semi_infinite_rows_reject_bad_input():
@@ -453,7 +521,7 @@ def _nan_near(x):
     (lambda: integrate_quadrant(lambda l1, l2: l1 * l2 * np.nan), 129_600),
     (lambda: oscillatory_raw(lambda x: x * np.nan, 1.0, OscKind.SIN),
      quad._LOBE_BLOCK * 45),
-    (lambda: oscillatory_rows(lambda x: x * np.nan, [1.0, 2.0],
+    (lambda: oscillatory_rows(lambda x, _: x * np.nan, [1.0, 2.0],
                               OscKind.COS)[1], quad._LOBE_BLOCK * 45),
 ], ids=["finite", "semi-infinite", "finite-deep", "quadrant", "lobe",
         "lobe-rows"])
@@ -480,7 +548,8 @@ def test_lobe_walk_reports_lobe_convergence():
     res = oscillatory_raw(f, 1.0, OscKind.SIN)
     assert not res.converged
     assert res.error_estimate > QuadSpec().abs_tol
-    assert not oscillatory_rows(f, [2.0, 1.0], OscKind.SIN)[1].converged
+    assert not oscillatory_rows(lambda x, _: f(x), [2.0, 1.0],
+                                OscKind.SIN)[1].converged
     assert oscillatory_raw(lambda x: np.exp(-x), 1.0, OscKind.SIN).converged
 
 
@@ -497,7 +566,8 @@ def test_lobe_rows_report_an_unconverged_lookahead(monkeypatch):
     f = lambda x: np.where(x < 12.5, np.exp(-2.0 * x), 1.0)
     spec, nus = QuadSpec(), [5.0, 6.3, 6.9, 7.42, 8.12, 9.5]
     used = []
-    for nu, row in zip(nus, oscillatory_rows(f, nus, OscKind.SIN, spec)):
+    for nu, row in zip(nus, oscillatory_rows(lambda x, _: f(x), nus,
+                                             OscKind.SIN, spec)):
         ref, n_used = routes.serial_lobe_sum(f, nu, OscKind.SIN, spec)
         assert _key(row) == _key(oscillatory_raw(f, nu, OscKind.SIN, spec)) \
             == _key(ref)
@@ -516,7 +586,8 @@ def test_lobe_rows_stop_on_the_last_lobe_below_max_lobes(monkeypatch, nus):
     monkeypatch.setattr(quad, "_MAX_LOBES", 64)
     f = lambda x: np.where(x < 63.0 * math.pi, 1.0, 0.0)
     spec = QuadSpec()
-    for nu, row in zip(nus, oscillatory_rows(f, nus, OscKind.SIN, spec)):
+    for nu, row in zip(nus, oscillatory_rows(lambda x, _: f(x), nus,
+                                             OscKind.SIN, spec)):
         ref, n_used = routes.serial_lobe_sum(f, nu, OscKind.SIN, spec)
         assert _key(row) == _key(oscillatory_raw(f, nu, OscKind.SIN, spec)) \
             == _key(ref)
@@ -627,9 +698,9 @@ def test_real_quadrant_equals_its_complex_state_walk(monkeypatch, z):
 ])
 def test_real_lobe_rows_equal_complex_state_rows(monkeypatch, amp, kind):
     nus = [0.3, 1.0, 7.5, 40.0]
-    real = oscillatory_rows(amp, nus, kind)
+    real = oscillatory_rows(lambda x, _: amp(x), nus, kind)
     _complex_state(monkeypatch)
-    cplx = oscillatory_rows(amp, nus, kind)
+    cplx = oscillatory_rows(lambda x, _: amp(x), nus, kind)
     assert [_key(r) for r in real] == [_key(r) for r in cplx]
     assert all(isinstance(r.value, float) for r in real)
 
@@ -655,7 +726,8 @@ def test_walks_keep_the_imaginary_part_of_a_late_complex_block(monkeypatch):
     def walks():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return (oscillatory_rows(lobes, [25.0, 30.0], OscKind.SIN)
+            return (oscillatory_rows(lambda x, _: lobes(x), [25.0, 30.0],
+                                     OscKind.SIN)
                     + [integrate_semi_infinite(windows, 0.0),
                        integrate_quadrant(
                            lambda l1, l2: windows(l2) * np.exp(-l1))])

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from zetacheck import rhfe
+from zetacheck import cli, rhfe
 from zetacheck.errors import DomainError
 from zetacheck.quad import QuadSpec
-from zetacheck.report import ClaimStatus
+from zetacheck.report import ClaimStatus, reports_to_json, strip_volatile
 from zetacheck.specfun import zeta_star
 
 import reference_routes as routes
@@ -42,6 +42,52 @@ def test_race_rejects_poles():
         rhfe.race_check(0.0 + 0.0j)
     with pytest.raises(DomainError):
         rhfe.race_check(1.0 + 0.0j)
+
+
+def _spy(monkeypatch, module, name: str) -> list:
+    """The results of every call of module.name, recorded in order."""
+    real, results = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+def test_race_rows_equal_race_check_per_point(monkeypatch):
+    # The suite's 25 points and a few off its grid, far up the strip and
+    # below the line, walked as rows of one walk: each row's integral ends
+    # where race_check's one-row walk ends, bit for bit.
+    points = list(cli._RACE_POINTS) + [0.95 - 30.0j, 0.05 + 0.5j,
+                                       0.5 - 14.0j, 2.0 + 0.0j]
+    walks = _spy(monkeypatch, rhfe, "semi_infinite_rows")
+    one_rows = _spy(monkeypatch, rhfe, "integrate_semi_infinite")
+    rows = rhfe.race_checks(points)
+    serial = [rhfe.race_check(s) for s in points]
+    assert repr(rows) == repr(serial)
+    (walk,) = walks
+    assert [repr((r.value, r.error_estimate, r.evaluations, r.converged))
+            for r in walk] == [
+        repr((r.value, r.error_estimate, r.evaluations, r.converged))
+        for r in one_rows]
+
+
+def test_race_reports_equal_one_report_per_point():
+    points = list(cli._RACE_POINTS)
+    assert (strip_volatile(reports_to_json(rhfe.race_reports(points)))
+            == strip_volatile(reports_to_json(
+                [rhfe.race_report(s) for s in points])))
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("pole", [0.0 + 0.0j, 1.0 + 0.0j])
+def test_race_rows_reject_a_pole_at_any_point(at, pole):
+    points = [0.5 + 2.0j, 0.3 + 6.5j]
+    points.insert(at, pole)
+    with pytest.raises(DomainError, match="polar term"):
+        rhfe.race_checks(points)
 
 
 @pytest.mark.parametrize("s", [0.75 - 2.0j, 0.6 + 1.5j, 0.45 - 4.0j])

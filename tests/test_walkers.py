@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zetacheck import quad  # noqa: E402
+from zetacheck.amplitudes import AmplitudeSpec, Family  # noqa: E402
 from zetacheck.quad import OscKind, QuadSpec  # noqa: E402
 
 import reference_routes as routes  # noqa: E402
@@ -88,7 +89,8 @@ def test_array_walkers_equal_coroutine_walkers(params, max_lobes, step,
             return np.where(x > nan_at, np.nan, finite_amp(x))
 
     with mock.patch.object(quad, "_MAX_LOBES", max_lobes):
-        arrays = quad.oscillatory_rows(amp, nu, OscKind.SIN, spec)
+        arrays = quad.oscillatory_rows(lambda x, _: amp(x), nu, OscKind.SIN,
+                                       spec)
         one_rows = [quad.oscillatory_raw(amp, x, OscKind.SIN, spec)
                     for x in nu]
         serial = [routes.serial_lobe_sum(amp, x, OscKind.SIN, spec)[0]
@@ -122,3 +124,44 @@ def test_window_rows_keep_their_own_tolerances(params):
         lambda x, i=i: f(x, np.full(x.shape[0], i)), 0.0,
         QuadSpec(abs_tol=t)) for i, t in enumerate(tols)]
     assert _keys(arrays) == _keys(one_rows)
+
+
+# Amplitudes of the many-row transform: every family, the last two equal to
+# earlier ones but distinct objects, so that rows repeat amplitudes both as
+# the same object and as equal ones.
+AMPLITUDES = (AmplitudeSpec.exponential(0.5), AmplitudeSpec.exponential(2.0),
+              AmplitudeSpec.gaussian(1.0), AmplitudeSpec.rational(2.5),
+              AmplitudeSpec.rational(1.5), AmplitudeSpec.reciprocal(),
+              AmplitudeSpec.inv_sqrt(), AmplitudeSpec.exponential(0.5),
+              AmplitudeSpec.rational(2.5))
+
+
+@seed(20261021)
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.sampled_from([OscKind.SIN, OscKind.COS]),
+       st.lists(st.tuples(st.sampled_from(range(len(AMPLITUDES))),
+                          st.sampled_from([0.3, 1.0, 2.5, 7.0, 20.0, 1e3])),
+                min_size=1, max_size=8))
+def test_transform_rows_equal_serial_transforms(kind, rows):
+    # Mixed families, proper and improper, repeated amplitudes and
+    # frequencies: row r ends where integrate_oscillatory of its own
+    # amplitude and frequency ends, and where one-row routes written out
+    # in the tests end.  1/x has no cosine transform.
+    pairs = [(AMPLITUDES[i], nu) for i, nu in rows
+             if not (kind == OscKind.COS
+                     and AMPLITUDES[i].family == Family.RECIPROCAL)]
+    if not pairs:
+        return
+    amps, nus = zip(*pairs)
+    spec = QuadSpec(abs_tol=1e-9, rel_tol=1e-9)
+    together = quad.integrate_oscillatory_rows(amps, nus, kind, spec)
+    one_rows = [quad.integrate_oscillatory(a, nu, kind, spec)
+                for a, nu in pairs]
+    serial = [routes.serial_transform(a, nu, kind, spec) for a, nu in pairs]
+    assert (_transform_keys(together) == _transform_keys(one_rows)
+            == _transform_keys(serial))
+
+
+def _transform_keys(results):
+    return [repr((r.value, r.error_estimate, r.evaluations, r.converged))
+            for r in results]
