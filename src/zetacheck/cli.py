@@ -264,6 +264,11 @@ _SUITES: dict[str, tuple[_Check, ...]] = {
 _SUITE_CHOICES = (*_SUITES, "all")
 
 
+# --------------------------------------------------------------------------
+# Run configuration and the verify command.
+# --------------------------------------------------------------------------
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -279,11 +284,6 @@ class RunConfig:
     n: int = 1
     big_l: int = 5
     grid: bool = False
-
-
-# --------------------------------------------------------------------------
-# Hard-identity suites.
-# --------------------------------------------------------------------------
 
 
 def run_verify(cfg: RunConfig) -> tuple[list[ClaimReport], int]:

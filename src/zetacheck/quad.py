@@ -524,7 +524,7 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
     that fixed numpy work.
     """
     abs_tol, rel_tol, max_depth = tol
-    active, spent = np.arange(walker.n), []
+    active, evals = np.arange(walker.n), np.zeros(walker.n, dtype=int)
     for k0 in range(0, limit, block):
         if not active.size:
             break
@@ -535,15 +535,12 @@ def _walk_rows(g, walker, edges, block: int, limit: int,
             lambda x, owner: g(x, rows[owner]), lo, hi,
             abs_tol[rows] if isinstance(abs_tol, np.ndarray) else abs_tol,
             rel_tol, max_depth)
-        spent.append((rows, ev))
+        np.add.at(evals, rows, ev)
         shape = (active.size, k)
         ended = walker.step(active, k0, val.reshape(shape), err.reshape(shape),
                             conv.reshape(shape), div.reshape(shape),
                             (peak * (hi - lo)).reshape(shape))
         active = active[~ended]
-    evals = np.zeros(walker.n, dtype=int)
-    if spent:
-        np.add.at(evals, *(np.concatenate(x) for x in zip(*spent)))
     # A NaN value or error never converges.
     return [QuadResult(_tidy(v), e, ev, c and v == v and e == e, d)
             for (v, e, c, d), ev in zip(walker.ends, evals.tolist())]

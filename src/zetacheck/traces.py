@@ -12,6 +12,7 @@ quadratures, with an independent limit value obtained in closed form.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -235,14 +236,9 @@ def _series_j_max(n: int, s: complex, digits: int) -> int:
     step = 1
     while above(lo + step):
         lo, step = lo + step, 2 * step
-    hi = lo + step  # above(lo) and not above(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    # above(lo) and not above(lo + step): the first j past lo not above.
+    return bisect.bisect(range(lo, lo + step + 1), False,
+                         key=lambda j: not above(j)) + lo
 
 
 def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
@@ -267,26 +263,6 @@ def _fixed_traces(s: complex, prec: int) -> Iterator[int]:
         yield (4 * j + 1) * d4 // den
 
 
-class _TraceTable:
-    """floor(t_j(s) 2^prec) for j = 0, 1, 2, ..., shared by the series of
-    one call at one s and one prec.
-
-    Each iteration replays the t_j drawn so far and draws the rest from
-    _fixed_traces as it reads them, so no t_j is computed twice and none
-    past the last one read.  The table lives as long as the call that
-    made it.
-    """
-
-    def __init__(self, s: complex, prec: int) -> None:
-        self.drawn, self.more = [], _fixed_traces(s, prec)
-
-    def __iter__(self) -> Iterator[int]:
-        yield from self.drawn
-        for t in self.more:
-            self.drawn.append(t)
-            yield t
-
-
 def _series_prec(digits: int) -> int:
     """Bits of the series' fixed point: digits + 10 decimal digits plus 20
     guard bits."""
@@ -294,16 +270,16 @@ def _series_prec(digits: int) -> int:
 
 
 def tr_cg_n_series(n: int, p: TraceParams, *,
-                   table: _TraceTable | None = None) -> mp.mpf:
+                   table: Iterator[int] | None = None) -> mp.mpf:
     """sum_j (-pi n^2)^j / j! * t_j(s), summed in extended precision.
 
     The terms peak near e^{pi n^2}, so the working precision must carry
     that many digits of headroom on top of the answer's.  The sum runs in
     Python integers scaled by 2^prec, prec bits matching p.digits + 10
     decimal digits plus 20 guard bits; s enters exactly (see _fixed_traces)
-    and pi from mpmath's fixed-point pi.  The t_j come from `table`, which
-    tr_cg_total_value shares between the n of one call at p's s and prec;
-    called alone, the series draws them from _fixed_traces.  Truncation is
+    and pi from mpmath's fixed-point pi.  The t_j come from `table`, any
+    iterator of floor(t_j 2^prec) from j = 0, such as tr_cg_total_value's
+    tee copies of one stream; by default, from _fixed_traces.  Truncation is
     certified by a geometric majorant once the term ratio and t_j fall; the
     exact stop product is formed only where bit lengths leave it open.  A
     bound _series_j_max over _SERIES_TERM_LIMIT raises, as does a series
@@ -333,7 +309,7 @@ def tr_cg_n_series(n: int, p: TraceParams, *,
     # right side's two, the left is larger and the stop cannot fire.  A
     # zero factor goes to the exact test.
     cutoff_bits = inv_cutoff.bit_length() - 3
-    t_of = iter(table) if table is not None else _fixed_traces(p.s, prec)
+    t_of = table if table is not None else _fixed_traces(p.s, prec)
     total = 0
     power = one  # c^j / j!
     running_max = 0
@@ -433,15 +409,16 @@ def claimed_tail_envelope(z: complex, d: int, n_start: int) -> float:
 def tr_cg_total_value(p: TraceParams) -> tuple[float, float, list[float]]:
     """Partial total trace: polar term plus terms through n_max.
 
-    Every n sums its series over one _TraceTable of p's s and prec, so
-    each t_j is computed once.  Returns (value, evaluation-error budget,
-    per-n terms).  The budget covers evaluation error of the partial sum
-    only, not the truncated tail, which is the audited quantity.
+    Every n reads its t_j from an itertools.tee copy of one _fixed_traces
+    stream, so each t_j is computed once.  Returns (value, evaluation-error
+    budget, per-n terms).  The budget covers evaluation error of the
+    partial sum only, not the truncated tail, which is the audited quantity.
     """
     polar = 1.0 / abs(p.s * (p.s - 1.0)) ** 2
-    table = _TraceTable(p.s, _series_prec(p.digits))
+    tables = itertools.tee(_fixed_traces(p.s, _series_prec(p.digits)),
+                           p.n_max)
     terms = [float(tr_cg_n_series(n, p, table=table))
-             for n in range(1, p.n_max + 1)]
+             for n, table in enumerate(tables, 1)]
     value = polar + math.fsum(terms)
     budget = (p.n_max + 1) * 10.0 ** (-p.digits + 4) + 1e-15 * abs(value)
     return value, budget, terms
@@ -475,12 +452,11 @@ def tr_cg_total(p: TraceParams) -> ClaimReport:
     value, series_budget, terms = tr_cg_total_value(p)
     polar = 1.0 / abs(s * (s - 1.0)) ** 2
 
-    best_d, best_env = 1, math.inf
-    for d in range(1, 13):
-        env = abs(v) * (claimed_tail_envelope(s, d, p.n_max + 1)
-                        + claimed_tail_envelope(1.0 - s, d, p.n_max + 1))
-        if env < best_env:
-            best_d, best_env = d, env
+    envs = [abs(v) * (claimed_tail_envelope(s, d, p.n_max + 1)
+                      + claimed_tail_envelope(1.0 - s, d, p.n_max + 1))
+            for d in range(1, 13)]
+    best_env = min(envs)
+    best_d = envs.index(best_env) + 1
 
     # Measure the next actual terms through the cancellation-free route:
     # v (sigma(s) - sigma(1-s)) = -zeta_t(s) tr^n, so

@@ -397,6 +397,28 @@ def test_total_value_shares_one_trace_table(monkeypatch, s, n_max, digits):
     assert drawn == list(range(max(reads)))
 
 
+@pytest.mark.parametrize("s, n_max, digits", [
+    (0.75 - 2.0j, 3, 60), (0.55 - 9.0j, 5, 60), (0.95 - 40.0j, 2, 40)])
+def test_total_value_draws_each_trace_once(monkeypatch, s, n_max, digits):
+    # One stream per call, read as far as the largest n's series reads
+    # alone: the series of every smaller n stops sooner.
+    fixed_traces, opened, yielded = traces._fixed_traces, [], []
+
+    def counted(s, prec):
+        opened.append(prec)
+        return (yielded.append(t) or t for t in fixed_traces(s, prec))
+
+    monkeypatch.setattr(traces, "_fixed_traces", counted)
+    p = traces.TraceParams(s, n_max, digits)
+    traces.tr_cg_n_series(n_max, p)
+    alone = len(yielded)
+    opened.clear()
+    yielded.clear()
+    traces.tr_cg_total_value(p)
+    assert len(opened) == 1
+    assert len(yielded) == alone
+
+
 def _walk_key(res):
     # repr, so that NaN results compare equal too.
     return repr((res.value, res.error_estimate, res.evaluations,
