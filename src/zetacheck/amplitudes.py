@@ -3,7 +3,10 @@
 Every amplitude is positive, continuous and decreasing on (0, inf); the two
 improper families (1/x and x^{-1/2}) are integrable against an oscillator
 but not on their own, and are flagged so the integrator can route them to
-dedicated evaluations instead of the generic lobe sum.
+dedicated evaluations instead of the generic lobe sum.  Every family states
+its even derivatives in closed form, and how far they are positive and
+decreasing, so that the integrator can end a lobe walk on a certified
+integration-by-parts tail.
 """
 
 from __future__ import annotations
@@ -36,6 +39,13 @@ class AmplitudeSpec:
     family     which closed-form envelope
     parameter  rate a (EXP: e^{-ax}, GAUSS: e^{-ax^2}) or exponent p
                (RATIONAL: (1+x)^{-p}); ignored by the improper families
+
+    even_derivatives gives A, A'', A'''', ... at a point: exp, rational and
+    the improper x^-p are completely monotone, so each of these is positive
+    and decreases to 0; gauss certifies A'' only past sqrt(3 / (2a)), where
+    A''' < 0.  A lobe walk of these amplitudes ends on the
+    integration-by-parts tail they declare (quad._ibp_tail), never on
+    Wynn's epsilon.
     """
 
     family: Family
@@ -79,6 +89,37 @@ class AmplitudeSpec:
         if self.family == Family.RECIPROCAL:
             return -1.0 / (x * x)
         return -0.5 * x ** -1.5
+
+    def even_derivatives(self, x, count: int):
+        """A^(2i)(x) for i < count, and how many of them are certified.
+
+        x is a 1-d array of points > 0.  Returns an (x.size, count) array
+        whose column i is A^(2i)(x), NaN where the family states none, and
+        each point's certified count: the leading columns i, at least one,
+        whose A^(2i) is positive and decreases to 0 on [x, inf).  Each
+        column is the one before times a closed-form ratio, so only A
+        itself takes a transcendental function.
+        """
+        x = np.asarray(x, dtype=float)
+        a, i = self.parameter, np.arange(count - 1)
+        ratio = np.full((x.size, count - 1), math.nan)  # A^(2i+2) / A^(2i)
+        certified = np.full(x.size, count)
+        if self.family == Family.EXP:
+            ratio[:] = a * a
+        elif self.family == Family.GAUSS:
+            # A'' = 2a (2a x^2 - 1) A, and A''' < 0 once 2a x^2 >= 3.
+            ratio[:, :1] = (2.0 * a * (2.0 * a * x * x - 1.0))[:, None]
+            certified = np.where(2.0 * a * x * x >= 3.0, 2, 1)
+        else:
+            # (y^-q)'' = q (q + 1) y^-(q+2) for q = p + 2i, with y = 1 + x
+            # or y = x.
+            p = {Family.RATIONAL: a, Family.RECIPROCAL: 1.0,
+                 Family.INV_SQRT: 0.5}[self.family]
+            y = 1.0 + x if self.family == Family.RATIONAL else x
+            ratio[:] = (p + 2 * i) * (p + 2 * i + 1) / (y * y)[:, None]
+        return (np.multiply.accumulate(
+            np.concatenate([self.value(x)[:, None], ratio], axis=1), axis=1),
+            np.minimum(certified, count))
 
     @property
     def improper(self) -> bool:

@@ -6,8 +6,13 @@ sequence of intervals with its own stopping rule: the windows of the map
 t = exp(a - x) for semi-infinite integrals, so the engine never has to chase
 an endpoint singularity of the map itself, or the sign lobes of sin(nu x) or
 cos(nu x) for oscillatory integrals over [0, inf), stopped by an
-alternating-series tail bound or, at a block edge, by Wynn's epsilon
-algorithm on the partial sums once its estimate meets tolerance and its
+alternating-series tail bound or at a block edge.  A row of a declared
+amplitude (an AmplitudeSpec, through integrate_oscillatory_rows) ends at
+the first edge where its certified integration-by-parts tail meets
+tolerance, on the partial sum plus that tail; the improper x^-p
+amplitudes end on the same tail at lobe 32.  Only an undeclared integrand
+(a plain f in oscillatory_rows or oscillatory_raw) ends on Wynn's epsilon
+algorithm on the partial sums, once its estimate meets tolerance and its
 result agrees with the previous edge's.  A block integrates the next
 intervals of every unfinished row in one engine call, and the ones computed
 past a row's stop count as its evaluations too.
@@ -112,7 +117,8 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 _MAX_DEPTH = 48
 _MAX_EVALS = 4_000_000
 _MAX_WINDOWS = 700
-# Lobes a lobe walk may take before it ends on its last epsilon result.
+# Lobes a lobe walk may take before it ends, unconverged, on its last block
+# edge result.
 _MAX_LOBES = 768
 # Windows or lobes integrated per block: past the stop they are wasted work,
 # so a block stays small next to a typical walk of 30-300.
@@ -690,30 +696,36 @@ class _LobeRows:
     lobe e - 1, and lobe e bounds the alternating tail.  Each row carries
     whether its last lobe was small, so e may be a block's first lobe.  A
     row whose running total or error turns NaN at an earlier lobe ends
-    there, on its running sums.  At the block's last lobe, or at lobe
-    _MAX_LOBES - 1 if the block holds it, the rows still walking whose lobe
-    there is not small extrapolate their last _LOBE_BLOCK partial sums in
-    one _epsilon call; a row's drift is the distance from that result to
-    its previous one (NaN at the first).  A row ends on the result once its
-    error and its drift both meet tolerance, and at lobe _MAX_LOBES - 1 in
-    any case, unconverged unless both meet tolerance; the larger of the two
-    is the result's error.  So no row ends on its first result, and one
-    whose amplitude changes course after a window walks on into the change.
-    Each row carries the partial sums of its last block and its last
-    epsilon result for that; they stay real until a block arrives complex
-    (see _upcast).
+    there, on its running sums.
+
+    At the block's last lobe c, or at lobe _MAX_LOBES - 1 if the block
+    holds it, the rows still walking whose lobe c is not small test a block
+    edge stop.  A walk of declared amplitudes is given tail(rows, K), the
+    certified tail of each row past its K = c + 1 lobes as (value, bound)
+    (see _ibp_tail): a row ends once its bound meets tolerance, on its
+    running total plus the tail value, with the bound added to its lobe
+    errors.  Any other walk extrapolates each row's last _LOBE_BLOCK
+    partial sums in one _epsilon call; a row's drift is the distance from
+    that result to its previous one (NaN at the first), and the row ends on
+    the result once its error and its drift both meet tolerance, the larger
+    of the two being the result's error.  So no epsilon row ends on its
+    first result, and one whose amplitude changes course after a window
+    walks on into the change.  At lobe _MAX_LOBES - 1 every such row ends
+    in any case, unconverged unless its stop holds.  Each row carries the
+    partial sums of its last block and its last epsilon result; they stay
+    real until a block arrives complex (see _upcast).
 
     No row walks past lobe _MAX_LOBES - 1 except into the lookahead lobe
     _MAX_LOBES.  In the block that holds lobe _MAX_LOBES - 1, every row
-    still walking there ends on its epsilon result unless that lobe is
+    still walking there ends on its block edge result unless that lobe is
     small, and that settle overwrites any tail or NaN stop the row met past
     it in the same block; a row whose lobe _MAX_LOBES - 1 is small ends on
     its next lobe.  So a small or NaN lobe past the cap never decides a
     row's end.
     """
 
-    def __init__(self, n: int, spec: QuadSpec) -> None:
-        self.n, self.spec = n, spec
+    def __init__(self, n: int, spec: QuadSpec, tail=None) -> None:
+        self.n, self.spec, self.tail = n, spec, tail
         self.total, self.error = np.zeros(n), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         self.small = np.zeros(n, dtype=bool)
@@ -751,19 +763,24 @@ class _LobeRows:
         end_at = np.minimum(stop, at_nan)
         ended = end_at < k
         c = min(_MAX_LOBES - 1 - k0, k - 1)
-        # Epsilon at lobe c, for the rows walking on without a tail stop;
-        # a block in which every row has ended calls it for none.
+        # The block edge stop at lobe c, for the rows walking on without a
+        # tail stop; a block in which every row has ended tests none.
         i = np.flatnonzero((end_at > c) & ~small[:, c]) if c >= 0 else rows[:0]
         if i.size:
-            value, tail = _epsilon(np.concatenate(
-                [self.partials[rows[i]], total[i, :c + 1]],
-                axis=1)[:, -min(_MAX_LOBES, _LOBE_BLOCK):])
-            drift = _abs(value - self.last[rows[i]])
-            tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
-            ok = (tail <= tol) & (drift <= tol)
+            if self.tail is not None:
+                value, tail = self.tail(rows[i], k0 + c + 1)
+                value = total[i, c] + value
+                ok = tail <= _max(spec.abs_tol, spec.rel_tol * _abs(value))
+            else:
+                value, tail = _epsilon(np.concatenate(
+                    [self.partials[rows[i]], total[i, :c + 1]],
+                    axis=1)[:, -min(_MAX_LOBES, _LOBE_BLOCK):])
+                drift = _abs(value - self.last[rows[i]])
+                tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
+                ok = (tail <= tol) & (drift <= tol)
+                self.last[rows[i]] = value
+                tail = _max(tail, drift)  # a NaN drift loses
             end = ok | (k0 + c == _MAX_LOBES - 1)
-            self.last[rows[i]] = value
-            tail = _max(tail, drift)  # a NaN drift loses
             i, value, tail, ok = i[end], value[end], tail[end], ok[end]
             _settle(self.ends, rows[i], value, error[i, c] + tail,
                     conv[i, c] & ok, div[i, c])
@@ -784,9 +801,18 @@ def oscillatory_rows(f, nus, kind: OscKind,
     osc is sin or cos by kind.  f(x, rows) gets abscissae x and, per row of
     x, its row's index, as in semi_infinite_rows; every row walks its own
     lobes, all rows in lockstep on one _LobeRows.  No positivity or
-    monotonicity is assumed about f.  A row's result is the same as its own
+    monotonicity is assumed about f, so a row with no tail stop ends on
+    Wynn's epsilon at a block edge.  A row's result is the same as its own
     one-row walk.
     """
+    return _lobe_walk(f, nus, kind, spec, None)
+
+
+def _lobe_walk(f, nus, kind: OscKind, spec: QuadSpec,
+               amplitudes) -> list[QuadResult]:
+    """oscillatory_rows, with f(x, r) = amplitudes[r](x) declared when
+    amplitudes is given: its rows then end on their certified tails
+    (_declared_tail) instead of on epsilon."""
     nus = np.array([float(nu) for nu in nus])
     if not nus.size:
         raise DomainError("need at least one frequency")
@@ -796,11 +822,13 @@ def oscillatory_rows(f, nus, kind: OscKind,
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
     osc = np.sin if kind == OscKind.SIN else np.cos
+    tail = None if amplitudes is None else _declared_tail(amplitudes, nus,
+                                                          kind)
     # The last block holds the lookahead lobe _MAX_LOBES.
     limit = _LOBE_BLOCK * (_MAX_LOBES // _LOBE_BLOCK + 1)
     return _walk_rows(
         lambda x, rows: _call(f, x, rows) * osc(nus[rows, None] * x),
-        _LobeRows(nus.size, spec),
+        _LobeRows(nus.size, spec, tail),
         lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
         _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
 
@@ -814,6 +842,14 @@ def oscillatory_raw(f, nu: float, kind: OscKind,
     return oscillatory_rows(lambda x, _: f(x), [nu], kind, spec)[0]
 
 
+def _distinct(items: list) -> tuple[list, np.ndarray]:
+    """The distinct items, in first-seen order, and each item's index
+    among them."""
+    distinct = list(dict.fromkeys(items))
+    index = {g: i for i, g in enumerate(distinct)}
+    return distinct, np.array([index[g] for g in items])
+
+
 def by_row(functions: list):
     """The row-indexed integrand f(x, rows) = functions[rows[j]](x[j]).
 
@@ -822,12 +858,10 @@ def by_row(functions: list):
     Each function is elementwise, so a row's values do not depend on the
     rows it shares a call with.
     """
-    distinct = list(dict.fromkeys(functions))
+    distinct, which = _distinct(functions)
     if len(distinct) == 1:
         (g,) = distinct
         return lambda x, _: _call(g, x)
-    index = {g: i for i, g in enumerate(distinct)}
-    which = np.array([index[g] for g in functions])
 
     def f(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         k = which[rows]
@@ -841,22 +875,79 @@ def by_row(functions: list):
     return f
 
 
-def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
-    """Oscillatory integral with amplitude u^(-power) on (0, inf).
+# Integration-by-parts terms a declared tail may take before its remainder.
+_TAIL_TERMS = 12
 
-    Lobe sums decay only algebraically, so the far tail is charged through
-    the two-step integration-by-parts asymptotic expansion, whose remainder
-    is rigorously below power * (power+1) * (power+2) * a^(-power-2).
+
+def _ibp_tail(amplitude: AmplitudeSpec, x: np.ndarray,
+              nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail of amplitude(t) osc(nu t) past x, by integration by parts,
+    and a bound on its remainder; x[j] is a zero of osc(nu[j] t) where it
+    turns from sign (-1)^(K-1) to (-1)^K.
+
+    Integrating by parts twice gives T[A] = (-1)^K A(x)/nu - T[A'']/nu^2
+    for T[A] = int_x^inf A(t) osc(nu t) dt, so after k steps
+    T = (-1)^K sum_{i<k} (-1)^i A^(2i)(x)/nu^(2i+1) + R_k.  Where A^(2k) is
+    positive and decreases to 0 past x, its lobes alternate and shrink,
+    and the first one bounds the rest: |R_k| <= 2 A^(2k)(x)/nu^(2k+1).
+    Each row takes the k of least bound among its certified terms (see
+    AmplitudeSpec.even_derivatives), the first if tied, up to _TAIL_TERMS;
+    k = 0 is the Dirichlet bound 2 A(x)/nu, with no tail value.  Returns
+    the sums without their sign (-1)^K, and the bounds.  Rounding is not
+    in the bound.  See DLMF 2.3(i).
     """
+    d, certified = amplitude.even_derivatives(x, _TAIL_TERMS + 1)
+    # nu^(2i+1), one factor nu^2 at a time.
+    scale = np.multiply.accumulate(np.concatenate(
+        [nu[:, None], np.repeat((nu * nu)[:, None], _TAIL_TERMS, axis=1)],
+        axis=1), axis=1)
+    term = d / scale
+    bound = np.where(np.arange(_TAIL_TERMS + 1) < certified[:, None],
+                     2.0 * term, math.inf)
+    k, j = bound.argmin(axis=1), np.arange(x.size)
+    term[:, 1::2] *= -1.0
+    sums = np.add.accumulate(term[:, :-1], axis=1)
+    return np.where(k > 0, sums[j, k - 1], 0.0), bound[j, k]
+
+
+def _declared_tail(amplitudes, nus: np.ndarray, kind: OscKind):
+    """tail(rows, K) of a lobe walk of amplitudes[r](x) osc(nus[r] x), row
+    r for r = 0, 1, ...: the (value, bound) of _ibp_tail for each of rows
+    past its K-th lobe, the sign (-1)^K included.  Rows of one amplitude
+    share one call."""
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    distinct, which = _distinct(amplitudes)
+
+    def tail(rows: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+        nu = nus[rows]
+        x, k = (K - shift) * math.pi / nu, which[rows]
+        value, bound = np.empty(rows.size), np.empty(rows.size)
+        for i, amplitude in enumerate(distinct):
+            if (m := k == i).any():
+                value[m], bound[m] = _ibp_tail(amplitude, x[m], nu[m])
+        return (-value if K % 2 else value), bound
+
+    return tail
+
+
+def _improper_power(amplitude: AmplitudeSpec, kind: OscKind,
+                    spec: QuadSpec) -> QuadResult:
+    """int_0^inf u^(-p) osc(u) du for an improper amplitude u^(-p).
+
+    Lobe sums decay only algebraically, so the walk stops at lobe
+    _LOBE_BLOCK on the completely monotone tail of _ibp_tail, whose bound
+    joins the lobe errors; it converges if every lobe does and the bound
+    meets tolerance.  The first lobe takes u = q*q, which removes its
+    endpoint singularity.
+    """
+    p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
     osc = np.sin if kind == OscKind.SIN else np.cos
     shift = 0.0 if kind == OscKind.SIN else 0.5
-    n_lobes = 480
-    # u = q*q removes the endpoint singularity of the first lobe.
-    first = _lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-power),
+    first = _lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-p),
                       [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
                       spec.abs_tol / 50.0, 1e-12, 40)
-    rest = _lockstep(lambda u, _: osc(u) * u ** (-power),
-                     *_lobe_edges(kind, 1.0, range(1, n_lobes)),
+    rest = _lockstep(lambda u, _: osc(u) * u ** (-p),
+                     *_lobe_edges(kind, 1.0, range(1, _LOBE_BLOCK)),
                      spec.abs_tol / 50.0, 1e-12, 24)
     val, err, evals, conv = (np.concatenate([x, y]).tolist()
                              for x, y in zip(first[:4], rest[:4]))
@@ -864,18 +955,12 @@ def _improper_power(power: float, kind: OscKind, spec: QuadSpec) -> QuadResult:
     for v, e in zip(val, err):
         total += v
         total_err += e
-    a = (n_lobes - shift) * math.pi
-    p = power
-    # Three integrations by parts; |R| <= p (p+1) a^-(p+2) rigorously.
-    if kind == OscKind.SIN:
-        tail = (math.cos(a) * a ** (-p) + p * math.sin(a) * a ** (-p - 1)
-                - p * (p + 1) * math.cos(a) * a ** (-p - 2))
-    else:
-        tail = (-math.sin(a) * a ** (-p) + p * math.cos(a) * a ** (-p - 1)
-                + p * (p + 1) * math.sin(a) * a ** (-p - 2))
-    remainder = p * (p + 1) * a ** (-p - 2)
-    return QuadResult(total + tail, total_err + remainder, sum(evals),
-                      all(conv))
+    # The tail past lobe _LOBE_BLOCK of a one-row walk at frequency 1.
+    tail, bound = (x.item() for x in _declared_tail(
+        [amplitude], np.ones(1), kind)(np.zeros(1, dtype=int), _LOBE_BLOCK))
+    value = total + tail
+    return QuadResult(value, total_err + bound, sum(evals), all(conv) and (
+        bound <= max(spec.abs_tol, spec.rel_tol * abs(value))))
 
 
 def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
@@ -888,8 +973,11 @@ def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
     Every row is checked, in row order, before any integral runs, so a bad
     argument raises the error, type and message, that a loop of
     integrate_oscillatory calls raises first.  The proper rows walk as the
-    rows of one lobe walk, each distinct amplitude validated once; the
-    improper rows scale one _improper_power result per exponent.
+    rows of one lobe walk, each distinct amplitude validated once; a row
+    with no tail stop ends at the first block edge where its certified
+    integration-by-parts tail (_ibp_tail) meets tolerance, never on
+    epsilon.  The improper rows scale one _improper_power result per
+    exponent.
     """
     amplitudes, nus = list(amplitudes), list(nus)
     if len(amplitudes) != len(nus):
@@ -921,12 +1009,13 @@ def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
             continue
         p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
         if p not in powers:
-            powers[p] = _improper_power(p, kind, spec)
+            powers[p] = _improper_power(amplitude, kind, spec)
         # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
         results[r] = powers[p].scaled(nu ** (p - 1.0))
     if proper:
-        walked = oscillatory_rows(by_row([amplitudes[r].value for r in proper]),
-                                  [nus[r] for r in proper], kind, spec)
+        declared = [amplitudes[r] for r in proper]
+        walked = _lobe_walk(by_row([a.value for a in declared]),
+                            [nus[r] for r in proper], kind, spec, declared)
         for r, res in zip(proper, walked):
             results[r] = res
     return results
@@ -937,9 +1026,9 @@ def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
     """Integral of amplitude(x) * sin(nu x) (or cos) over [0, inf).
 
     Decreasing integrable amplitudes go through the sign-lobe path whose
-    partial sums bracket the limit; the two improper amplitude families are
-    routed to dedicated endpoint-splitting evaluations.  The one-row case
-    of integrate_oscillatory_rows.
+    partial sums bracket the limit, ended on a certified tail; the two
+    improper amplitude families are routed to dedicated endpoint-splitting
+    evaluations.  The one-row case of integrate_oscillatory_rows.
     """
     return integrate_oscillatory_rows([amplitude], [nu], kind, spec)[0]
 

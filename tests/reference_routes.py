@@ -74,13 +74,62 @@ def j_tail_bound(u: float, m: int, n_start: int) -> float:
     return big_k * n_tail * x_factor
 
 
-def serial_lobe_sum(f, nu: float, kind: OscKind,
-                    spec: QuadSpec) -> tuple[QuadResult, int]:
+def even_derivatives(amplitude: AmplitudeSpec,
+                     x: float) -> tuple[list[float], int]:
+    """AmplitudeSpec.even_derivatives at one point, a term at a time:
+    A^(2i)(x) for i <= quad._TAIL_TERMS as far as the family states them,
+    each the one before times its closed-form ratio, and how many of them
+    are positive and decreasing to 0 on [x, inf)."""
+    a, n = amplitude.parameter, quad._TAIL_TERMS + 1
+    if amplitude.family == Family.EXP:
+        ratios, certified = [a * a] * (n - 1), n
+    elif amplitude.family == Family.GAUSS:
+        # The second derivative is 2a (2a x^2 - 1) A; the third is negative
+        # once 2a x^2 >= 3.
+        ratios = [2.0 * a * (2.0 * a * x * x - 1.0)]
+        certified = 2 if 2.0 * a * x * x >= 3.0 else 1
+    else:
+        p = {Family.RATIONAL: a, Family.RECIPROCAL: 1.0,
+             Family.INV_SQRT: 0.5}[amplitude.family]
+        y = 1.0 + x if amplitude.family == Family.RATIONAL else x
+        ratios = [(p + 2 * i) * (p + 2 * i + 1) / (y * y)
+                  for i in range(n - 1)]
+        certified = n
+    derivatives = [amplitude.value(np.array([x]))[0].item()]
+    for ratio in ratios:
+        derivatives.append(derivatives[-1] * ratio)
+    return derivatives, certified
+
+
+def ibp_tail(amplitude: AmplitudeSpec, x: float,
+             nu: float) -> tuple[float, float]:
+    """quad._ibp_tail at one lobe edge x: the alternating sum of the first
+    k terms A^(2i)(x) / nu^(2i+1), without its sign (-1)^K, and the bound
+    2 A^(2k)(x) / nu^(2k+1), k the first of least bound among the certified
+    terms."""
+    derivatives, certified = even_derivatives(amplitude, x)
+    terms, scale = [], nu
+    for d in derivatives[:certified]:
+        terms.append(d / scale)
+        scale = scale * (nu * nu)
+    k = min(range(certified), key=lambda i: 2.0 * terms[i])
+    value = 0.0
+    for i in range(k):
+        value = value - terms[i] if i % 2 else value + terms[i]
+    return value, 2.0 * terms[k]
+
+
+def serial_lobe_sum(f, nu: float, kind: OscKind, spec: QuadSpec,
+                    amplitude: AmplitudeSpec | None = None
+                    ) -> tuple[QuadResult, int]:
     """One lobe walk of f(x)*osc(nu x) over [0, inf), a lobe at a time.
 
     The stopping rules of quad._LobeRows written for one row, up to
     quad._MAX_LOBES: the walk fetches a block of lobes only when it needs
     that block's first lobe, and a block's lobes all count as evaluations.
+    With an amplitude (f is its value), a block edge ends the walk on the
+    ibp_tail of the amplitude once its bound meets tolerance; without one,
+    on Wynn's epsilon once its result agrees with the previous edge's.
     Returns the result and the number of lobes the walk took.
     """
     osc = np.sin if kind == OscKind.SIN else np.cos
@@ -116,16 +165,24 @@ def serial_lobe_sum(f, nu: float, kind: OscKind,
             lobes_converged = lobes_converged and conv
             diverged = diverged or div
             break
-        if (k + 1) % block == 0 or k + 1 == cap:
+        if (k + 1) % block and k + 1 != cap:
+            continue
+        if amplitude is not None:
+            # The tail past the edge after lobe k, whose sign is (-1)^(k+1).
+            value, error = ibp_tail(amplitude,
+                                    (k + 1 - shift) * math.pi / nu, nu)
+            value = total + (-value if (k + 1) % 2 else value)
+            converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
+        else:
             value, error = (x.item() for x in quad._epsilon(
                 np.array([partials[-block:]])))
             drift = abs(value - last)
             tol = max(spec.abs_tol, spec.rel_tol * abs(value))
             converged = error <= tol and drift <= tol
-            if converged or k + 1 == cap:
-                total, tail = value, max(error, drift)  # a NaN drift loses
-                break
-            last = value
+            last, error = value, max(error, drift)  # a NaN drift loses
+        if converged or k + 1 == cap:
+            total, tail = value, error
+            break
     value, error = quad._tidy(total), total_err + tail
     return QuadResult(value, error, evals, converged and lobes_converged
                       and value == value and error == error, diverged), used
@@ -135,7 +192,7 @@ def serial_transform(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
                      spec: QuadSpec = QuadSpec()) -> QuadResult:
     """quad.integrate_oscillatory as one call of its own: the frequency
     check, then an improper amplitude's scaled _improper_power or a proper
-    one's validate_pcid and one-row lobe walk."""
+    one's validate_pcid and one-row lobe walk, ended on its tail."""
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError("oscillator frequency must be finite and > 0")
     if amplitude.improper:
@@ -144,9 +201,12 @@ def serial_transform(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
             raise AmplitudeError(
                 "cosine against a 1/x amplitude diverges logarithmically at 0"
             )
-        return quad._improper_power(p, kind, spec).scaled(nu ** (p - 1.0))
+        return quad._improper_power(amplitude, kind, spec).scaled(
+            nu ** (p - 1.0))
     amplitude.validate_pcid()
-    return quad.oscillatory_raw(amplitude.value, nu, kind, spec)
+    if nu > 1e3:
+        raise DomainError("oscillator frequency capped at 1e3 for audits")
+    return serial_lobe_sum(amplitude.value, nu, kind, spec, amplitude)[0]
 
 
 def linear_series_j_max(n: int, s: complex, digits: int) -> int:
@@ -350,6 +410,30 @@ def rational_transform(p: float, nu: float, sine: bool) -> float:
         return float(mp.im(v) if sine else mp.re(v))
 
 
+def rational_transform_contour(p: float, nu: float, sine: bool) -> float:
+    """int_0^inf (1 + x)^-p sin(nu x) dx (cos if not sine), to 25 digits.
+
+    Rotating the path to x = i t / nu turns the transform
+    int (1 + x)^-p e^(i nu x) dx into (i / nu) J with
+    J = int_0^inf (1 + i t / nu)^-p e^-t dt, which decays without
+    oscillating: the sine transform is Re J / nu, the cosine -Im J / nu.
+    """
+    with mp.workdps(25):
+        j = mp.quad(lambda t: (1 + 1j * t / nu) ** -mp.mpf(p) * mp.exp(-t),
+                    [0, mp.inf])
+        return float(mp.re(j) / nu if sine else -mp.im(j) / nu)
+
+
+def gauss_transform(a: float, nu: float, sine: bool) -> float:
+    """int_0^inf exp(-a x^2) sin(nu x) dx (cos if not sine), to 25 digits:
+    D(y) / sqrt(a) with Dawson's integral D(y) = (sqrt(pi)/2) e^(-y^2)
+    erfi(y) at y = nu / (2 sqrt(a)), and (1/2) sqrt(pi/a) e^(-y^2)."""
+    with mp.workdps(25):
+        y = mp.mpf(nu) / (2 * mp.sqrt(a))
+        half = mp.sqrt(mp.pi) / 2 * mp.exp(-y * y) / mp.sqrt(a)
+        return float(half * mp.erfi(y) if sine else half)
+
+
 def four_walk_positivity_audit(seed: int) -> ClaimReport:
     """fresnel.positivity_audit with each family's frequencies walked as
     the rows of a lobe walk of their own, one walk per family."""
@@ -362,9 +446,8 @@ def four_walk_positivity_audit(seed: int) -> ClaimReport:
     at: list[dict] = []
     for amp in families:
         nus = fresnel._NU_MAX * (1.0 - rng.random(per))
-        amp.validate_pcid()
-        rows += quad.oscillatory_rows(lambda x, _: amp.value(x), nus,
-                                      OscKind.SIN, fresnel._SPEC_POSITIVITY)
+        rows += quad.integrate_oscillatory_rows([amp] * per, nus, OscKind.SIN,
+                                                fresnel._SPEC_POSITIVITY)
         at += [{"family": amp.family.value, "parameter": amp.parameter,
                 "nu": float(nu)} for nu in nus]
     value = np.array([r.value for r in rows], dtype=float)

@@ -108,7 +108,9 @@ def _case(rng, n: int, complex_: bool):
     return g, lo, hi
 
 
-# Interval counts on both sides of the 256-interval pass and of two passes.
+# Interval counts on both sides of one and of two 256-interval passes; the
+# tests patch quad._MAX_INTERVALS to PASS, so that a case spans passes.
+PASS = 256
 COUNT = st.one_of(st.integers(1, 600), st.sampled_from([255, 256, 257, 512,
                                                         513]))
 TOLS = st.sampled_from([(1e-10, 1e-10), (1e-12, 1e-8), (1e-6, 1e-6)])
@@ -123,7 +125,8 @@ MAX_EVALS = st.sampled_from([15, 45, 75, quad._MAX_EVALS])
 def test_first_split_equals_heap_loop(n, complex_, draw, tols, max_depth,
                                       max_evals):
     g, lo, hi = _case(np.random.default_rng(draw), n, complex_)
-    with mock.patch.object(quad, "_MAX_EVALS", max_evals):
+    with mock.patch.object(quad, "_MAX_EVALS", max_evals), \
+            mock.patch.object(quad, "_MAX_INTERVALS", PASS):
         got = quad._lockstep(g, lo, hi, *tols, max_depth)
         ref = _heap_lockstep(g, lo, hi, *tols, max_depth)
     # The cases hold no NaN, where the engine alone stops refining.
@@ -165,7 +168,8 @@ def _per_interval_tolerance(draw: int, n: int, complex_: bool,
 @given(COUNT, st.booleans(), st.integers(0, 2 ** 32 - 1), MAX_DEPTH)
 def test_per_interval_tolerance_equals_one_call_per_tolerance(
         n, complex_, draw, max_depth):
-    _per_interval_tolerance(draw, n, complex_, max_depth)
+    with mock.patch.object(quad, "_MAX_INTERVALS", PASS):
+        _per_interval_tolerance(draw, n, complex_, max_depth)
 
 
 def test_per_interval_tolerance_reaches_the_heap_loop():

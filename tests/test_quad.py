@@ -473,7 +473,7 @@ def test_transform_rows_raise_the_serial_first_error(monkeypatch, first,
         routes.serial_transform(a, nu, OscKind.COS) for a, nu in rows])
     assert serial is not None
     walked = []
-    monkeypatch.setattr(quad, "oscillatory_rows",
+    monkeypatch.setattr(quad, "_lobe_walk",
                         lambda *args: walked.append(args))
     monkeypatch.setattr(quad, "_improper_power",
                         lambda *args: walked.append(args))
@@ -535,10 +535,11 @@ def test_nan_error_stops_refinement(integrate, budget):
 
 def test_improper_power_reports_lobe_convergence():
     # cos(u)/u is not integrable at 0, so the first lobe cannot converge.
-    assert not quad._improper_power(1.0, OscKind.COS, QuadSpec()).converged
-    for power, kind in ((1.0, OscKind.SIN), (0.5, OscKind.SIN),
-                        (0.5, OscKind.COS)):
-        assert quad._improper_power(power, kind, QuadSpec()).converged
+    recip, inv_sqrt = AmplitudeSpec.reciprocal(), AmplitudeSpec.inv_sqrt()
+    assert not quad._improper_power(recip, OscKind.COS, QuadSpec()).converged
+    for amp, kind in ((recip, OscKind.SIN), (inv_sqrt, OscKind.SIN),
+                      (inv_sqrt, OscKind.COS)):
+        assert quad._improper_power(amp, kind, QuadSpec()).converged
 
 
 def test_lobe_walk_reports_lobe_convergence():
