@@ -17,6 +17,13 @@ result agrees with the previous edge's.  A block integrates the next
 intervals of every unfinished row in one engine call, and the ones computed
 past a row's stop count as its evaluations too.
 
+A semi-infinite integrand that declares an exponential envelope,
+|f(x)| <= e^(-rate x) (integrate_exp_decay, which laplace.rep_inverse_z
+calls), is not walked: its windows, of width min(1, 1/rate) in x, and
+their count follow from the tail bound e^(-rate x)/rate before any
+evaluation, one engine call integrates them all, and the estimate charges
+that bound and the rounding in place of a stopping rule.
+
 The engine returns per-interval arrays.  It takes every interval's first
 panel and, for those that one leaves unsettled, its first bisection on
 arrays, so an interval settled by either costs no Python work; only the
@@ -51,7 +58,8 @@ import numpy as np
 from .amplitudes import AmplitudeSpec, Family
 from .errors import AmplitudeError, DomainError
 
-__all__ = ["OscKind", "QuadSpec", "QuadResult", "integrate_finite",
+__all__ = ["OscKind", "QuadSpec", "QuadResult", "DecayResult",
+           "integrate_finite", "integrate_exp_decay",
            "integrate_semi_infinite", "semi_infinite_rows",
            "integrate_oscillatory", "integrate_oscillatory_rows",
            "integrate_quadrant", "oscillatory_raw", "oscillatory_rows",
@@ -131,6 +139,13 @@ _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 _MAX_INTERVALS = 1024
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
 _EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
+# Rounding in integrate_exp_decay, in units of eps: a computed integrand
+# value lies within _EVAL_ULPS eps of its exact |value| (numpy's exp of a
+# complex argument stays within about 1 eps, checked against mpmath in
+# tests/test_laplace.py), and a 15-point Kronrod sum adds at most 8 eps of
+# its absolute mass.
+_EVAL_ULPS = 4
+_ROUND_ULPS = _EVAL_ULPS + 8
 
 
 def _call(f, x: np.ndarray, *args) -> np.ndarray:
@@ -584,6 +599,65 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = QuadSpec()) -> QuadRes
                          _Coroutine(_walk(spec)))[0]
 
 
+@dataclass
+class DecayResult(QuadResult):
+    """A result of integrate_exp_decay: also the number of windows it
+    integrated and the tail bound it charged past them."""
+    windows: int = 0
+    tail_bound: float = 0.0
+
+
+def integrate_exp_decay(f, rate: float,
+                        spec: QuadSpec = QuadSpec()) -> DecayResult:
+    """Integral of f over [0, inf), declared to obey |f(x)| <= e^(-rate x).
+
+    The windows are fixed before any evaluation: width h = min(1, 1/rate)
+    in x, and K of them, the least count whose tail bound
+    e^(-rate h K) / rate meets tau = abs_tol / 16, at most _MAX_WINDOWS.
+    One engine call integrates all K windows to the per-window tolerances
+    of integrate_semi_infinite's walk, and their values are added in window
+    order.  No window is walked, stopped on or extrapolated past.  The
+    estimate is the sum of the panel errors, the tail bound and a rounding
+    charge: _ROUND_ULPS eps of each window's mass bound (peak |f| times
+    width), which assumes f's values lie within _EVAL_ULPS eps of |f|,
+    eps/2 of every running total of the window sum, and the tail bound's
+    own rounding.  The result converges
+    only if every window does, the value is finite and the tail bound
+    meets tau; a K capped at _MAX_WINDOWS never does.
+    """
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise DomainError(f"decay rate must be finite and > 0, got {rate}")
+    tau = spec.abs_tol / 16.0
+    # rate h = min(rate, 1): K is the least count with step K >= ln(1 / (rate
+    # tau)), compared before dividing so that a tiny rate cannot overflow.
+    step, h = min(rate, 1.0), min(1.0, 1.0 / rate)
+    log_budget = -math.log(tau) - math.log(rate)
+    windows = (_MAX_WINDOWS if log_budget > step * _MAX_WINDOWS
+               else max(1, math.ceil(log_budget / step)))
+    while True:
+        edges = h * np.arange(windows + 1.0)
+        tail = math.exp(-rate * edges[-1]) / rate
+        if tail <= tau or windows == _MAX_WINDOWS:
+            break
+        windows += 1  # the float edge fell short of the exact count
+    val, err, evals, conv, div, peak = _lockstep(
+        lambda x, _: _call(f, x), edges[:-1], edges[1:], tau,
+        min(spec.rel_tol, 1e-8), _MAX_DEPTH)
+    running = np.add.accumulate(val)
+    # Rounding: of f's values and the Kronrod sums, of the window sum, and
+    # of the tail bound itself (exp, the division, and the product rate x,
+    # whose error exp magnifies by rate x).
+    eps = np.finfo(float).eps
+    rounding = (_ROUND_ULPS * eps * np.add.reduce(peak * np.diff(edges))
+                + 0.5 * eps * np.add.reduce(_abs(running))
+                + eps * (2.0 + rate * edges[-1]) * tail)
+    error = np.add.reduce(err).item() + tail + rounding.item()
+    return DecayResult(
+        _tidy(running[-1].item()), error, int(np.add.reduce(evals)),
+        bool(conv.all() and np.isfinite(running[-1])) and tail <= tau,
+        bool(div.any()), windows=windows, tail_bound=tail)
+
+
 def semi_infinite_rows(f, a: float, abs_tols) -> list[QuadResult]:
     """Integrals over [a, inf) of f(x, rows) for r = 0, 1, ..., each row r
     to its own absolute tolerance abs_tols[r] and the default rel_tol.
@@ -887,23 +961,22 @@ def _ibp_tail(amplitude: AmplitudeSpec, x: np.ndarray,
 
     Integrating by parts twice gives T[A] = (-1)^K A(x)/nu - T[A'']/nu^2
     for T[A] = int_x^inf A(t) osc(nu t) dt, so after k steps
-    T = (-1)^K sum_{i<k} (-1)^i A^(2i)(x)/nu^(2i+1) + R_k.  Where A^(2k) is
-    positive and decreases to 0 past x, its lobes alternate and shrink,
-    and the first one bounds the rest: |R_k| <= 2 A^(2k)(x)/nu^(2k+1).
-    Each row takes the k of least bound among its certified terms (see
-    AmplitudeSpec.even_derivatives), the first if tied, up to _TAIL_TERMS;
-    k = 0 is the Dirichlet bound 2 A(x)/nu, with no tail value.  Returns
-    the sums without their sign (-1)^K, and the bounds.  Rounding is not
-    in the bound.  See DLMF 2.3(i).
+    T = (-1)^K sum_{i<k} (-1)^i A^(2i)(x)/nu^(2i+1) + R_k, and
+    |R_k| <= 2 M_k/nu^(2k+1) for the majorant M_k of A^(2k) that
+    AmplitudeSpec.even_derivatives states; where A^(2k) is positive and
+    decreases to 0 past x, its lobes alternate and shrink, and M_k is
+    A^(2k)(x).  Each row takes the k of least bound, the first if tied, up
+    to _TAIL_TERMS; k = 0 is the Dirichlet bound 2 A(x)/nu, with no tail
+    value.  Returns the sums without their sign (-1)^K, and the bounds.
+    Rounding is not in the bound.  See DLMF 2.3(i).
     """
-    d, certified = amplitude.even_derivatives(x, _TAIL_TERMS + 1)
+    d, majorant = amplitude.even_derivatives(x, _TAIL_TERMS + 1)
     # nu^(2i+1), one factor nu^2 at a time.
     scale = np.multiply.accumulate(np.concatenate(
         [nu[:, None], np.repeat((nu * nu)[:, None], _TAIL_TERMS, axis=1)],
         axis=1), axis=1)
     term = d / scale
-    bound = np.where(np.arange(_TAIL_TERMS + 1) < certified[:, None],
-                     2.0 * term, math.inf)
+    bound = 2.0 * (majorant / scale)
     k, j = bound.argmin(axis=1), np.arange(x.size)
     term[:, 1::2] *= -1.0
     sums = np.add.accumulate(term[:, :-1], axis=1)

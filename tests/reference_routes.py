@@ -75,48 +75,54 @@ def j_tail_bound(u: float, m: int, n_start: int) -> float:
 
 
 def even_derivatives(amplitude: AmplitudeSpec,
-                     x: float) -> tuple[list[float], int]:
+                     x: float) -> tuple[list[float], list[float]]:
     """AmplitudeSpec.even_derivatives at one point, a term at a time:
     A^(2i)(x) for i <= quad._TAIL_TERMS as far as the family states them,
-    each the one before times its closed-form ratio, and how many of them
-    are positive and decreasing to 0 on [x, inf)."""
+    each the one before times its closed-form ratio, and the majorant of
+    each that bounds its integration-by-parts remainder: the term itself
+    where it is positive and decreasing to 0 on [x, inf)."""
     a, n = amplitude.parameter, quad._TAIL_TERMS + 1
     if amplitude.family == Family.EXP:
-        ratios, certified = [a * a] * (n - 1), n
+        ratios = [a * a] * (n - 1)
     elif amplitude.family == Family.GAUSS:
-        # The second derivative is 2a (2a x^2 - 1) A; the third is negative
-        # once 2a x^2 >= 3.
+        # The second derivative is 2a (2a x^2 - 1) A.
         ratios = [2.0 * a * (2.0 * a * x * x - 1.0)]
-        certified = 2 if 2.0 * a * x * x >= 3.0 else 1
     else:
         p = {Family.RATIONAL: a, Family.RECIPROCAL: 1.0,
              Family.INV_SQRT: 0.5}[amplitude.family]
         y = 1.0 + x if amplitude.family == Family.RATIONAL else x
         ratios = [(p + 2 * i) * (p + 2 * i + 1) / (y * y)
                   for i in range(n - 1)]
-        certified = n
     derivatives = [amplitude.value(np.array([x]))[0].item()]
     for ratio in ratios:
         derivatives.append(derivatives[-1] * ratio)
-    return derivatives, certified
+    if amplitude.family != Family.GAUSS:
+        return derivatives, derivatives
+    # The third derivative is negative once 2a x^2 >= 3; before that,
+    # A'' climbs to 4a e^(-3/2) at sqrt(3 / (2a)) and the majorant is
+    # (|A''(x)| + its total variation on [x, inf)) / 2.
+    second = derivatives[1]
+    if 2.0 * a * x * x < 3.0:
+        second = 4.0 * a * math.exp(-1.5) + max(0.0, -second)
+    return derivatives, [derivatives[0], second]
 
 
 def ibp_tail(amplitude: AmplitudeSpec, x: float,
              nu: float) -> tuple[float, float]:
     """quad._ibp_tail at one lobe edge x: the alternating sum of the first
     k terms A^(2i)(x) / nu^(2i+1), without its sign (-1)^K, and the bound
-    2 A^(2k)(x) / nu^(2k+1), k the first of least bound among the certified
-    terms."""
-    derivatives, certified = even_derivatives(amplitude, x)
-    terms, scale = [], nu
-    for d in derivatives[:certified]:
+    2 M_k / nu^(2k+1) on the rest, k the first of least bound."""
+    derivatives, majorants = even_derivatives(amplitude, x)
+    terms, bounds, scale = [], [], nu
+    for d, m in zip(derivatives, majorants):
         terms.append(d / scale)
+        bounds.append(2.0 * (m / scale))
         scale = scale * (nu * nu)
-    k = min(range(certified), key=lambda i: 2.0 * terms[i])
+    k = min(range(len(bounds)), key=lambda i: bounds[i])
     value = 0.0
     for i in range(k):
         value = value - terms[i] if i % 2 else value + terms[i]
-    return value, 2.0 * terms[k]
+    return value, bounds[k]
 
 
 def serial_lobe_sum(f, nu: float, kind: OscKind, spec: QuadSpec,

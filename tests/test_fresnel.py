@@ -309,7 +309,8 @@ def test_declared_tails_are_honest_against_oracles(seed):
     # nu in [0.05, 50].  A smaller nu makes the first lobe blind to the
     # amplitude, a fault of the lobe panels, not of the tails (ROADMAP
     # item 2, test_oscillatory_fast_decay_is_not_silently_lost).  gauss(1e-3)
-    # at nu = 100 is far from its bound at lobe 768: it ends there,
+    # at nu = 100 cannot meet 1e-9 on one term, whose bound stays above
+    # 2 A''(sqrt(3 / (2a))) / nu^3 = 1.8e-9: it ends at lobe 768,
     # unconverged, and its estimate still covers its miss.
     rng = np.random.default_rng(seed)
 
@@ -341,3 +342,29 @@ def test_declared_tails_are_honest_against_oracles(seed):
             assert miss <= res.error_estimate, (amp, nu, kind)
             assert res.converged == (amp.parameter != 1e-3), (amp, nu, kind)
         assert results[-1].evaluations == quad._MAX_LOBES * 15
+
+
+@pytest.mark.parametrize("kind", list(OscKind))
+def test_gauss_tails_before_the_third_derivative_turns(kind):
+    # gauss(1e-3) walks hundreds of lobes before x3 = sqrt(3 / (2a)) = 38.7,
+    # where A''' turns negative.  Before x3 the one-term remainder is
+    # bounded by the total variation of A'', 2 (A''(x3) + max(0, -A''(X)))
+    # / nu^3, which is at least 2 A''(x3) / nu^3 = 1.785e-3 / nu^3: at
+    # nu = 300 it meets 1e-9 at the first block edge, below about nu = 121
+    # it cannot, and those rows end at lobe 768.  Every row covers its miss
+    # against Dawson's integral and ends where the serial reference ends.
+    a, spec = 1e-3, QuadSpec(1e-9, 1e-9)
+    amp, peak = AmplitudeSpec.gaussian(a), 4.0 * a * math.exp(-1.5)
+    sine = kind == OscKind.SIN
+    for nu in (50.0, 70.0, 100.0, 300.0):
+        res = quad.integrate_oscillatory(amp, nu, kind, spec)
+        miss = abs(res.value - routes.gauss_transform(a, nu, sine))
+        assert miss <= res.error_estimate, nu
+        # The largest the bound can be, |A''| <= 2a, plus the lobe errors.
+        assert res.error_estimate <= 2.0 * (peak + 2.0 * a) / nu ** 3 + 1e-10
+        assert res.converged == (nu == 300.0), nu
+        lobes = quad._LOBE_BLOCK if nu == 300.0 else quad._MAX_LOBES
+        assert res.evaluations == 15 * lobes, nu
+        ref = routes.serial_transform(amp, nu, kind, spec)
+        assert (repr((res.value, res.error_estimate, res.converged))
+                == repr((ref.value, ref.error_estimate, ref.converged)))

@@ -8,10 +8,11 @@ the engine's verdict.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from zetacheck import laplace
+from zetacheck import laplace, quad
 from zetacheck.errors import DomainError
 from zetacheck.report import ClaimStatus, reports_to_json, strip_volatile
 
@@ -28,6 +29,88 @@ def test_inverse_representation(z):
     assert rep.status == ClaimStatus.CONFIRMED
     assert rep.abs_residual <= 1e-8
     assert abs(complex(rep.rhs) - 1.0 / z) <= 1e-15
+
+
+def _covers(rep) -> bool:
+    return rep.abs_residual <= rep.error_estimate
+
+
+@pytest.mark.parametrize("z", [1e4 + 0.0j, 1e6 + 1.0j])
+def test_inverse_of_a_fast_decay_is_confirmed(z):
+    # The windows are 1 / re(z) wide, so the first one sees the decay; the
+    # residual is almost all tail, which the tail bound states exactly for
+    # a real z.
+    rep = laplace.rep_inverse_z(z)
+    assert rep.status == ClaimStatus.CONFIRMED
+    assert _covers(rep)
+    assert rep.extra["converged"] is True
+    assert rep.extra["tailBound"] <= 1e-10 / 16.0
+
+
+@pytest.mark.parametrize("z", [1e-3 + 0.0j, 1e-300 + 0.0j])
+def test_inverse_of_a_slow_decay_is_inconclusive(z):
+    # Its tail bound cannot meet tolerance within quad._MAX_WINDOWS windows,
+    # so the route ends unconverged, and the estimate, tail included, still
+    # covers the residual.
+    rep = laplace.rep_inverse_z(z)
+    assert rep.status == ClaimStatus.INCONCLUSIVE
+    assert rep.extra["converged"] is False
+    assert rep.extra["windows"] == quad._MAX_WINDOWS
+    assert _covers(rep)
+
+
+def test_inverse_of_a_huge_argument_does_not_raise():
+    rep = laplace.rep_inverse_z(1e300 + 0.0j)
+    assert rep.extra["windows"] == 1
+    assert _covers(rep)
+
+
+@pytest.mark.parametrize("seed", [12345, 20261022])
+def test_inverse_estimates_cover_their_residuals(seed):
+    # 1/z is the oracle.  The region of `verify --suite laplace` and
+    # perfbench, re z in [0.05, 4] and im z in [-12, 12], must confirm;
+    # a wide log-uniform region, re z in [1e-4, 1e8] and |im z| up to
+    # 30 re z, must cover its residual whether or not it converges, and
+    # confirm exactly where it converges.
+    rng = np.random.default_rng(seed)
+    near = [complex(a, b) for a, b in zip(rng.uniform(0.05, 4.0, 150),
+                                          rng.uniform(-12.0, 12.0, 150))]
+    re = np.exp(rng.uniform(math.log(1e-4), math.log(1e8), 100))
+    wide = [complex(a, a * b) for a, b in zip(re, rng.uniform(-30, 30, 100))]
+    for z in near + wide:
+        rep = laplace.rep_inverse_z(z)
+        assert _covers(rep), z
+        assert (rep.status == ClaimStatus.CONFIRMED) == rep.extra["converged"]
+        if z in near:
+            assert rep.status == ClaimStatus.CONFIRMED, z
+
+
+def test_exp_values_stay_within_the_stated_ulps():
+    # integrate_exp_decay charges _EVAL_ULPS eps of |f| per value, and
+    # rep_inverse_z charges eps |z| x more for the float product z x
+    # (and as much again for the float nodes).  Check numpy's complex exp
+    # against mpmath, at the float argument -z x and at the exact one, for
+    # z over the region above and the extremes and x over the windows each
+    # z integrates.
+    rng = np.random.default_rng(7)
+    zs = [complex(a, b) for a, b in zip(rng.uniform(0.05, 4.0, 40),
+                                        rng.uniform(-12.0, 12.0, 40))]
+    zs += [1e4 + 0.0j, 1e6 + 1.0j, 1e-3 + 0.0j, 1e300 + 0.0j]
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        for z in zs:
+            reach = laplace.rep_inverse_z(z).extra["windows"] \
+                * min(1.0, 1.0 / z.real)
+            x = rng.uniform(0.0, reach, 50)
+            w = -z * x
+            for xj, wj, got in zip(x.tolist(), w.tolist(),
+                                   np.exp(w).tolist()):
+                got = mp.mpc(got.real, got.imag)
+                at_w = mp.exp(mp.mpc(wj.real, wj.imag))
+                assert abs(got - at_w) <= quad._EVAL_ULPS * eps * abs(at_w)
+                exact = mp.exp(-mp.mpc(z.real, z.imag) * mp.mpf(xj))
+                assert (abs(got - exact) <= (quad._EVAL_ULPS
+                        + abs(z) * xj) * eps * abs(exact)), (z, xj)
 
 
 @pytest.mark.parametrize("z", [1.0 + 0.0j, 3.0 + 4.0j, 0.5 + 2.0j,
@@ -55,7 +138,7 @@ def test_representations_reject_a_non_finite_argument(rep, z, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a quadrature ran on a non-finite argument")
 
-    monkeypatch.setattr(laplace, "integrate_semi_infinite", never)
+    monkeypatch.setattr(laplace, "integrate_exp_decay", never)
     monkeypatch.setattr(laplace, "integrate_quadrant", never)
     with pytest.raises(DomainError, match="z must be finite"):
         rep(z)

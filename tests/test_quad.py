@@ -165,6 +165,43 @@ def test_late_onset_exp_cascade():
     assert abs(res.value - HALF_E1_PI) <= 1e-14
 
 
+# -- declared exponential decay ----------------------------------------------
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.3, 1.0, 7.0, 1e5,
+                                  1078071519.853674])
+def test_exp_decay_takes_the_least_window_count(rate):
+    # K windows of width min(1, 1/rate): the least K whose tail bound
+    # e^(-rate h K) / rate meets abs_tol / 16, each window one panel here.
+    # At the last rate, ln(1 / (rate tau)) is 5 to rounding, and the float
+    # edge of 5 windows leaves the bound an ulp above tau: it takes 6.
+    res = quad.integrate_exp_decay(lambda x: np.exp(-rate * x), rate)
+    h, tau = min(1.0, 1.0 / rate), 1e-10 / 16.0
+    assert (res.tail_bound <= tau
+            < math.exp(-rate * h * (res.windows - 1)) / rate)
+    assert res.converged and not res.diverged
+    assert res.evaluations == 15 * res.windows
+    check_honest(res, 1.0 / rate, slack=1.0)
+
+
+@pytest.mark.parametrize("rate", [1e-2, 1e-300, 5e-324])
+def test_exp_decay_past_the_window_cap_is_unconverged(rate):
+    # The tail bound cannot meet tolerance within _MAX_WINDOWS windows; the
+    # count is found without dividing by the rate, so none overflows.
+    res = quad.integrate_exp_decay(lambda x: np.exp(-rate * x), rate)
+    assert res.windows == quad._MAX_WINDOWS and not res.converged
+    assert res.tail_bound > 1e-10 / 16.0
+    check_honest(res, 1.0 / rate, slack=1.0)
+
+
+def test_exp_decay_rejects_bad_input():
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="decay rate"):
+            quad.integrate_exp_decay(lambda x: np.exp(-x), rate)
+    with pytest.raises(TypeError, match="integrand must map"):
+        quad.integrate_exp_decay(lambda x: 1.0, 1.0)
+
+
 # -- window walkers against one coroutine per row ----------------------------
 
 
@@ -518,13 +555,15 @@ def _nan_near(x):
     (lambda: integrate_semi_infinite(lambda x: x * np.nan, 0.0),
      quad._WINDOW_BLOCK * 45),
     (lambda: integrate_finite(_nan_near, 0.0, 1.0), 105),
+    # All 26 windows of rate 1 in one engine call.
+    (lambda: quad.integrate_exp_decay(lambda x: x * np.nan, 1.0), 26 * 45),
     (lambda: integrate_quadrant(lambda l1, l2: l1 * l2 * np.nan), 129_600),
     (lambda: oscillatory_raw(lambda x: x * np.nan, 1.0, OscKind.SIN),
      quad._LOBE_BLOCK * 45),
     (lambda: oscillatory_rows(lambda x, _: x * np.nan, [1.0, 2.0],
                               OscKind.COS)[1], quad._LOBE_BLOCK * 45),
-], ids=["finite", "semi-infinite", "finite-deep", "quadrant", "lobe",
-        "lobe-rows"])
+], ids=["finite", "semi-infinite", "finite-deep", "exp-decay", "quadrant",
+        "lobe", "lobe-rows"])
 def test_nan_error_stops_refinement(integrate, budget):
     # A NaN running error stays NaN, so the interval can never converge.
     res = integrate()

@@ -87,13 +87,13 @@ def test_notes_keyed_by_status_give_the_verdicts_note():
 
 
 def test_unconverged_laplace_route_is_inconclusive(monkeypatch):
-    real = laplace.integrate_semi_infinite
+    real = laplace.integrate_exp_decay
 
     def unconverged(*args, **kwargs):
         return replace(real(*args, **kwargs), converged=False)
 
     assert laplace.rep_inverse_z(1.0 + 1.0j).status == ClaimStatus.CONFIRMED
-    monkeypatch.setattr(laplace, "integrate_semi_infinite", unconverged)
+    monkeypatch.setattr(laplace, "integrate_exp_decay", unconverged)
     rep = laplace.rep_inverse_z(1.0 + 1.0j)
     assert rep.extra["converged"] is False
     assert rep.status == ClaimStatus.INCONCLUSIVE
