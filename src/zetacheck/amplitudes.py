@@ -41,13 +41,10 @@ class AmplitudeSpec:
                (RATIONAL: (1+x)^{-p}); ignored by the improper families
 
     even_derivatives gives A, A'', A'''', ... at a point, and a majorant
-    of each for the integration-by-parts remainder: exp, rational and the
-    improper x^-p are completely monotone, so each of these is positive
-    and decreases to 0 and is its own majorant; gauss states A and A''
-    only, and the majorant of A'' takes its total variation before
-    sqrt(3 / (2a)), where A''' turns negative.  A lobe walk of these
-    amplitudes ends on the integration-by-parts tail they declare
-    (quad._ibp_tail), never on Wynn's epsilon.
+    of each for the integration-by-parts remainder (exp, rational and the
+    improper x^-p are completely monotone, so each term is its own).  A
+    lobe walk of these amplitudes ends on the integration-by-parts tail
+    they declare (quad._ibp_tail), never on Wynn's epsilon.
     """
 
     family: Family
@@ -125,9 +122,8 @@ class AmplitudeSpec:
             np.concatenate([self.value(x)[:, None], ratio], axis=1), axis=1)
         if self.family != Family.GAUSS:
             return d, d
-        # A''' = 4a^2 x (3 - 2a x^2) A, so A'' rises to 4a e^(-3/2) at
-        # x3 = sqrt(3 / (2a)) and then decreases to 0.  Before x3,
-        # (|A''(x)| + V_1) / 2 is A''(x3) + max(0, -A''(x)).
+        # A''' = 4a^2 x (3 - 2a x^2) A changes sign at x3 = sqrt(3 / (2a)),
+        # so A'' peaks there at 4a e^(-3/2).
         majorant = np.full(d.shape, math.inf)
         majorant[:, 0] = d[:, 0]
         majorant[:, 1] = np.where(

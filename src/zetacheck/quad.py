@@ -607,42 +607,44 @@ class DecayResult(QuadResult):
     tail_bound: float = 0.0
 
 
-def integrate_exp_decay(f, rate: float,
-                        spec: QuadSpec = QuadSpec()) -> DecayResult:
+def integrate_exp_decay(f, rate: float) -> DecayResult:
     """Integral of f over [0, inf), declared to obey |f(x)| <= e^(-rate x).
 
     The windows are fixed before any evaluation: width h = min(1, 1/rate)
     in x, and K of them, the least count whose tail bound
-    e^(-rate h K) / rate meets tau = abs_tol / 16, at most _MAX_WINDOWS.
-    One engine call integrates all K windows to the per-window tolerances
-    of integrate_semi_infinite's walk, and their values are added in window
-    order.  No window is walked, stopped on or extrapolated past.  The
-    estimate is the sum of the panel errors, the tail bound and a rounding
-    charge: _ROUND_ULPS eps of each window's mass bound (peak |f| times
-    width), which assumes f's values lie within _EVAL_ULPS eps of |f|,
-    eps/2 of every running total of the window sum, and the tail bound's
-    own rounding.  The result converges
-    only if every window does, the value is finite and the tail bound
-    meets tau; a K capped at _MAX_WINDOWS never does.
+    e^(-rate h K) / rate meets tau = abs_tol / 16 of the default QuadSpec,
+    at most _MAX_WINDOWS.  One engine call integrates all K windows to the
+    per-window tolerances of integrate_semi_infinite's default walk, and
+    their values are added in window order.  No window is walked, stopped
+    on or extrapolated past.  The estimate is the sum of the panel errors,
+    the tail bound and a rounding charge: _ROUND_ULPS eps of each window's
+    mass bound (peak |f| times width), which assumes f's values lie within
+    _EVAL_ULPS eps of |f|, eps/2 of every running total of the window sum,
+    and the tail bound's own rounding.  The result converges only if every
+    window does, the value is finite and the tail bound meets tau; a K
+    capped at _MAX_WINDOWS never does.
     """
     if not (math.isfinite(rate) and rate > 0.0):
         raise DomainError(f"decay rate must be finite and > 0, got {rate}")
-    tau = spec.abs_tol / 16.0
+    spec = QuadSpec()
+    tau, rel_tol = spec.abs_tol / 16.0, min(spec.rel_tol, 1e-8)
     # rate h = min(rate, 1): K is the least count with step K >= ln(1 / (rate
     # tau)), compared before dividing so that a tiny rate cannot overflow.
     step, h = min(rate, 1.0), min(1.0, 1.0 / rate)
     log_budget = -math.log(tau) - math.log(rate)
     windows = (_MAX_WINDOWS if log_budget > step * _MAX_WINDOWS
                else max(1, math.ceil(log_budget / step)))
-    while True:
+    edges = h * np.arange(windows + 1.0)
+    tail = math.exp(-rate * edges[-1]) / rate
+    if tail > tau and windows < _MAX_WINDOWS:
+        # The float edge fell an ulp short of the exact count; one more
+        # window adds min(rate, 1) to rate x_K, a 1/K share, far past that.
+        windows += 1
         edges = h * np.arange(windows + 1.0)
         tail = math.exp(-rate * edges[-1]) / rate
-        if tail <= tau or windows == _MAX_WINDOWS:
-            break
-        windows += 1  # the float edge fell short of the exact count
     val, err, evals, conv, div, peak = _lockstep(
-        lambda x, _: _call(f, x), edges[:-1], edges[1:], tau,
-        min(spec.rel_tol, 1e-8), _MAX_DEPTH)
+        lambda x, _: _call(f, x), edges[:-1], edges[1:], tau, rel_tol,
+        _MAX_DEPTH)
     running = np.add.accumulate(val)
     # Rounding: of f's values and the Kronrod sums, of the window sum, and
     # of the tail bound itself (exp, the division, and the product rate x,

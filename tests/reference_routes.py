@@ -98,9 +98,7 @@ def even_derivatives(amplitude: AmplitudeSpec,
         derivatives.append(derivatives[-1] * ratio)
     if amplitude.family != Family.GAUSS:
         return derivatives, derivatives
-    # The third derivative is negative once 2a x^2 >= 3; before that,
-    # A'' climbs to 4a e^(-3/2) at sqrt(3 / (2a)) and the majorant is
-    # (|A''(x)| + its total variation on [x, inf)) / 2.
+    # Before sqrt(3 / (2a)), A'' has yet to reach its peak 4a e^(-3/2).
     second = derivatives[1]
     if 2.0 * a * x * x < 3.0:
         second = 4.0 * a * math.exp(-1.5) + max(0.0, -second)

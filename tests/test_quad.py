@@ -829,6 +829,14 @@ def test_semi_infinite_second_bump_is_not_dropped():
         check_honest(res, 1.0 / 3.0 + math.sqrt(math.pi))
 
 
+@pytest.mark.xfail(strict=True, reason="the geometric stub clamps its ratio "
+                   "at 0.9, below this decay's e^(-0.05) per window")
+def test_semi_infinite_slow_decay_tail_is_not_undercharged():
+    res = integrate_semi_infinite(lambda x: np.exp(-0.05 * x), 0.0)
+    if res.converged:
+        check_honest(res, 20.0)
+
+
 # -- spec validation ---------------------------------------------------------
 
 
