@@ -5,8 +5,8 @@ improper families (1/x and x^{-1/2}) are integrable against an oscillator
 but not on their own, and are flagged so the integrator can route them to
 dedicated evaluations instead of the generic lobe sum.  Every family states
 its even derivatives in closed form, and a majorant of each that bounds an
-integration-by-parts remainder, so that the integrator can end a lobe walk
-on a certified tail.
+integration-by-parts remainder, so that the integrator can fix a lobe count
+from a certified tail before any evaluation.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ class AmplitudeSpec:
 
     even_derivatives gives A, A'', A'''', ... at a point, and a majorant
     of each for the integration-by-parts remainder (exp, rational and the
-    improper x^-p are completely monotone, so each term is its own).  A
-    lobe walk of these amplitudes ends on the integration-by-parts tail
-    they declare (quad._ibp_tail), never on Wynn's epsilon.
+    improper x^-p are completely monotone, so each term is its own).  The
+    integrator takes the least lobe count whose integration-by-parts tail
+    meets tolerance (quad._lobe_counts), and walks no row of them.
     """
 
     family: Family

@@ -7,8 +7,8 @@ audit samples that assertion across families and frequencies instead of
 taking it on faith.
 
 Each check that evaluates many points does so in one call: the positivity
-audit walks all its amplitudes and frequencies as the rows of one lobe
-walk, and fresnel_classic_rows and derivative_identity_rows are the
+audit integrates all its amplitudes and frequencies as the rows of one
+lobe list, and fresnel_classic_rows and derivative_identity_rows are the
 many-point forms of fresnel_classic and derivative_identity, whose every
 row ends where the one-point call ends.
 """
@@ -118,8 +118,8 @@ def derivative_identity_rows(amplitudes, nus, spec: QuadSpec = QuadSpec()
                              ) -> list[tuple[float, float, bool]]:
     """derivative_identity(amplitudes[r], nus[r], spec) for every row r.
 
-    The cosine sides walk as the rows of one lobe walk and the derivative
-    sides as the rows of another.  An improper amplitude in any row raises
+    The cosine sides are the rows of one lobe list and the derivative sides
+    the rows of one lobe walk.  An improper amplitude in any row raises
     AmplitudeError before anything else is checked.
     """
     amplitudes, nus = list(amplitudes), list(nus)
@@ -167,7 +167,7 @@ def positivity_audit(seed: int = 20260815) -> ClaimReport:
 
     240 frequencies are drawn uniformly from (0, 50] with a seeded
     generator, split evenly across the four amplitudes; all 240 are
-    integrated as the rows of one lobe walk.  The verdict
+    integrated as the rows of one lobe list.  The verdict
     compares the worst sampled value against its own error budget:
     confidently positive everywhere confirms; a value negative beyond ten
     budgets would refute; anything pinned to zero within noise, or any

@@ -1,39 +1,33 @@
 """Adaptive quadrature with honest error estimates.
 
-One Gauss/Kronrod engine integrates an array of finite intervals in lockstep,
-and one walker drives it over row-indexed interval sequences.  Each row is a
-sequence of intervals with its own stopping rule: the windows of the map
-t = exp(a - x) for semi-infinite integrals, so the engine never has to chase
-an endpoint singularity of the map itself, or the sign lobes of sin(nu x) or
-cos(nu x) for oscillatory integrals over [0, inf), stopped by an
-alternating-series tail bound or at a block edge.  A row of a declared
-amplitude (an AmplitudeSpec, through integrate_oscillatory_rows) ends at
-the first edge where its certified integration-by-parts tail meets
-tolerance, on the partial sum plus that tail; the improper x^-p
-amplitudes end on the same tail at lobe 32.  Only an undeclared integrand
-(a plain f in oscillatory_rows or oscillatory_raw) ends on Wynn's epsilon
-algorithm on the partial sums, once its estimate meets tolerance and its
-result agrees with the previous edge's.  A block integrates the next
-intervals of every unfinished row in one engine call, and the ones computed
-past a row's stop count as its evaluations too.
+One Gauss/Kronrod engine integrates an array of finite intervals in lockstep.
+Two paths take integrands that declare their decay, and walk nothing: the
+windows, min(1, 1/rate) wide in x, of |f(x)| <= e^(-rate x) on [0, inf)
+(integrate_exp_decay, which laplace.rep_inverse_z calls), and the sign lobes
+of a declared amplitude times sin or cos (integrate_oscillatory_rows).  Each
+fixes its count from a certified tail bound before any evaluation,
+integrates the list in one engine call, and charges that bound and the
+rounding in place of a stopping rule.
 
-A semi-infinite integrand that declares an exponential envelope,
-|f(x)| <= e^(-rate x) (integrate_exp_decay, which laplace.rep_inverse_z
-calls), is not walked: its windows, of width min(1, 1/rate) in x, and
-their count follow from the tail bound e^(-rate x)/rate before any
-evaluation, one engine call integrates them all, and the estimate charges
-that bound and the rounding in place of a stopping rule.
+Every other integrand is walked over row-indexed interval sequences, each
+row with its own stopping rule.  The windows of t = exp(a - x) for
+semi-infinite integrals, so the engine never has to chase an endpoint
+singularity of the map itself, stop after quiet windows; the sign lobes of a
+plain f (oscillatory_rows, oscillatory_raw) stop on an alternating-series
+tail bound, or on Wynn's epsilon algorithm at a block edge once its
+estimate meets tolerance and its result agrees with the previous edge's.  A
+block integrates the next intervals of every unfinished row in one engine
+call, and those past a row's stop count as its evaluations too.
 
 The engine returns per-interval arrays.  It takes every interval's first
 panel and, for those that one leaves unsettled, its first bisection on
 arrays, so an interval settled by either costs no Python work; only the
 few still unsettled get a QUADPACK panel heap each.  A walk of many rows
-(the inner integrals of a quadrant, the frequencies and amplitudes of a
-positivity audit or of a Fresnel check, the Race integrals of the race
-suite, the Poisson terms and the sigma terms of two trace audits) keeps
-each row's stopping state in array slots and advances all rows a block at
-a time with cumulative numpy operations; every lobe walk does so, one-row
-walks too.  A one-row window walk (a semi-infinite integral, the outer walk
+(the inner integrals of a quadrant, the derivative sides of the Fresnel
+identity, the Race integrals, the Poisson and the sigma terms of two trace
+audits) keeps each row's stopping state in array slots and advances all
+rows a block at a time with cumulative numpy operations, as every lobe
+walk does.  A one-row window walk (a semi-infinite integral, the outer walk
 of a quadrant) sends each window to a stopping coroutine instead, which
 costs less there than the array step's fixed numpy work per block.  Both
 add a row's windows in the same order and end it bit for bit alike.  The
@@ -125,11 +119,12 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 _MAX_DEPTH = 48
 _MAX_EVALS = 4_000_000
 _MAX_WINDOWS = 700
-# Lobes a lobe walk may take before it ends, unconverged, on its last block
-# edge result.
+# Lobes a lobe walk or a declared lobe list may take; a row that needs more
+# ends unconverged.
 _MAX_LOBES = 768
 # Windows or lobes integrated per block: past the stop they are wasted work,
-# so a block stays small next to a typical walk of 30-300.
+# so a block stays small next to a typical walk of 30-300.  _lobe_counts
+# tests _LOBE_BLOCK lobe counts per step.
 _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 # Intervals per engine pass.  Each pass pays a fixed numpy cost for its
 # first panels and its first split, so more intervals amortise it; the cap
@@ -139,11 +134,10 @@ _WINDOW_BLOCK, _LOBE_BLOCK = 8, 32
 _MAX_INTERVALS = 1024
 # Window k of the exp map is [_EDGES[k + 1], _EDGES[k]] in t.
 _EDGES = np.array([math.exp(-float(k)) for k in range(_MAX_WINDOWS + 1)])
-# Rounding in integrate_exp_decay, in units of eps: a computed integrand
-# value lies within _EVAL_ULPS eps of its exact |value| (numpy's exp of a
-# complex argument stays within about 1 eps, checked against mpmath in
-# tests/test_laplace.py), and a 15-point Kronrod sum adds at most 8 eps of
-# its absolute mass.
+# Rounding in integrate_exp_decay and declared lobe lists, in eps: a computed
+# integrand value lies within _EVAL_ULPS eps of its exact |value| (numpy's
+# exp, sin, cos and power stay within about 1 eps, checked against mpmath in
+# the tests), and a 15-point Kronrod sum adds at most 8 eps of its mass.
 _EVAL_ULPS = 4
 _ROUND_ULPS = _EVAL_ULPS + 8
 
@@ -686,14 +680,14 @@ def semi_infinite_rows(f, a: float, abs_tols) -> list[QuadResult]:
 # --------------------------------------------------------------------------
 
 
-def _lobe_edges(kind: OscKind, nu, ks: range) -> tuple[np.ndarray, np.ndarray]:
+def _lobe_edges(kind: OscKind, nu, ks) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) arrays of the sign lobes ks of the oscillator at frequency nu.
 
-    nu is a float or an (n, 1) array of row frequencies, whose lobes are
-    listed row by row.
+    ks is a range of lobes, listed row by row for an (n, 1) array nu, or
+    an array of lobe indices, one for each entry of an array nu.
     """
     shift = 0.0 if kind == OscKind.SIN else 0.5
-    k = np.arange(ks.start, ks.stop)
+    k = np.asarray(ks)
     return ((np.maximum(k - shift, 0.0) * math.pi / nu).ravel(),
             ((k + 1 - shift) * math.pi / nu).ravel())
 
@@ -775,33 +769,23 @@ class _LobeRows:
     there, on its running sums.
 
     At the block's last lobe c, or at lobe _MAX_LOBES - 1 if the block
-    holds it, the rows still walking whose lobe c is not small test a block
-    edge stop.  A walk of declared amplitudes is given tail(rows, K), the
-    certified tail of each row past its K = c + 1 lobes as (value, bound)
-    (see _ibp_tail): a row ends once its bound meets tolerance, on its
-    running total plus the tail value, with the bound added to its lobe
-    errors.  Any other walk extrapolates each row's last _LOBE_BLOCK
-    partial sums in one _epsilon call; a row's drift is the distance from
-    that result to its previous one (NaN at the first), and the row ends on
-    the result once its error and its drift both meet tolerance, the larger
-    of the two being the result's error.  So no epsilon row ends on its
-    first result, and one whose amplitude changes course after a window
-    walks on into the change.  At lobe _MAX_LOBES - 1 every such row ends
-    in any case, unconverged unless its stop holds.  Each row carries the
-    partial sums of its last block and its last epsilon result; they stay
-    real until a block arrives complex (see _upcast).
-
-    No row walks past lobe _MAX_LOBES - 1 except into the lookahead lobe
-    _MAX_LOBES.  In the block that holds lobe _MAX_LOBES - 1, every row
-    still walking there ends on its block edge result unless that lobe is
-    small, and that settle overwrites any tail or NaN stop the row met past
-    it in the same block; a row whose lobe _MAX_LOBES - 1 is small ends on
-    its next lobe.  So a small or NaN lobe past the cap never decides a
-    row's end.
+    holds it, the rows still walking whose lobe c is not small extrapolate
+    their last _LOBE_BLOCK partial sums in one _epsilon call.  A row ends on
+    the result once its error and its drift, the distance to its previous
+    result (NaN at the first), both meet tolerance, the larger of the two
+    being its error; so no row ends on its first result, and one whose
+    amplitude changes course after a window walks on into the change.  At
+    lobe _MAX_LOBES - 1 every such row ends in any case, unconverged unless
+    its stop holds, and that settle overwrites any tail or NaN stop the row
+    met past it in the same block; a row whose lobe _MAX_LOBES - 1 is small
+    ends on its lookahead lobe _MAX_LOBES.  So no row walks further, and a
+    small or NaN lobe past the cap never decides a row's end.  Each row
+    carries the partial sums of its last block and its last epsilon result;
+    they stay real until a block arrives complex (see _upcast).
     """
 
-    def __init__(self, n: int, spec: QuadSpec, tail=None) -> None:
-        self.n, self.spec, self.tail = n, spec, tail
+    def __init__(self, n: int, spec: QuadSpec) -> None:
+        self.n, self.spec = n, spec
         self.total, self.error = np.zeros(n), np.zeros(n)
         self.conv, self.div = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
         self.small = np.zeros(n, dtype=bool)
@@ -843,19 +827,14 @@ class _LobeRows:
         # tail stop; a block in which every row has ended tests none.
         i = np.flatnonzero((end_at > c) & ~small[:, c]) if c >= 0 else rows[:0]
         if i.size:
-            if self.tail is not None:
-                value, tail = self.tail(rows[i], k0 + c + 1)
-                value = total[i, c] + value
-                ok = tail <= _max(spec.abs_tol, spec.rel_tol * _abs(value))
-            else:
-                value, tail = _epsilon(np.concatenate(
-                    [self.partials[rows[i]], total[i, :c + 1]],
-                    axis=1)[:, -min(_MAX_LOBES, _LOBE_BLOCK):])
-                drift = _abs(value - self.last[rows[i]])
-                tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
-                ok = (tail <= tol) & (drift <= tol)
-                self.last[rows[i]] = value
-                tail = _max(tail, drift)  # a NaN drift loses
+            value, tail = _epsilon(np.concatenate(
+                [self.partials[rows[i]], total[i, :c + 1]],
+                axis=1)[:, -min(_MAX_LOBES, _LOBE_BLOCK):])
+            drift = _abs(value - self.last[rows[i]])
+            tol = _max(spec.abs_tol, spec.rel_tol * _abs(value))
+            ok = (tail <= tol) & (drift <= tol)
+            self.last[rows[i]] = value
+            tail = _max(tail, drift)  # a NaN drift loses
             end = ok | (k0 + c == _MAX_LOBES - 1)
             i, value, tail, ok = i[end], value[end], tail[end], ok[end]
             _settle(self.ends, rows[i], value, error[i, c] + tail,
@@ -881,14 +860,6 @@ def oscillatory_rows(f, nus, kind: OscKind,
     Wynn's epsilon at a block edge.  A row's result is the same as its own
     one-row walk.
     """
-    return _lobe_walk(f, nus, kind, spec, None)
-
-
-def _lobe_walk(f, nus, kind: OscKind, spec: QuadSpec,
-               amplitudes) -> list[QuadResult]:
-    """oscillatory_rows, with f(x, r) = amplitudes[r](x) declared when
-    amplitudes is given: its rows then end on their certified tails
-    (_declared_tail) instead of on epsilon."""
     nus = np.array([float(nu) for nu in nus])
     if not nus.size:
         raise DomainError("need at least one frequency")
@@ -898,13 +869,11 @@ def _lobe_walk(f, nus, kind: OscKind, spec: QuadSpec,
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
     osc = np.sin if kind == OscKind.SIN else np.cos
-    tail = None if amplitudes is None else _declared_tail(amplitudes, nus,
-                                                          kind)
     # The last block holds the lookahead lobe _MAX_LOBES.
     limit = _LOBE_BLOCK * (_MAX_LOBES // _LOBE_BLOCK + 1)
     return _walk_rows(
         lambda x, rows: _call(f, x, rows) * osc(nus[rows, None] * x),
-        _LobeRows(nus.size, spec, tail),
+        _LobeRows(nus.size, spec),
         lambda rows, ks: _lobe_edges(kind, nus[rows, None], ks),
         _LOBE_BLOCK, limit, (spec.abs_tol / 50.0, 1e-10, 24))
 
@@ -955,11 +924,12 @@ def by_row(functions: list):
 _TAIL_TERMS = 12
 
 
-def _ibp_tail(amplitude: AmplitudeSpec, x: np.ndarray,
-              nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail of amplitude(t) osc(nu t) past x, by integration by parts,
-    and a bound on its remainder; x[j] is a zero of osc(nu[j] t) where it
-    turns from sign (-1)^(K-1) to (-1)^K.
+def _lobe_counts(amplitudes, nus: np.ndarray, kind: OscKind, tau: float,
+                 start: int) -> tuple[np.ndarray, ...]:
+    """Each row's lobe count K, and its tail by integration by parts past
+    x, the far edge of lobe K - 1; row r is A(t) osc(nu t) for
+    A = amplitudes[r] and nu = nus[r], and osc turns at x from sign
+    (-1)^(K-1) to (-1)^K.
 
     Integrating by parts twice gives T[A] = (-1)^K A(x)/nu - T[A'']/nu^2
     for T[A] = int_x^inf A(t) osc(nu t) dt, so after k steps
@@ -969,73 +939,116 @@ def _ibp_tail(amplitude: AmplitudeSpec, x: np.ndarray,
     decreases to 0 past x, its lobes alternate and shrink, and M_k is
     A^(2k)(x).  Each row takes the k of least bound, the first if tied, up
     to _TAIL_TERMS; k = 0 is the Dirichlet bound 2 A(x)/nu, with no tail
-    value.  Returns the sums without their sign (-1)^K, and the bounds.
-    Rounding is not in the bound.  See DLMF 2.3(i).
+    value.  K is the least count in [start + 1, _MAX_LOBES] whose bound
+    meets tau, else _MAX_LOBES, testing the bounds alone _LOBE_BLOCK counts
+    at a time; the tail is summed at K only.  Term i is off by at most (_EVAL_ULPS + 7i + 2) eps of itself and each
+    of the k sums by eps/2 of their absolute sum, so the rounding charge is
+    (_ROUND_ULPS + 8i) eps of each |term i|.  Returns the arrays of K and of
+    the tail's value, with its sign (-1)^K, bound and charge in units of
+    eps.  See DLMF 2.3(i).
     """
-    d, majorant = amplitude.even_derivatives(x, _TAIL_TERMS + 1)
+    distinct, which = _distinct(amplitudes)
     # nu^(2i+1), one factor nu^2 at a time.
     scale = np.multiply.accumulate(np.concatenate(
-        [nu[:, None], np.repeat((nu * nu)[:, None], _TAIL_TERMS, axis=1)],
+        [nus[:, None], np.repeat((nus * nus)[:, None], _TAIL_TERMS, axis=1)],
         axis=1), axis=1)
-    term = d / scale
-    bound = 2.0 * (majorant / scale)
-    k, j = bound.argmin(axis=1), np.arange(x.size)
-    term[:, 1::2] *= -1.0
-    sums = np.add.accumulate(term[:, :-1], axis=1)
-    return np.where(k > 0, sums[j, k - 1], 0.0), bound[j, k]
-
-
-def _declared_tail(amplitudes, nus: np.ndarray, kind: OscKind):
-    """tail(rows, K) of a lobe walk of amplitudes[r](x) osc(nus[r] x), row
-    r for r = 0, 1, ...: the (value, bound) of _ibp_tail for each of rows
-    past its K-th lobe, the sign (-1)^K included.  Rows of one amplitude
-    share one call."""
-    shift = 0.0 if kind == OscKind.SIN else 0.5
-    distinct, which = _distinct(amplitudes)
-
-    def tail(rows: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-        nu = nus[rows]
-        x, k = (K - shift) * math.pi / nu, which[rows]
-        value, bound = np.empty(rows.size), np.empty(rows.size)
+    count, todo = np.empty(nus.size, dtype=int), np.arange(nus.size)
+    k0 = start + 1
+    while todo.size:
+        ks = np.arange(k0, min(k0 + _LOBE_BLOCK, _MAX_LOBES + 1))
+        x = _lobe_edges(kind, nus[todo, None], ks - 1)[1].reshape(-1, ks.size)
+        least = np.empty(x.shape)
         for i, amplitude in enumerate(distinct):
-            if (m := k == i).any():
-                value[m], bound[m] = _ibp_tail(amplitude, x[m], nu[m])
-        return (-value if K % 2 else value), bound
+            if (m := which[todo] == i).any():
+                majorant = amplitude.even_derivatives(
+                    x[m].ravel(), _TAIL_TERMS + 1)[1].reshape(
+                        -1, ks.size, _TAIL_TERMS + 1)
+                least[m] = (2.0 * (majorant / scale[todo[m], None])).min(
+                    axis=2)
+        at = _first((least <= tau) | (ks == _MAX_LOBES))
+        done = at < ks.size
+        count[todo[done]] = ks[at[done]]
+        todo, k0 = todo[~done], k0 + _LOBE_BLOCK
+    x = _lobe_edges(kind, nus, count - 1)[1]
+    d, majorant = np.empty((2, nus.size, _TAIL_TERMS + 1))
+    for i, amplitude in enumerate(distinct):
+        if (m := which == i).any():
+            d[m], majorant[m] = amplitude.even_derivatives(x[m],
+                                                           _TAIL_TERMS + 1)
+    term, bound = d / scale, 2.0 * (majorant / scale)
+    k, j = bound.argmin(axis=1), np.arange(nus.size)
+    charge = np.abs(term) * (_ROUND_ULPS + 8.0 * np.arange(_TAIL_TERMS + 1))
+    term[:, 1::2] *= -1.0
+    # Column k: the sum of the first k signed terms, and of their charges.
+    sums, charges = (np.add.accumulate(np.concatenate(
+        [np.zeros((nus.size, 1)), c[:, :-1]], axis=1), axis=1)[j, k]
+        for c in (term, charge))
+    return count, np.where(count % 2, -sums, sums), bound[j, k], charges
 
-    return tail
+
+def _declared_rows(amplitudes, nus, kind: OscKind, spec: QuadSpec,
+                   start: int = 0) -> list[QuadResult]:
+    """Integrals of amplitudes[r](x) osc(nus[r] x) over [0, inf), less the
+    first `start` lobes, for every row r: one _lockstep call integrates
+    lobes start, ..., K - 1 of every row, K from _lobe_counts at
+    tau = spec.abs_tol, to a lobe walk's per-lobe tolerances.
+
+    A row adds its lobes in order, then its signed tail.  Its estimate adds
+    its lobe errors, its tail bound and eps times: _ROUND_ULPS of each lobe's
+    peak |f| times width; 2 nu hi A(lo) times the width, as the rounded
+    nodes and phase nu x are off by at most 2 eps nu hi on [lo, hi] (at the
+    tail's edge too); half of every running total and of the value.  A row
+    converges only if its lobes do, its value is finite and its bound meets
+    tau, so a count capped at _MAX_LOBES never does.
+    """
+    nus = np.array(nus, dtype=float)
+    f = by_row([a.value for a in amplitudes])
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    count, *tail = _lobe_counts(amplitudes, nus, kind, spec.abs_tol, start)
+    lobes = count - start
+    rows = np.repeat(np.arange(nus.size), lobes)
+    col = np.arange(rows.size) - (np.cumsum(lobes) - lobes)[rows]
+    nu = nus[rows]
+    lo, hi = _lobe_edges(kind, nu, col + start)
+    val, err, evals, conv, div, peak = _lockstep(
+        lambda x, owner: f(x, rows[owner]) * osc(nu[owner, None] * x),
+        lo, hi, spec.abs_tol / 50.0, 1e-10, 24)
+    # Each row's sums in lobe order, then its tail's value, bound and charge.
+    j, table = np.arange(nus.size), np.zeros((3, nus.size, lobes.max() + 1))
+    table[:, rows, col] = val, err, (hi - lo) * (
+        _ROUND_ULPS * peak + 2.0 * nu * hi * f(lo, rows))
+    table[:, j, lobes] = tail
+    running = np.add.accumulate(table, axis=2)
+    moved = np.add.accumulate(np.abs(running[0]), axis=1)[j, lobes]
+    value, error, charge = running[:, j, lobes]
+    error = error + np.finfo(float).eps * (charge + 0.5 * moved)
+    converged = ((np.bincount(rows, ~conv, nus.size) == 0)
+                 & np.isfinite(value) & (tail[1] <= spec.abs_tol))
+    return [QuadResult(*r) for r in zip(
+        value.tolist(), error.tolist(),
+        np.bincount(rows, evals, nus.size).astype(int).tolist(),
+        converged.tolist(), (np.bincount(rows, div, nus.size) > 0).tolist())]
 
 
 def _improper_power(amplitude: AmplitudeSpec, kind: OscKind,
                     spec: QuadSpec) -> QuadResult:
     """int_0^inf u^(-p) osc(u) du for an improper amplitude u^(-p).
 
-    Lobe sums decay only algebraically, so the walk stops at lobe
-    _LOBE_BLOCK on the completely monotone tail of _ibp_tail, whose bound
-    joins the lobe errors; it converges if every lobe does and the bound
-    meets tolerance.  The first lobe takes u = q*q, which removes its
-    endpoint singularity.
-    """
+    The first lobe takes u = q*q, which removes its endpoint singularity,
+    and charges _ROUND_ULPS eps of its mass bound and eps/2 of the value;
+    the rest is _declared_rows at frequency 1 past that lobe."""
     p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
     osc = np.sin if kind == OscKind.SIN else np.cos
-    shift = 0.0 if kind == OscKind.SIN else 0.5
-    first = _lockstep(lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-p),
-                      [1e-150], [math.sqrt((1.0 - shift) * math.pi)],
-                      spec.abs_tol / 50.0, 1e-12, 40)
-    rest = _lockstep(lambda u, _: osc(u) * u ** (-p),
-                     *_lobe_edges(kind, 1.0, range(1, _LOBE_BLOCK)),
-                     spec.abs_tol / 50.0, 1e-12, 24)
-    val, err, evals, conv = (np.concatenate([x, y]).tolist()
-                             for x, y in zip(first[:4], rest[:4]))
-    total, total_err = 0.0, 0.0
-    for v, e in zip(val, err):
-        total += v
-        total_err += e
-    # The tail past lobe _LOBE_BLOCK of a one-row walk at frequency 1.
-    tail, bound = (x.item() for x in _declared_tail(
-        [amplitude], np.ones(1), kind)(np.zeros(1, dtype=int), _LOBE_BLOCK))
-    value = total + tail
-    return QuadResult(value, total_err + bound, sum(evals), all(conv) and (
-        bound <= max(spec.abs_tol, spec.rel_tol * abs(value))))
+    width = math.sqrt((1.0 - (0.0 if kind == OscKind.SIN else 0.5)) * math.pi)
+    val, err, evals, conv, _, peak = (x.item() for x in _lockstep(
+        lambda q, _: 2.0 * q * osc(q * q) * (q * q) ** (-p), [1e-150],
+        [width], spec.abs_tol / 50.0, 1e-12, 40))
+    rest = _declared_rows([amplitude], [1.0], kind, spec, 1)[0]
+    value = val + rest.value
+    rounding = np.finfo(float).eps.item() * (_ROUND_ULPS * peak * width
+                                             + 0.5 * abs(value))
+    return QuadResult(value, err + rest.error_estimate + rounding,
+                      evals + rest.evaluations, conv and rest.converged)
 
 
 def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
@@ -1047,12 +1060,10 @@ def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
 
     Every row is checked, in row order, before any integral runs, so a bad
     argument raises the error, type and message, that a loop of
-    integrate_oscillatory calls raises first.  The proper rows walk as the
-    rows of one lobe walk, each distinct amplitude validated once; a row
-    with no tail stop ends at the first block edge where its certified
-    integration-by-parts tail (_ibp_tail) meets tolerance, never on
-    epsilon.  The improper rows scale one _improper_power result per
-    exponent.
+    integrate_oscillatory calls raises first.  The proper rows are the rows
+    of one _declared_rows call, each distinct amplitude validated once; the
+    improper rows scale one _improper_power result per exponent.  A row's
+    lobe count meets spec.abs_tol alone: spec.rel_tol does not loosen it.
     """
     amplitudes, nus = list(amplitudes), list(nus)
     if len(amplitudes) != len(nus):
@@ -1075,36 +1086,25 @@ def integrate_oscillatory_rows(amplitudes, nus, kind: OscKind,
             validated.add(amplitude)
         if nu > 1e3:
             raise DomainError("oscillator frequency capped at 1e3 for audits")
-    results: list = [None] * len(nus)
+    proper = [r for r, a in enumerate(amplitudes) if not a.improper]
+    results = dict(zip(proper, _declared_rows(
+        [amplitudes[r] for r in proper], [nus[r] for r in proper], kind,
+        spec) if proper else []))
     powers: dict[float, QuadResult] = {}
-    proper = []
     for r, (amplitude, nu) in enumerate(zip(amplitudes, nus)):
-        if not amplitude.improper:
-            proper.append(r)
-            continue
-        p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
-        if p not in powers:
-            powers[p] = _improper_power(amplitude, kind, spec)
-        # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
-        results[r] = powers[p].scaled(nu ** (p - 1.0))
-    if proper:
-        declared = [amplitudes[r] for r in proper]
-        walked = _lobe_walk(by_row([a.value for a in declared]),
-                            [nus[r] for r in proper], kind, spec, declared)
-        for r, res in zip(proper, walked):
-            results[r] = res
-    return results
+        if amplitude.improper:
+            p = 1.0 if amplitude.family == Family.RECIPROCAL else 0.5
+            if p not in powers:
+                powers[p] = _improper_power(amplitude, kind, spec)
+            # int osc(nu x) x^-p dx = nu^(p-1) int osc(u) u^-p du.
+            results[r] = powers[p].scaled(nu ** (p - 1.0))
+    return [results[r] for r in range(len(nus))]
 
 
 def integrate_oscillatory(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
                           spec: QuadSpec = QuadSpec()) -> QuadResult:
-    """Integral of amplitude(x) * sin(nu x) (or cos) over [0, inf).
-
-    Decreasing integrable amplitudes go through the sign-lobe path whose
-    partial sums bracket the limit, ended on a certified tail; the two
-    improper amplitude families are routed to dedicated endpoint-splitting
-    evaluations.  The one-row case of integrate_oscillatory_rows.
-    """
+    """Integral of amplitude(x) * sin(nu x) (or cos) over [0, inf); the
+    one-row case of integrate_oscillatory_rows."""
     return integrate_oscillatory_rows([amplitude], [nu], kind, spec)[0]
 
 

@@ -6,6 +6,7 @@ comparisons in the tests, as _mpc_series of test_traces.py is.
 
 import math
 import time
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -106,10 +107,12 @@ def even_derivatives(amplitude: AmplitudeSpec,
 
 
 def ibp_tail(amplitude: AmplitudeSpec, x: float,
-             nu: float) -> tuple[float, float]:
-    """quad._ibp_tail at one lobe edge x: the alternating sum of the first
-    k terms A^(2i)(x) / nu^(2i+1), without its sign (-1)^K, and the bound
-    2 M_k / nu^(2k+1) on the rest, k the first of least bound."""
+             nu: float) -> tuple[float, float, float]:
+    """The tail of quad._lobe_counts at one lobe edge x: the alternating
+    sum of the first k terms A^(2i)(x) / nu^(2i+1), without its sign
+    (-1)^K, the bound 2 M_k / nu^(2k+1) on the rest, k the first of least
+    bound, and the rounding charge sum_{i<k} (quad._ROUND_ULPS + 8i)
+    |term i| in units of eps."""
     derivatives, majorants = even_derivatives(amplitude, x)
     terms, bounds, scale = [], [], nu
     for d, m in zip(derivatives, majorants):
@@ -117,24 +120,23 @@ def ibp_tail(amplitude: AmplitudeSpec, x: float,
         bounds.append(2.0 * (m / scale))
         scale = scale * (nu * nu)
     k = min(range(len(bounds)), key=lambda i: bounds[i])
-    value = 0.0
+    value, charge = 0.0, 0.0
     for i in range(k):
         value = value - terms[i] if i % 2 else value + terms[i]
-    return value, bounds[k]
+        charge = charge + abs(terms[i]) * (quad._ROUND_ULPS + 8.0 * i)
+    return value, bounds[k], charge
 
 
-def serial_lobe_sum(f, nu: float, kind: OscKind, spec: QuadSpec,
-                    amplitude: AmplitudeSpec | None = None
-                    ) -> tuple[QuadResult, int]:
+def serial_lobe_sum(f, nu: float, kind: OscKind,
+                    spec: QuadSpec) -> tuple[QuadResult, int]:
     """One lobe walk of f(x)*osc(nu x) over [0, inf), a lobe at a time.
 
     The stopping rules of quad._LobeRows written for one row, up to
     quad._MAX_LOBES: the walk fetches a block of lobes only when it needs
     that block's first lobe, and a block's lobes all count as evaluations.
-    With an amplitude (f is its value), a block edge ends the walk on the
-    ibp_tail of the amplitude once its bound meets tolerance; without one,
-    on Wynn's epsilon once its result agrees with the previous edge's.
-    Returns the result and the number of lobes the walk took.
+    A block edge ends the walk on Wynn's epsilon once its result agrees
+    with the previous edge's.  Returns the result and the number of lobes
+    the walk took.
     """
     osc = np.sin if kind == OscKind.SIN else np.cos
     shift = 0.0 if kind == OscKind.SIN else 0.5
@@ -171,19 +173,12 @@ def serial_lobe_sum(f, nu: float, kind: OscKind, spec: QuadSpec,
             break
         if (k + 1) % block and k + 1 != cap:
             continue
-        if amplitude is not None:
-            # The tail past the edge after lobe k, whose sign is (-1)^(k+1).
-            value, error = ibp_tail(amplitude,
-                                    (k + 1 - shift) * math.pi / nu, nu)
-            value = total + (-value if (k + 1) % 2 else value)
-            converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-        else:
-            value, error = (x.item() for x in quad._epsilon(
-                np.array([partials[-block:]])))
-            drift = abs(value - last)
-            tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-            converged = error <= tol and drift <= tol
-            last, error = value, max(error, drift)  # a NaN drift loses
+        value, error = (x.item() for x in quad._epsilon(
+            np.array([partials[-block:]])))
+        drift = abs(value - last)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        converged = error <= tol and drift <= tol
+        last, error = value, max(error, drift)  # a NaN drift loses
         if converged or k + 1 == cap:
             total, tail = value, error
             break
@@ -192,11 +187,57 @@ def serial_lobe_sum(f, nu: float, kind: OscKind, spec: QuadSpec,
                       and value == value and error == error, diverged), used
 
 
+def least_lobe_count(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
+                     tau: float, start: int = 0
+                     ) -> tuple[int, float, float, float]:
+    """quad._lobe_counts for one row, as a scan: K steps up one at a time
+    from start + 1 until the ibp_tail bound past lobe K - 1 meets tau, or
+    reaches quad._MAX_LOBES.  Returns K and that tail's value, with its
+    sign (-1)^K, bound and charge."""
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    for K in range(start + 1, quad._MAX_LOBES + 1):
+        value, bound, charge = ibp_tail(amplitude,
+                                        (K - shift) * math.pi / nu, nu)
+        if bound <= tau:
+            break
+    return K, (-value if K % 2 else value), bound, charge
+
+
+def serial_declared(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
+                    spec: QuadSpec, start: int = 0) -> QuadResult:
+    """quad._declared_rows for one row, written plainly: the least_lobe_count
+    scan, one _lockstep call per lobe start, ..., K - 1, and every sum
+    added one term at a time, the lobes in order, then the tail."""
+    osc = np.sin if kind == OscKind.SIN else np.cos
+    shift = 0.0 if kind == OscKind.SIN else 0.5
+    K, tail, bound, tail_charge = least_lobe_count(
+        amplitude, nu, kind, spec.abs_tol, start)
+    lobes = []
+    for k in range(start, K):
+        lo = max(k - shift, 0.0) * math.pi / nu
+        hi = (k + 1 - shift) * math.pi / nu
+        val, err, ev, conv, div, peak = (x.item() for x in quad._lockstep(
+            lambda x, _: amplitude.value(x) * osc(nu * x), [lo], [hi],
+            spec.abs_tol / 50.0, 1e-10, 24))
+        a_lo = amplitude.value(np.array([lo]))[0].item()
+        charge = (hi - lo) * (quad._ROUND_ULPS * peak + 2.0 * nu * hi * a_lo)
+        lobes.append((val, err, charge, ev, conv, div))
+    vals, errs, charges, evals, convs, divs = zip(*lobes)
+    running = list(accumulate(vals + (tail,)))
+    value, moved = running[-1], list(accumulate(abs(r) for r in running))[-1]
+    charge = list(accumulate(charges + (tail_charge,)))[-1]
+    error = list(accumulate(errs + (bound,)))[-1]
+    error = error + np.finfo(float).eps.item() * (charge + 0.5 * moved)
+    return QuadResult(value, error, sum(evals), all(convs)
+                      and math.isfinite(value) and bound <= spec.abs_tol,
+                      any(divs))
+
+
 def serial_transform(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
                      spec: QuadSpec = QuadSpec()) -> QuadResult:
     """quad.integrate_oscillatory as one call of its own: the frequency
     check, then an improper amplitude's scaled _improper_power or a proper
-    one's validate_pcid and one-row lobe walk, ended on its tail."""
+    one's validate_pcid and serial_declared."""
     if not (math.isfinite(nu) and nu > 0.0):
         raise DomainError("oscillator frequency must be finite and > 0")
     if amplitude.improper:
@@ -210,7 +251,7 @@ def serial_transform(amplitude: AmplitudeSpec, nu: float, kind: OscKind,
     amplitude.validate_pcid()
     if nu > 1e3:
         raise DomainError("oscillator frequency capped at 1e3 for audits")
-    return serial_lobe_sum(amplitude.value, nu, kind, spec, amplitude)[0]
+    return serial_declared(amplitude, nu, kind, spec)
 
 
 def linear_series_j_max(n: int, s: complex, digits: int) -> int:

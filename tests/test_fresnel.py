@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -173,9 +174,9 @@ def test_amplitude_derivative_consistency():
 
 @pytest.mark.parametrize("seed", [20260815, 4])
 def test_positivity_audit_matches_serial_transforms(seed):
-    # The audit walks each family's frequencies as rows of one lobe walk;
-    # it must report what one lobe-at-a-time walk per frequency, ended on
-    # its integration-by-parts tail, gives.
+    # The audit integrates the lobe lists of all 240 rows in one engine
+    # call; it must report what the serial reference, a lobe at a time for
+    # each frequency, then its integration-by-parts tail, gives.
     rng = np.random.default_rng(seed)
     per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
     worst, lcb, converged = None, math.inf, True
@@ -240,12 +241,12 @@ def test_positivity_audit_is_inconclusive_when_a_row_is_nan(monkeypatch):
 
 
 def test_positivity_audit_reports_its_evaluations():
-    # The sum of the 240 rows' evaluations, deterministic per seed.  The
-    # rows with no tail stop end at the first block edge where their
-    # integration-by-parts tail meets tolerance, most at the first; epsilon,
-    # which needs a second edge to agree with the first, took 220,530
-    # evaluations at this seed, and walking them to the 768-lobe cap
-    # 1,147,410.
+    # The sum of the 240 rows' evaluations, deterministic per seed.  Each
+    # row integrates the least lobe count whose integration-by-parts tail
+    # meets tolerance, 35,910 evaluations at this seed.  Walking 32-lobe
+    # blocks to the first edge where that tail met tolerance took 136,050,
+    # ending on epsilon, which needs a second edge to agree with the first,
+    # 220,530, and walking the rows to the 768-lobe cap 1,147,410.
     rows = []
     rng = np.random.default_rng(20260815)
     per = fresnel._N_SAMPLES // len(fresnel._DEFAULT_FAMILIES)
@@ -255,13 +256,14 @@ def test_positivity_audit_reports_its_evaluations():
                  for nu in fresnel._NU_MAX * (1.0 - rng.random(per))]
     rep = fresnel.positivity_audit(seed=20260815)
     assert rep.extra == {"evaluations": sum(r.evaluations for r in rows)}
-    assert rep.extra["evaluations"] <= 150_000
+    assert rep.extra["evaluations"] <= 40_000
 
 
 def test_rational_derivative_check_stops_early():
     # (1 + x)^-2 and its derivative have no tail stop: the declared side
-    # ends on its integration-by-parts tail and the derivative side on
-    # epsilon, both at a block edge instead of walking to the lobe cap.
+    # takes the lobes its integration-by-parts tail needs and the
+    # derivative side ends on epsilon at a block edge, neither walking to
+    # the lobe cap.
     amp, spec = AmplitudeSpec.rational(2.0), QuadSpec(1e-10, 1e-10)
     lhs = fresnel.fresnel_cos(amp, 1.5, spec)
     rhs = quad.oscillatory_raw(amp.derivative, 1.5, OscKind.SIN, spec)
@@ -299,19 +301,21 @@ def _declared_oracle(amp: AmplitudeSpec, nu: float, sine: bool) -> float:
 
 @pytest.mark.parametrize("seed", [20261021, 7])
 def test_declared_tails_are_honest_against_oracles(seed):
-    # Every converged row of every declared family, sine and cosine, covers
-    # its miss against an independent oracle.  exp rows at nu = 4a-6a,
-    # about the smallest nu whose rows reach a block edge before a tail
-    # stop, so where the expansion ratio a / nu of a tail is largest; gauss
-    # rows at the nu whose first block edge lies within
-    # 30% of sqrt(3 / (2a)), where A''' turns negative, so that rows end
-    # on the Dirichlet bound and on the one-term expansion; the rest over
-    # nu in [0.05, 50].  A smaller nu makes the first lobe blind to the
-    # amplitude, a fault of the lobe panels, not of the tails (ROADMAP
-    # item 2, test_oscillatory_fast_decay_is_not_silently_lost).  gauss(1e-3)
-    # at nu = 100 cannot meet 1e-9 on one term, whose bound stays above
-    # 2 A''(sqrt(3 / (2a))) / nu^3 = 1.8e-9: it ends at lobe 768,
-    # unconverged, and its estimate still covers its miss.
+    # Every converged row of every declared family, sine and cosine, at the
+    # positivity audit's tolerance 1e-9 and the suites' 1e-11, covers its
+    # miss against an independent oracle and takes the least lobe count of
+    # the reference scan.  exp rows at nu = 4a-6a, where the expansion
+    # ratio a / nu of a tail is large; exp rows at nu = 8a-40a, whose
+    # cosine takes one lobe, so that its value is mostly the tail sum and
+    # its estimate mostly the rounding charge; gauss rows at the nu whose
+    # 32nd lobe edge lies within 30% of sqrt(3 / (2a)), where A''' turns
+    # negative, so that rows end on the Dirichlet bound and on the one-term
+    # expansion; the rest over nu in [0.05, 50].  A smaller nu makes the
+    # first lobe blind to the amplitude, a fault of the lobe panels, not of
+    # the tails (ROADMAP item 2, test_oscillatory_fast_decay_is_not_silently_
+    # lost).  gauss(1e-3) at nu = 100 cannot meet 1e-9 on one term, whose
+    # bound stays above 2 A''(sqrt(3 / (2a))) / nu^3 = 1.8e-9: it takes the
+    # cap of 768 lobes, unconverged, and its estimate still covers its miss.
     rng = np.random.default_rng(seed)
 
     def log_nu():
@@ -328,20 +332,80 @@ def test_declared_tails_are_honest_against_oracles(seed):
                  (AmplitudeSpec.gaussian(g), log_nu()),
                  (AmplitudeSpec.rational(rng.uniform(1.2, 4.0)), log_nu())]
     rows += [(AmplitudeSpec.reciprocal(), log_nu()),
-             (AmplitudeSpec.inv_sqrt(), log_nu()),
-             (AmplitudeSpec.gaussian(1e-3), 100.0)]
-    spec = QuadSpec(abs_tol=1e-9, rel_tol=1e-9)
+             (AmplitudeSpec.inv_sqrt(), log_nu())]
+    one_lobe = [(AmplitudeSpec.exponential(a), a * rng.uniform(8.0, 40.0))
+                for a in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 8))]
+    rows += one_lobe + [(AmplitudeSpec.gaussian(1e-3), 100.0)]
     for kind in OscKind:
         sine = kind == OscKind.SIN
         pairs = [(amp, nu) for amp, nu in rows
                  if sine or amp.family != Family.RECIPROCAL]
         amps, nus = zip(*pairs)
-        results = quad.integrate_oscillatory_rows(amps, nus, kind, spec)
-        for (amp, nu), res in zip(pairs, results):
-            miss = abs(res.value - _declared_oracle(amp, nu, sine))
-            assert miss <= res.error_estimate, (amp, nu, kind)
-            assert res.converged == (amp.parameter != 1e-3), (amp, nu, kind)
-        assert results[-1].evaluations == quad._MAX_LOBES * 15
+        truths = [_declared_oracle(amp, nu, sine) for amp, nu in pairs]
+        proper = [(amp, nu) for amp, nu in pairs if not amp.improper]
+        for tol in (1e-9, 1e-11):
+            spec = QuadSpec(abs_tol=tol, rel_tol=tol)
+            results = quad.integrate_oscillatory_rows(amps, nus, kind, spec)
+            for (amp, nu), res, truth in zip(pairs, results, truths):
+                assert abs(res.value - truth) <= res.error_estimate, (
+                    amp, nu, kind, tol)
+                assert res.converged == (amp.parameter != 1e-3), (
+                    amp, nu, kind, tol)
+            assert results[-1].evaluations == quad._MAX_LOBES * 15
+            counts = quad._lobe_counts(
+                [amp for amp, _ in proper], np.array([nu for _, nu in proper]),
+                kind, tol, 0)[0].tolist()
+            assert counts == [routes.least_lobe_count(amp, nu, kind, tol)[0]
+                              for amp, nu in proper]
+            if not sine:
+                assert [counts[proper.index(row)] for row in one_lobe] == [
+                    1] * len(one_lobe)
+            # An improper amplitude's list starts past its first lobe, at
+            # frequency 1.
+            for amp in {amp for amp in amps if amp.improper}:
+                assert quad._lobe_counts([amp], np.ones(1), kind, tol, 1)[
+                    0].tolist() == [routes.least_lobe_count(
+                        amp, 1.0, kind, tol, 1)[0]]
+
+
+def test_one_lobe_cosine_row_charges_its_rounding():
+    # exp(-a x) cos(nu x) at nu = 5.6a takes one lobe, whose panel error is
+    # 0 and whose tail bound is 2.3e-19; its value 0.0266 is the lobe's
+    # 0.1397 less the tail sum's 0.1132.  Only the rounding charge covers
+    # its miss of 1.4e-17 against a / (a^2 + nu^2).
+    a, nu = 1.1507609628710795, 6.480748694489693
+    res = quad.integrate_oscillatory(AmplitudeSpec.exponential(a), nu,
+                                     OscKind.COS, QuadSpec(1e-9, 1e-9))
+    assert res.converged and res.evaluations == 15
+    miss = abs(res.value - a / (a * a + nu * nu))
+    assert 1e-17 < miss <= res.error_estimate < 1e-14
+
+
+def test_lobe_values_stay_within_the_stated_ulps():
+    # A declared lobe list charges _EVAL_ULPS eps of |f| per value for the
+    # elementary functions at their float arguments; the rounding of the
+    # nodes and of nu x is charged apart.  Check numpy's sin and cos at
+    # phases up to 768.5 pi, the lobe cap, near their zeros too, and exp
+    # and power at the arguments of the exp, gauss and rational amplitudes
+    # and of x^-1/2, against mpmath at the same float arguments.
+    rng = np.random.default_rng(11)
+    edges = np.arange(1.0, 2.0 * quad._MAX_LOBES + 2.0) * (0.5 * math.pi)
+    phase = np.concatenate([
+        rng.uniform(0.0, edges[-1], 300),
+        rng.choice(edges, 300) * (1.0 + rng.uniform(-1e-6, 1e-6, 300))])
+    base = 1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(5e4), 300))
+    cases = [(np.sin, mp.sin, (phase,)), (np.cos, mp.cos, (phase,)),
+             (np.exp, mp.exp, (-rng.uniform(0.0, 700.0, 300),)),
+             (np.power, mp.power, (base, -rng.uniform(1.2, 4.0, 300))),
+             (np.power, mp.power, (base, np.full(300, -0.5)))]
+    eps = np.finfo(float).eps
+    with mp.workdps(30):
+        for f, exact, args in cases:
+            for got, *xs in zip(f(*args).tolist(),
+                                *(x.tolist() for x in args)):
+                want = exact(*(mp.mpf(x) for x in xs))
+                assert abs(got - want) <= quad._EVAL_ULPS * eps * abs(want), (
+                    f.__name__, xs)
 
 
 @pytest.mark.parametrize("kind", list(OscKind))
@@ -350,9 +414,10 @@ def test_gauss_tails_before_the_third_derivative_turns(kind):
     # where A''' turns negative.  Before x3 the one-term remainder is
     # bounded by the total variation of A'', 2 (A''(x3) + max(0, -A''(X)))
     # / nu^3, which is at least 2 A''(x3) / nu^3 = 1.785e-3 / nu^3: at
-    # nu = 300 it meets 1e-9 at the first block edge, below about nu = 121
-    # it cannot, and those rows end at lobe 768.  Every row covers its miss
-    # against Dawson's integral and ends where the serial reference ends.
+    # nu = 300 it meets 1e-9 past the first lobe, below about nu = 121 it
+    # cannot, and those rows take the cap of 768 lobes.  Every row covers
+    # its miss against Dawson's integral, takes the lobe count of the
+    # reference scan and ends where the serial reference ends.
     a, spec = 1e-3, QuadSpec(1e-9, 1e-9)
     amp, peak = AmplitudeSpec.gaussian(a), 4.0 * a * math.exp(-1.5)
     sine = kind == OscKind.SIN
@@ -363,7 +428,8 @@ def test_gauss_tails_before_the_third_derivative_turns(kind):
         # The largest the bound can be, |A''| <= 2a, plus the lobe errors.
         assert res.error_estimate <= 2.0 * (peak + 2.0 * a) / nu ** 3 + 1e-10
         assert res.converged == (nu == 300.0), nu
-        lobes = quad._LOBE_BLOCK if nu == 300.0 else quad._MAX_LOBES
+        lobes = routes.least_lobe_count(amp, nu, kind, spec.abs_tol)[0]
+        assert lobes == (1 if nu == 300.0 else quad._MAX_LOBES), nu
         assert res.evaluations == 15 * lobes, nu
         ref = routes.serial_transform(amp, nu, kind, spec)
         assert (repr((res.value, res.error_estimate, res.converged))

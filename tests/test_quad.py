@@ -510,7 +510,7 @@ def test_transform_rows_raise_the_serial_first_error(monkeypatch, first,
         routes.serial_transform(a, nu, OscKind.COS) for a, nu in rows])
     assert serial is not None
     walked = []
-    monkeypatch.setattr(quad, "_lobe_walk",
+    monkeypatch.setattr(quad, "_declared_rows",
                         lambda *args: walked.append(args))
     monkeypatch.setattr(quad, "_improper_power",
                         lambda *args: walked.append(args))

@@ -165,3 +165,17 @@ def test_transform_rows_equal_serial_transforms(kind, rows):
 def _transform_keys(results):
     return [repr((r.value, r.error_estimate, r.evaluations, r.converged))
             for r in results]
+
+
+@pytest.mark.parametrize("amp, kind", [
+    (AmplitudeSpec.reciprocal(), OscKind.SIN),
+    (AmplitudeSpec.inv_sqrt(), OscKind.SIN),
+    (AmplitudeSpec.inv_sqrt(), OscKind.COS)])
+@pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11])
+def test_improper_lobe_lists_equal_serial_lists(amp, kind, tol):
+    # _improper_power takes its lobes past the first from a list that
+    # starts at lobe 1: it ends where the serial reference started there
+    # ends.
+    spec = QuadSpec(abs_tol=tol, rel_tol=tol)
+    assert _transform_keys(quad._declared_rows([amp], [1.0], kind, spec, 1)) \
+        == _transform_keys([routes.serial_declared(amp, 1.0, kind, spec, 1)])
